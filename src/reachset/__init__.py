@@ -23,7 +23,6 @@ from .chloroform import (
     TrajectorySample,
     assemble_generator,
     fit_rates,
-    secular_blocks,
     simulate_block,
     synthesize_trajectories,
 )
@@ -31,10 +30,8 @@ from .diagonal import (
     DiagonalVector,
     diag_labels,
     diag_slots,
-    direction_set,
     embed,
     project,
-    projected_field,
 )
 from .dynamics import (
     AffineGenerator,
@@ -56,11 +53,9 @@ from .errors import (
 )
 from .over_approx import (
     PurityBound,
-    axis_intersections,
     ellipsoid_axis_intersections,
     max_purity_multistart,
     max_purity_on_ellipsoid,
-    sphere_cross_section,
 )
 from .pauli import (
     CoherenceVector,
@@ -90,6 +85,7 @@ from .sequences import (
     pps_pulse_sequence_builder,
     pps_sequence,
     robustness_sweep,
+    saturation_system,
     simulate_sequence,
 )
 from .under_approx import (

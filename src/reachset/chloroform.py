@@ -29,7 +29,7 @@ polarization = 1, proton = 4 by the gyromagnetic ratio).  The physical
 scale eps ~ 1e-5 multiplies linearly and is left configurable.
 """
 
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -173,11 +173,6 @@ def block_matrices(rs, block):
     if block == "multi_quantum":
         return _multi_quantum_matrix(rs), np.zeros((4, 4))
     raise ValidationError(f"unknown block {block!r}")
-
-
-def secular_blocks():
-    """Mapping block name -> tuple of coordinate labels (partition of 15)."""
-    return dict(BLOCKS)
 
 
 def coupling_hamiltonian(rs):

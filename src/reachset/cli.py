@@ -24,13 +24,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import __version__
-from .chloroform import BLOCKS, CHLOROFORM, RateSet, assemble_generator
+from .chloroform import BLOCKS, CHLOROFORM, RateSet, assemble_generator, fit_rates
 from .diagonal import diag_labels, diag_slots
 from .dynamics import AffineGenerator
 from .errors import ReachsetError, ValidationError
 from .over_approx import ellipsoid_axis_intersections, max_purity_on_ellipsoid
-from .pauli import CoherenceVector, build_basis
-from .parallel import worker_count
+from .pauli import CoherenceVector
 from .sequences import (
     bell_direction,
     bell_sequence,
@@ -40,15 +39,10 @@ from .sequences import (
     pps_pulse_sequence_builder,
     pps_sequence,
     robustness_sweep,
+    saturation_system,
     simulate_sequence,
 )
-from .serialize import (
-    dump_json,
-    load_json,
-    read_trajectory_csv,
-    write_csv,
-    write_trajectory_csv,
-)
+from .serialize import dump_json, load_json, read_trajectory_csv, write_csv
 from .under_approx import build_permutation_set, fibonacci_sphere, stlc_boundary_rays
 from .unitary_bound import (
     diagonal_vertex_coords,
@@ -56,7 +50,6 @@ from .unitary_bound import (
     polytope_ray_exit,
     polytope_vertices,
 )
-from .chloroform import fit_rates
 
 
 def _load_generator(args):
@@ -99,25 +92,29 @@ def _target_vector(spec_str):
     raise ValidationError(f"target must be pps, bell, or a JSON file: {spec_str}")
 
 
+def _sphere_payload(gen, bound):
+    """Purity-sphere radius and the zero-purity-rate ellipsoid's axis crossings."""
+    return {
+        "radius_sq": bound.radius_sq,
+        "axis_intersection": float(np.sqrt(bound.radius_sq)),
+        "ellipsoid_axis_intersections": dict(
+            zip(diag_labels(gen.n), ellipsoid_axis_intersections(gen))
+        ),
+    }
+
+
 def cmd_bound(args):
     gen, _ = _load_generator(args)
     t0 = time.perf_counter()
     bound = max_purity_on_ellipsoid(
         gen, certify=not args.no_certify, n_starts=args.starts, seed=args.seed
     )
-    payload = {
-        "radius_sq": bound.radius_sq,
-        "argmax": list(bound.argmax_r.r),
-        "residual": bound.solver_residual,
-        "lagrange_mult": bound.lagrange_mult,
-        "axis_intersection": float(np.sqrt(bound.radius_sq)),
-        "ellipsoid_axis_intersections": {
-            lab: val
-            for lab, val in zip(
-                diag_labels(gen.n), ellipsoid_axis_intersections(gen)
-            )
-        },
-    }
+    payload = _sphere_payload(gen, bound)
+    payload.update(
+        argmax=list(bound.argmax_r.r),
+        residual=bound.solver_residual,
+        lagrange_mult=bound.lagrange_mult,
+    )
     dump_json(payload, args.out)
     _sidecar(args, args.out, time.perf_counter() - t0)
     print(f"radius_sq = {bound.radius_sq:.6f} -> {args.out}")
@@ -129,37 +126,46 @@ def _parse_rays(spec_str):
         return fibonacci_sphere(int(spec_str.split(":", 1)[1]))
     if os.path.exists(spec_str):
         dirs = np.loadtxt(spec_str, delimiter=",", ndmin=2)
-        return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        with np.errstate(invalid="ignore"):  # zero rows are rejected as NaN
+            return dirs / np.linalg.norm(dirs, axis=1)[:, None]
     raise ValidationError(f"rays must be fibonacci:N or a CSV file: {spec_str}")
 
 
-def cmd_stlc(args):
-    gen, _ = _load_generator(args)
+def _trace_boundary(gen, rays, origin, args):
+    """Trace the STLC boundary along rays; (direction, radius, point) per kept ray.
+
+    With ``args.region == "wedge"`` only points with 0 <= x3 <= x1 <= x2 are kept.
+    """
     if gen.n != 2:
         raise ValidationError("boundary tracing is implemented for n=2")
-    rays = _parse_rays(args.rays)
-    controls = build_permutation_set(gen.n)
-    if args.origin == "eq":
-        origin = gen.r_eq[list(diag_slots(gen.n))]
-    else:
-        origin = np.zeros(2 ** gen.n - 1)
-    t0 = time.perf_counter()
     radii = stlc_boundary_rays(
         gen,
-        controls,
+        build_permutation_set(gen.n),
         rays,
         tol=args.tol,
         origin=origin,
-        workers=worker_count(args.workers),
+        workers=args.workers,
     )
-    rows = []
+    kept = []
     for d, r in zip(rays, radii):
         point = origin + r * d
         if args.region == "wedge" and not (
             0.0 <= point[2] <= point[0] <= point[1]
         ):
             continue
-        rows.append([d[0], d[1], d[2], r])
+        kept.append((d, r, point))
+    return kept
+
+
+def cmd_stlc(args):
+    gen, _ = _load_generator(args)
+    rays = _parse_rays(args.rays)
+    if args.origin == "eq":
+        origin = gen.r_eq[list(diag_slots(gen.n))]
+    else:
+        origin = np.zeros(2 ** gen.n - 1)
+    t0 = time.perf_counter()
+    rows = [[*d, r] for d, r, _ in _trace_boundary(gen, rays, origin, args)]
     write_csv(args.out, ["ray_x", "ray_y", "ray_z", "boundary_radius"], rows)
     _sidecar(
         args,
@@ -302,39 +308,17 @@ def cmd_robustness(args):
 
 
 def cmd_figure1(args):
-    gen, rates = _load_generator(args)
+    gen, _ = _load_generator(args)
     os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
     slots = list(diag_slots(gen.n))
 
     bound = max_purity_on_ellipsoid(gen, seed=args.seed)
-    dump_json(
-        {
-            "radius_sq": bound.radius_sq,
-            "axis_intersection": float(np.sqrt(bound.radius_sq)),
-            "ellipsoid_axis_intersections": {
-                lab: val
-                for lab, val in zip(
-                    diag_labels(gen.n), ellipsoid_axis_intersections(gen)
-                )
-            },
-        },
-        os.path.join(args.out_dir, "sphere.json"),
-    )
+    dump_json(_sphere_payload(gen, bound), os.path.join(args.out_dir, "sphere.json"))
 
-    controls = build_permutation_set(gen.n)
     rays = fibonacci_sphere(args.rays)
     origin = np.zeros(2 ** gen.n - 1)
-    radii = stlc_boundary_rays(
-        gen, controls, rays, tol=args.tol, origin=origin,
-        workers=worker_count(args.workers),
-    )
-    rows = []
-    for d, r in zip(rays, radii):
-        p = origin + r * d
-        if args.region == "wedge" and not (0.0 <= p[2] <= p[0] <= p[1]):
-            continue
-        rows.append([d[0], d[1], d[2], r, p[0], p[1], p[2]])
+    rows = [[*d, r, *p] for d, r, p in _trace_boundary(gen, rays, origin, args)]
     write_csv(
         os.path.join(args.out_dir, "stlc_boundary.csv"),
         ["ray_x", "ray_y", "ray_z", "boundary_radius", "x1", "x2", "x3"],
@@ -366,14 +350,8 @@ def cmd_figure1(args):
     # subsystem relaxes from the (clamped) thermal state to its driven
     # steady state
     noe = noe_steady_state(gen, "C")
-    free = [
-        k - 1
-        for k, lab in enumerate(build_basis(gen.n).labels)
-        if k > 0 and lab[0] == "I"
-    ]
-    A = (gen.Hmat - gen.Rmat)[np.ix_(free, free)]
+    free, A, xinf = saturation_system(gen, "C")
     start_free = gen.r_eq[free]
-    xinf = np.linalg.solve(-A, gen.v[free])
     times = np.linspace(0.0, args.noe_duration, 200)
     noe_rows = []
     for t in times:
@@ -446,7 +424,7 @@ def build_parser():
         default="all",
         help="wedge keeps only boundary points with 0 <= x3 <= x1 <= x2",
     )
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_stlc)
 
     p = sub.add_parser("unitary-bound", help="spectrum polytope and kappa")
@@ -499,7 +477,7 @@ def build_parser():
         default="all",
         help="wedge keeps only boundary points with 0 <= x3 <= x1 <= x2",
     )
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_figure1)
 
     return parser

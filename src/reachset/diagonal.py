@@ -77,41 +77,8 @@ def project(v):
     return DiagonalVector(n=v.n, x=v.r[list(diag_slots(v.n))])
 
 
-def projected_field(gen, urep, dv):
-    """Evolution direction of the diagonal coordinates under a fixed unitary.
-
-    Parameters
-    ----------
-    gen : AffineGenerator
-    urep : UnitaryRep
-        Representation of the relabelling unitary on coherence vectors.
-    dv : DiagonalVector
-        Current spectral coordinates.
-
-    Returns
-    -------
-    DiagonalVector
-        The time derivative -[U^T R U]_d x + [U^T R r_eq]_d.
-    """
-    if not (gen.n == urep.n == dv.n):
-        raise ValidationError("qubit counts of generator, unitary and state differ")
-    slots = list(diag_slots(gen.n))
-    U = urep.matrix
-    A = (U.T @ gen.Rmat @ U)[np.ix_(slots, slots)]
-    b = (U.T @ (gen.Rmat @ gen.r_eq))[slots]
-    return DiagonalVector(n=gen.n, x=-A @ dv.x + b)
-
-
-def direction_set(gen, controls, dv):
-    """Admissible evolution directions for a list of control unitaries.
-
-    Order follows `controls`; duplicates are preserved.
-    """
-    return [projected_field(gen, u, dv) for u in controls]
-
-
 def projected_field_stack(gen, reps):
-    """Precompute stacked field coefficients for many control unitaries.
+    """Stacked field coefficients for a list of control unitaries.
 
     Parameters
     ----------
@@ -122,13 +89,21 @@ def projected_field_stack(gen, reps):
     Returns
     -------
     (A, b) : ndarrays of shape (K, m, m) and (K, m)
-        Fields evaluate as -A[k] @ x + b[k]; used by boundary scans where
-        per-call conjugation would dominate the cost.
+        The field of control k evaluates as -A[k] @ x + b[k], i.e.
+        -[U^T R U]_d x + [U^T R r_eq]_d; order follows `reps` and
+        duplicates are kept.
+
+    Raises
+    ------
+    ValidationError
+        If the controls do not act on the generator's coherence space.
     """
     slots = list(diag_slots(gen.n))
     mats = np.asarray(
         [u.matrix if hasattr(u, "matrix") else u for u in reps], dtype=float
     )
+    if mats.shape[1:] != (gen.dim, gen.dim):
+        raise ValidationError("qubit counts of generator and controls differ")
     RU = np.einsum("kia,ij,kjb->kab", mats, gen.Rmat, mats)
     A = RU[:, slots, :][:, :, slots]
     b = np.einsum("kia,i->ka", mats, gen.Rmat @ gen.r_eq)[:, slots]

@@ -69,11 +69,15 @@ class AffineGenerator:
         H = np.asarray(self.Hmat, dtype=float)
         R = np.asarray(self.Rmat, dtype=float)
         r_eq = np.asarray(self.r_eq, dtype=float)
+        v = None if self.v is None else np.asarray(self.v, dtype=float)
         if H.shape != (d, d) or R.shape != (d, d) or r_eq.shape != (d,):
             raise ValidationError(
                 f"generator for n={self.n} needs {d}x{d} matrices and a "
                 f"length-{d} equilibrium vector"
             )
+        arrays = (H, R, r_eq) if v is None else (H, R, r_eq, v)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValidationError("generator entries must be finite")
         if np.abs(H + H.T).max() > _SYM_TOL * max(1.0, np.abs(H).max()):
             raise ValidationError("Hmat is not antisymmetric")
         if np.abs(R - R.T).max() > _SYM_TOL * max(1.0, np.abs(R).max()):
@@ -90,13 +94,10 @@ class AffineGenerator:
                 f"Rmat is not positive definite (min eigenvalue {eigs[0]:.3e}); "
                 "pass unital=True only for unital special cases"
             )
-        v = self.v
         if v is None:
             v = R @ r_eq
-        else:
-            v = np.asarray(v, dtype=float)
-            if np.abs(R @ r_eq - v).max() > _EQ_TOL * max(1.0, np.abs(v).max()):
-                raise ValidationError("Rmat @ r_eq does not reproduce v")
+        elif np.abs(R @ r_eq - v).max() > _EQ_TOL * max(1.0, np.abs(v).max()):
+            raise ValidationError("Rmat @ r_eq does not reproduce v")
         object.__setattr__(self, "Hmat", _readonly(H.copy()))
         object.__setattr__(self, "Rmat", _readonly(R.copy()))
         object.__setattr__(self, "r_eq", _readonly(r_eq.copy()))

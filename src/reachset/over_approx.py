@@ -30,6 +30,10 @@ from .pauli import CoherenceVector
 #: Relative agreement demanded between solver and certification oracle.
 CERTIFY_RTOL = 1e-6
 
+#: Ascent steps per oracle start, and the relative gain that ends a start.
+ORACLE_MAX_ITER = 2000
+ORACLE_STEP_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class PurityBound:
@@ -111,7 +115,7 @@ def _max_norm_on_sphere(c, M):
     return c + M @ y, lam
 
 
-def max_purity_multistart(gen, n_starts=50, seed=0, max_iter=2000, step_tol=1e-14):
+def max_purity_multistart(gen, n_starts=50, seed=0):
     """Projected-gradient certification oracle for the purity bound.
 
     Ascends |c + M y|^2 on the unit sphere from `n_starts` seeded random
@@ -129,7 +133,7 @@ def max_purity_multistart(gen, n_starts=50, seed=0, max_iter=2000, step_tol=1e-1
         y /= np.linalg.norm(y)
         val = float(c @ c + 2 * (M.T @ c) @ y + y @ (G @ y))
         step = 1.0 / lipschitz
-        for _ in range(max_iter):
+        for _ in range(ORACLE_MAX_ITER):
             grad = 2.0 * (M.T @ c + G @ y)
             tangent = grad - (grad @ y) * y
             if np.linalg.norm(tangent) <= 1e-15 * max(1.0, abs(val)):
@@ -146,7 +150,7 @@ def max_purity_multistart(gen, n_starts=50, seed=0, max_iter=2000, step_tol=1e-1
                     improved = True
                     break
                 alpha *= 0.5
-            if not improved or (val_new - val) < step_tol * max(1.0, abs(val)):
+            if not improved or (val_new - val) < ORACLE_STEP_TOL * max(1.0, abs(val)):
                 y, val = y_new, max(val, val_new)
                 break
             y, val = y_new, val_new
@@ -209,29 +213,6 @@ def max_purity_on_ellipsoid(gen, certify=True, n_starts=50, seed=0):
         lagrange_mult=mu,
         solver_residual=residual,
     )
-
-
-def sphere_cross_section(bound, subspace):
-    """Squared radius of the sphere's cross-section with a subspace.
-
-    An origin-centered sphere meets any coordinate subspace through the
-    origin in a sphere of the same radius, so this returns radius_sq
-    unchanged; it exists to make figure-reproduction contracts explicit.
-    """
-    del subspace
-    return bound.radius_sq
-
-
-def axis_intersections(bound, n=None):
-    """Points +-sqrt(radius_sq) on each diagonal coordinate axis.
-
-    Returns an ndarray of shape (2^n - 1, 2) with columns (+, -).
-    """
-    if n is None:
-        n = bound.argmax_r.n
-    m = 2 ** n - 1
-    root = np.sqrt(bound.radius_sq)
-    return np.column_stack([np.full(m, root), np.full(m, -root)])
 
 
 def ellipsoid_axis_intersections(gen):

@@ -6,18 +6,7 @@ Result order always follows input order, so merged outputs are
 deterministic regardless of the worker count.
 """
 
-import os
 from multiprocessing import get_context
-
-
-def worker_count(requested=None):
-    """Resolve the worker count: argument, then REACHSET_WORKERS, then 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("REACHSET_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def parallel_map(fn, items, workers):

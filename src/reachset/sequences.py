@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .diagonal import DiagonalVector, diag_slots, project
+from .diagonal import project
 from .dynamics import relax_propagator
 from .errors import NoUniqueFixedPoint, ValidationError
 from .pauli import CoherenceVector, build_basis, unitary_rep, _readonly
@@ -142,31 +142,22 @@ def bell_direction():
     return CoherenceVector(n=2, r=wrep @ pps_direction().r)
 
 
-def pps_sequence(tau, repeat=1, gate_duration=0.0):
-    """The averaging period [tau - V]: relax, then permute coefficients.
-
-    gate_duration > 0 appends an extra relaxation step after the gate to
-    model a non-instantaneous implementation; disabled by default.
-    """
-    steps = [RelaxStep(tau), gate_step(averaging_permutation(), "V")]
-    if gate_duration > 0.0:
-        steps.append(RelaxStep(gate_duration))
-    return PeriodicSequence(steps=tuple(steps), repeat=repeat)
+def pps_sequence(tau, repeat=1):
+    """The averaging period [tau - V]: relax, then permute coefficients."""
+    steps = (RelaxStep(tau), gate_step(averaging_permutation(), "V"))
+    return PeriodicSequence(steps=steps, repeat=repeat)
 
 
-def bell_sequence(tau, repeat=1, gate_duration=0.0):
+def bell_sequence(tau, repeat=1):
     """The conjugated period: W^T first, averaging core, W last.
 
     Built so that the one-period map is exactly W o map_PPS o W^T, making
     the fixed point the W image of the averaging fixed point.
     """
     wrep = unitary_rep(bell_basis_change()).matrix
-    steps = [GateStep(rep=wrep.T, name="Wt"), RelaxStep(tau),
-             gate_step(averaging_permutation(), "V")]
-    if gate_duration > 0.0:
-        steps.append(RelaxStep(gate_duration))
-    steps.append(GateStep(rep=wrep, name="W"))
-    return PeriodicSequence(steps=tuple(steps), repeat=repeat)
+    steps = (GateStep(rep=wrep.T, name="Wt"), RelaxStep(tau),
+             gate_step(averaging_permutation(), "V"), GateStep(rep=wrep, name="W"))
+    return PeriodicSequence(steps=steps, repeat=repeat)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +309,12 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
 # spin saturation
 
 
-def noe_steady_state(gen, saturated):
-    """Steady state under continuous saturation of one spin.
+def saturation_system(gen, saturated):
+    """Linear dynamics left free under continuous saturation of one spin.
 
     Every coordinate whose label involves the saturated spin (any non-I
-    operator at its position) is clamped to zero; the remaining linear
-    system is solved for its stationary point.  Cross-relaxation feeds the
-    untouched spin, which can exceed its thermal polarization.
+    operator at its position) is clamped to zero; the remaining coordinates
+    obey dx/dt = A x + v[free].
 
     Parameters
     ----------
@@ -334,7 +324,9 @@ def noe_steady_state(gen, saturated):
 
     Returns
     -------
-    DiagonalVector
+    (free, A, x_free)
+        Indices of the unclamped coordinates in the coherence vector, the
+        drift restricted to them, and their stationary point.
     """
     if gen.n != 2:
         raise ValidationError("saturation model is defined for two qubits")
@@ -349,6 +341,21 @@ def noe_steady_state(gen, saturated):
     ]
     A = (gen.Hmat - gen.Rmat)[np.ix_(free, free)]
     x_free = np.linalg.solve(-A, gen.v[free])
+    return free, A, x_free
+
+
+def noe_steady_state(gen, saturated):
+    """Steady state under continuous saturation of one spin.
+
+    The stationary point of saturation_system, with the clamped coordinates
+    at zero.  Cross-relaxation feeds the untouched spin, which can exceed
+    its thermal polarization.
+
+    Returns
+    -------
+    DiagonalVector
+    """
+    free, _, x_free = saturation_system(gen, saturated)
     full = np.zeros(gen.dim)
     full[free] = x_free
     return project(CoherenceVector(n=2, r=full))
@@ -505,7 +512,7 @@ class RobustnessResult:
 
 
 def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
-                     reference=None, target=None, kappa_tol=1.0):
+                     reference=None):
     """Fixed-point sensitivity to per-channel control-amplitude errors.
 
     Parameters
@@ -518,7 +525,6 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
     reference : CoherenceVector, optional
         State against which errors are measured; defaults to the fixed
         point of seq_builder(0, 0).
-    target, kappa_tol : unused diagnostics hooks kept for API symmetry.
 
     Returns
     -------
@@ -527,7 +533,6 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
         parts (Frobenius norm of the operator difference divided by the
         reference norm equals exactly this vector-space ratio).
     """
-    del target, kappa_tol
     dc = np.asarray(delta_c_values, dtype=float)
     dh = np.asarray(delta_h_values, dtype=float)
     if reference is None:
@@ -549,13 +554,3 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
             delta[i, j] = np.linalg.norm(x - ref) / ref_norm
     return RobustnessResult(delta_c=dc, delta_h=dh, delta=delta, failed=failed)
 
-
-def diagonal_part(report_or_state):
-    """Diagonal coordinates of a fixed point or state (convenience)."""
-    state = getattr(report_or_state, "x_star", report_or_state)
-    return project(state)
-
-
-def diag_coords(state):
-    """Raw diagonal coordinate array of a CoherenceVector."""
-    return state.r[list(diag_slots(state.n))]

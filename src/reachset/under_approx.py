@@ -289,16 +289,7 @@ def _first_exit(A, b, origin, direction, step, max_radius, tol):
     return t_lo
 
 
-def stlc_boundary_rays(
-    gen,
-    controls,
-    ray_dirs,
-    tol=1e-3,
-    origin=None,
-    step=None,
-    max_radius=None,
-    workers=1,
-):
+def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1):
     """Trace the STLC boundary along rays from an interior point.
 
     Parameters
@@ -315,10 +306,6 @@ def stlc_boundary_rays(
         the STLC set: its cone fails strictly, not through the degeneracy
         band, while points just toward the origin pass.  Chloroform scans
         are therefore anchored at the maximally mixed state.
-    step : float, optional
-        Outward march increment (default: max(|origin|, 1)/20).
-    max_radius : float, optional
-        Scan cutoff (default: 3 (|origin| + |r_eq|) + 1).
     workers : int
         Ray-level parallelism (1 = serial).
 
@@ -329,13 +316,18 @@ def stlc_boundary_rays(
         reported point origin + radius * direction is itself certified.
         Monotonicity along a ray is not assumed; connectedness of the STLC
         set justifies reporting the first exit.
+
+    Notes
+    -----
+    The march steps outward by max(|origin|, 1)/20 up to the cutoff
+    3 (|origin| + |r_eq|) + 1, which is reported for rays that never exit.
     """
     dirs = np.asarray(ray_dirs, dtype=float)
     m = 2 ** gen.n - 1
-    if dirs.ndim != 2 or dirs.shape[1] != m:
-        raise ValidationError(f"ray directions must be (R, {m})")
+    if dirs.ndim != 2 or dirs.shape[1] != m or len(dirs) < 1:
+        raise ValidationError(f"ray directions must be (R, {m}) with R >= 1")
     norms = np.linalg.norm(dirs, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
+    if not (np.abs(norms - 1.0) <= 1e-9).all():
         raise ValidationError("ray directions must have unit norm")
     if origin is None:
         origin = gen.r_eq[list(diag_slots(gen.n))]
@@ -346,10 +338,8 @@ def stlc_boundary_rays(
             "ray origin fails the local-controllability test"
         )
     scale = float(np.linalg.norm(origin))
-    if step is None:
-        step = max(scale, 1.0) / 20.0
-    if max_radius is None:
-        max_radius = 3.0 * (scale + float(np.linalg.norm(gen.r_eq))) + 1.0
+    step = max(scale, 1.0) / 20.0
+    max_radius = 3.0 * (scale + float(np.linalg.norm(gen.r_eq))) + 1.0
 
     if workers > 1:
         from .parallel import parallel_map

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .diagonal import diag_labels, diag_slots
+from .diagonal import diag_slots
 from .errors import ResidualTooLarge, ValidationError
 from .pauli import CoherenceVector, build_basis, deviation_matrix
 
@@ -161,8 +161,3 @@ def polytope_ray_exit(vertices_coords, direction):
     if res.status != 0:
         return 0.0
     return float(res.x[0])
-
-
-def diag_coords_labels(n):
-    """Convenience re-export of the diagonal coordinate labels."""
-    return diag_labels(n)

@@ -13,7 +13,6 @@ from reachset import (
     evolve,
     fit_rates,
     lindblad_to_bloch,
-    secular_blocks,
     simulate_block,
     synthesize_trajectories,
 )
@@ -63,7 +62,7 @@ def test_zero_cross_rates_block_diagonal():
 
 
 def test_secular_blocks_partition(chloroform_gen):
-    blocks = secular_blocks()
+    blocks = BLOCKS
     all_labels = [lab for labs in blocks.values() for lab in labs]
     assert len(all_labels) == 15 and len(set(all_labels)) == 15
     basis = build_basis(2)

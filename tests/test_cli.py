@@ -1,11 +1,10 @@
-import json
-import os
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reachset.cli import main
-from reachset.chloroform import BLOCKS, CHLOROFORM, synthesize_trajectories
+from reachset.chloroform import CHLOROFORM, synthesize_trajectories
 from reachset.serialize import (
     dump_json,
     load_json,
@@ -158,6 +157,13 @@ def test_validation_exit_codes(tmp_path):
                "--out", str(tmp_path / "r.json")) == 2
     assert run("bound", "--gen", "no-such-file.json",
                "--out", str(tmp_path / "y.json")) == 2
+    rays = tmp_path / "rays.csv"
+    rays.write_text("0,0,1\n0,0,0\n")  # a zero row has no direction
+    assert run("stlc", "--preset", "chloroform", "--rays", str(rays),
+               "--out", str(tmp_path / "s.csv")) == 2
+    # the free equilibrium is a boundary point: a numerical verdict, exit 3
+    assert run("stlc", "--preset", "chloroform", "--origin", "eq",
+               "--rays", "fibonacci:2", "--out", str(tmp_path / "e.csv")) == 3
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -174,11 +180,55 @@ def test_trajectory_csv_round_trip(tmp_path):
         )
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    from reachset.parallel import worker_count
 
-    monkeypatch.setenv("REACHSET_WORKERS", "3")
-    assert worker_count(None) == 3
-    assert worker_count(2) == 2
-    monkeypatch.delenv("REACHSET_WORKERS")
-    assert worker_count(None) == 1
+def test_figure1_reuses_bound_stlc_and_noe(tmp_path):
+    # the same rays, tol and region must give the same numbers as the
+    # single-purpose commands
+    out_dir = tmp_path / "fig"
+    assert run("figure1", "--preset", "chloroform", "--rays", "24",
+               "--tol", "5e-2", "--region", "wedge", "--m", "5",
+               "--out-dir", str(out_dir)) == 0
+    bound, stlc, noe = (tmp_path / "bound.json", tmp_path / "stlc.csv",
+                        tmp_path / "noe.json")
+    assert run("bound", "--preset", "chloroform", "--out", str(bound)) == 0
+    assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:24",
+               "--tol", "5e-2", "--region", "wedge", "--out", str(stlc)) == 0
+    assert run("noe", "--preset", "chloroform", "--saturate", "C",
+               "--out", str(noe)) == 0
+
+    sphere = load_json(out_dir / "sphere.json")
+    full = load_json(bound)
+    assert set(full) - set(sphere) == {"argmax", "residual", "lagrange_mult"}
+    assert sphere == {k: full[k] for k in sphere}
+
+    fig_rows = (out_dir / "stlc_boundary.csv").read_text().splitlines()
+    stlc_rows = stlc.read_text().splitlines()
+    assert len(stlc_rows) >= 2  # header plus at least one wedge point
+    assert [",".join(r.split(",")[:4]) for r in fig_rows] == stlc_rows
+
+    assert load_json(out_dir / "noe.json")["noe_steady_state"] == load_json(noe)["x"]
+
+
+@settings(max_examples=12, deadline=None)
+@example(key="r_eq", index=0, value=float("inf"))
+@example(key="R", index=2 * 15 + 2, value=float("nan"))
+@given(
+    key=st.sampled_from(["H", "R", "r_eq"]),
+    index=st.integers(min_value=0, max_value=15 * 15 - 1),
+    value=st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+)
+def test_nonfinite_generator_rejected(tmp_path_factory, chloroform_gen, key, index,
+                                      value):
+    # a non-finite entry anywhere is rejected before any output is written
+    d = tmp_path_factory.mktemp("gen")
+    gen = chloroform_gen.to_json_dict()
+    if key == "r_eq":
+        gen[key][index % 15] = value
+    else:
+        gen[key][index // 15][index % 15] = value
+    path = d / "gen.json"
+    dump_json(gen, path)
+    for argv in (["bound"], ["simulate", "--m", "5"]):
+        out = d / "out"
+        assert main([*argv, "--gen", str(path), "--out", str(out)]) == 2
+        assert not out.exists()

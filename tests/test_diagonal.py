@@ -5,13 +5,14 @@ from reachset import (
     AffineGenerator,
     CoherenceVector,
     DiagonalVector,
+    UnitaryRep,
+    ValidationError,
     build_basis,
     diag_labels,
     diag_slots,
-    direction_set,
     embed,
     project,
-    projected_field,
+    unitary_rep,
 )
 from reachset.diagonal import projected_field_stack, stacked_directions
 
@@ -36,13 +37,10 @@ def test_embed_project_round_trip(rng):
     np.testing.assert_array_equal(project(v).x, x.x)
 
 
-def test_free_field_vanishes_at_equilibrium(chloroform_gen, two_qubit_controls):
-    from reachset import unitary_rep
-
-    identity = unitary_rep(np.eye(4))
+def test_free_field_vanishes_at_equilibrium(chloroform_gen):
     x_eq = project(CoherenceVector(n=2, r=chloroform_gen.r_eq))
-    field = projected_field(chloroform_gen, identity, x_eq)
-    np.testing.assert_allclose(field.x, 0.0, atol=1e-12)
+    A, b = projected_field_stack(chloroform_gen, [unitary_rep(np.eye(4))])
+    np.testing.assert_allclose(stacked_directions(A, b, x_eq.x), 0.0, atol=1e-12)
 
 
 def test_far_states_flow_inward(chloroform_gen, two_qubit_controls, rng):
@@ -59,61 +57,53 @@ def test_far_states_flow_inward(chloroform_gen, two_qubit_controls, rng):
 def test_projected_field_matches_full_space_restriction(
     chloroform_gen, two_qubit_controls, rng
 ):
-    from reachset import UnitaryRep
-
     slots = list(diag_slots(2))
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
     for k in (1, 5, 17):
         rep_full = two_qubit_controls.reps_full[k]
-        urep = UnitaryRep(n=2, matrix=rep_full)
         x = rng.normal(size=3)
         # full-space oracle: rotate the embedded state, evolve, pull back
         r_full = rep_full @ embed(DiagonalVector(n=2, x=x)).r
         rdot = chloroform_gen.drift @ r_full + chloroform_gen.v
         oracle = (rep_full.T @ rdot)[slots]
-        field = projected_field(chloroform_gen, urep, DiagonalVector(n=2, x=x))
-        np.testing.assert_allclose(field.x, oracle, atol=1e-10)
+        np.testing.assert_allclose(
+            stacked_directions(A, b, x)[k], oracle, atol=1e-10
+        )
 
 
 def test_coherent_part_does_not_contribute(chloroform_gen, two_qubit_controls, rng):
-    from reachset import UnitaryRep
-
     stripped = AffineGenerator(
         n=2,
         Hmat=np.zeros((15, 15)),
         Rmat=chloroform_gen.Rmat,
         r_eq=chloroform_gen.r_eq,
     )
-    x = DiagonalVector(n=2, x=rng.normal(size=3))
-    for k in (0, 3, 11):
-        urep = UnitaryRep(n=2, matrix=two_qubit_controls.reps_full[k])
-        with_h = projected_field(chloroform_gen, urep, x)
-        without = projected_field(stripped, urep, x)
-        np.testing.assert_allclose(with_h.x, without.x, atol=1e-12)
+    x = rng.normal(size=3)
+    reps = two_qubit_controls.reps_full[[0, 3, 11]]
+    with_h = stacked_directions(*projected_field_stack(chloroform_gen, reps), x)
+    without = stacked_directions(*projected_field_stack(stripped, reps), x)
+    np.testing.assert_allclose(with_h, without, atol=1e-12)
 
 
-def test_direction_set_order_and_duplicates(chloroform_gen, two_qubit_controls):
-    from reachset import UnitaryRep, unitary_rep
+def test_stacked_directions_order_and_duplicates(chloroform_gen, two_qubit_controls):
+    x_eq = project(CoherenceVector(n=2, r=chloroform_gen.r_eq)).x
+    controls = [UnitaryRep(n=2, matrix=m) for m in two_qubit_controls.reps_full]
+    dirs = stacked_directions(*projected_field_stack(chloroform_gen, controls), x_eq)
+    assert dirs.shape == (24, 3)
 
-    x_eq = project(CoherenceVector(n=2, r=chloroform_gen.r_eq))
-    identity = unitary_rep(np.eye(4))
-    single = direction_set(chloroform_gen, [identity], x_eq)
-    assert len(single) == 1
-    np.testing.assert_allclose(single[0].x, 0.0, atol=1e-12)
+    # order follows the controls: each row is that control's own field
+    for k in (0, 7, 23):
+        single = stacked_directions(
+            *projected_field_stack(chloroform_gen, [controls[k]]), x_eq
+        )
+        np.testing.assert_array_equal(single[0], dirs[k])
 
-    controls = [
-        UnitaryRep(n=2, matrix=m) for m in two_qubit_controls.reps_full
-    ]
-    dirs = direction_set(chloroform_gen, controls, x_eq)
-    assert len(dirs) == 24
-
-    dup = direction_set(chloroform_gen, [controls[3], controls[3]], x_eq)
-    np.testing.assert_array_equal(dup[0].x, dup[1].x)
+    dup = stacked_directions(
+        *projected_field_stack(chloroform_gen, [controls[3], controls[3]]), x_eq
+    )
+    np.testing.assert_array_equal(dup[0], dup[1])
 
 
 def test_dimension_guard(chloroform_gen):
-    from reachset import unitary_rep
-
-    with pytest.raises(Exception):
-        projected_field(
-            chloroform_gen, unitary_rep(np.eye(2)), DiagonalVector(n=1, x=[0.1])
-        )
+    with pytest.raises(ValidationError):
+        projected_field_stack(chloroform_gen, [unitary_rep(np.eye(2))])

@@ -4,13 +4,10 @@ import pytest
 from reachset import (
     AffineGenerator,
     CoherenceVector,
-    PurityBound,
-    axis_intersections,
     ellipsoid_axis_intersections,
     evolve,
     max_purity_multistart,
     max_purity_on_ellipsoid,
-    sphere_cross_section,
 )
 from reachset.over_approx import CERTIFY_RTOL
 
@@ -103,37 +100,6 @@ def test_solver_matches_multistart_oracle(dim, rng):
             duck = type("Duck", (), {"Rmat": R, "r_eq": r_eq, "unital": False})()
             oracle, _ = max_purity_multistart(duck, n_starts=50, seed=7)
         assert abs(secular - oracle) <= CERTIFY_RTOL * max(secular, 1e-12)
-
-
-def test_sphere_cross_section_is_radius(chloroform_bound):
-    assert sphere_cross_section(chloroform_bound, [0, 1, 2]) == pytest.approx(
-        chloroform_bound.radius_sq
-    )
-    assert sphere_cross_section(chloroform_bound, list(range(15))) == pytest.approx(
-        chloroform_bound.radius_sq
-    )
-
-
-def test_axis_intersections_values(chloroform_bound):
-    pts = axis_intersections(chloroform_bound)
-    assert pts.shape == (3, 2)
-    root = np.sqrt(chloroform_bound.radius_sq)
-    np.testing.assert_allclose(pts[:, 0], root)
-    np.testing.assert_allclose(pts[:, 1], -root)
-    zero = PurityBound(
-        radius_sq=0.0,
-        argmax_r=CoherenceVector(n=2, r=np.zeros(15)),
-        lagrange_mult=0.0,
-        solver_residual=0.0,
-    )
-    np.testing.assert_allclose(axis_intersections(zero), 0.0)
-    unit = PurityBound(
-        radius_sq=1.0,
-        argmax_r=CoherenceVector(n=2, r=np.zeros(15)),
-        lagrange_mult=0.0,
-        solver_residual=0.0,
-    )
-    np.testing.assert_allclose(np.abs(axis_intersections(unit)), 1.0)
 
 
 def test_ellipsoid_axis_crossings(chloroform_gen):

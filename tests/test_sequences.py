@@ -10,7 +10,6 @@ from reachset import (
     ValidationError,
     bell_direction,
     bell_sequence,
-    build_basis,
     diag_slots,
     fixed_point,
     noe_steady_state,
@@ -229,16 +228,6 @@ def test_trajectories_respect_purity_sphere(chloroform_gen, chloroform_bound):
     result = simulate_sequence(chloroform_gen, seq, thermal(chloroform_gen))
     norms_sq = np.sum(result.states ** 2, axis=1)
     assert norms_sq.max() <= chloroform_bound.radius_sq * (1 + 1e-6)
-
-
-def test_gate_duration_option(chloroform_gen):
-    seq = pps_sequence(1.5, gate_duration=0.02)
-    assert len(seq.steps) == 3
-    assert seq.period_duration == pytest.approx(1.52)
-    # extra relaxation during the gate degrades alignment slightly
-    base = fixed_point(chloroform_gen, pps_sequence(1.5), target=pps_direction())
-    slow = fixed_point(chloroform_gen, seq, target=pps_direction())
-    assert slow.theta > base.theta * 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,13 @@ import pytest
 from reachset import (
     AffineGenerator,
     CoherenceVector,
-    DiagonalVector,
     OriginNotControllable,
     SingularCombination,
     ValidationError,
     build_permutation_set,
     diag_slots,
-    direction_set,
     fibonacci_sphere,
     hypersurface_point,
-    project,
     simplex_lattice,
     stlc_boundary_rays,
     stlc_test_3d,
@@ -250,13 +247,16 @@ def test_pps_ray_bracketed_by_unitary_and_sphere(
 
 
 def test_ray_validation(chloroform_gen, two_qubit_controls):
-    with pytest.raises(ValidationError):
-        stlc_boundary_rays(
-            chloroform_gen,
-            two_qubit_controls,
-            np.array([[1.0, 1.0, 0.0]]),  # not unit norm
-            origin=np.zeros(3),
-        )
+    for bad in (
+        np.array([[1.0, 1.0, 0.0]]),  # not unit norm
+        np.empty((0, 3)),  # no rays
+        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),  # zero row
+        np.array([[np.nan, 0.0, 1.0]]),  # a normalized zero row
+    ):
+        with pytest.raises(ValidationError):
+            stlc_boundary_rays(
+                chloroform_gen, two_qubit_controls, bad, origin=np.zeros(3)
+            )
 
 
 def test_parallel_rays_match_serial(chloroform_gen, two_qubit_controls):
