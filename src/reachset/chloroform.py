@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .dynamics import AffineGenerator, lindblad_to_bloch
 from .errors import RankDeficient, ValidationError
@@ -83,16 +83,16 @@ class RateSet:
     eps_C: float = 1.0
     eps_H: float = 4.0
 
+    def __post_init__(self):
+        if not np.isfinite([*self.rates_array(), self.J, self.eps_C, self.eps_H]).all():
+            raise ValidationError("rates, coupling and polarizations must be finite")
+
     def rates_array(self):
         return np.array([getattr(self, f"r{k}") for k in range(1, 15)])
 
     def with_rates(self, names, values):
         """Copy with the named rates replaced."""
         return replace(self, **dict(zip(names, values)))
-
-    def scaled(self, eps):
-        """Equilibrium polarizations rescaled to a physical eps."""
-        return replace(self, eps_C=self.eps_C * eps, eps_H=self.eps_H * eps)
 
     def to_json_dict(self):
         """JSON form: {"r": [14 floats], "J_hz": f, "eps_C": f, "eps_H": f}."""
@@ -187,14 +187,11 @@ def assemble_generator(rates=CHLOROFORM):
     Raises
     ------
     ValidationError
-        If the rates are not finite, a diagonal rate is nonpositive, or
-        the antisymmetric block entries disagree with the ZZ coupling.
+        If a diagonal rate is nonpositive, or the antisymmetric block
+        entries disagree with the ZZ coupling.
     ContractivityViolation
         If the assembled relaxation matrix is not positive definite.
     """
-    arr = rates.rates_array()
-    if not np.all(np.isfinite(arr)) or not np.isfinite(rates.J):
-        raise ValidationError("rates and coupling must be finite")
     diag_names = ("r1", "r2", "r3", "r7", "r8", "r10", "r11", "r13")
     for name in diag_names:
         if getattr(rates, name) <= 0:
@@ -245,16 +242,17 @@ class TrajectorySample:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
-            raise ValidationError("times must be strictly increasing")
+        if (t.ndim != 1 or len(t) < 1 or not np.isfinite(t).all()
+                or np.any(np.diff(t) <= 0)):
+            raise ValidationError("times must be finite and strictly increasing")
         basis = build_basis(2)
         obs = {}
         for lab, vals in self.observables.items():
             if lab not in basis.labels or lab == "II":
                 raise ValidationError(f"unknown observable label {lab!r}")
             vals = np.asarray(vals, dtype=float)
-            if vals.shape != t.shape:
-                raise ValidationError(f"observable {lab} length mismatch")
+            if vals.shape != t.shape or not np.isfinite(vals).all():
+                raise ValidationError(f"observable {lab} must be finite, one per time")
             obs[lab] = _readonly(vals.copy())
         object.__setattr__(self, "times", _readonly(t.copy()))
         object.__setattr__(self, "observables", obs)
@@ -324,9 +322,11 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     """Least-squares rate estimation for one secular block.
 
     Minimizes the summed squared deviation between exact simulated block
-    trajectories and the observed samples over the block's free rates,
-    using multi-start Nelder-Mead simplex descent (rates span orders of
-    magnitude; the final start is polished with a simplex restart).
+    trajectories and the observed samples over the block's free rates with
+    scipy's trust-region reflective least squares (finite-difference
+    Jacobian, default tolerances; a non-finite trial step is rejected).
+    Starts are init_guess and n_starts - 1 random perturbations of it; the
+    lowest residual sum of squares wins.
 
     Parameters
     ----------
@@ -338,7 +338,9 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
         Starting rates (defaults to the chloroform fits); non-block rates
         and J pass through unchanged.
     max_iter : int
-        Simplex iteration cap per start.
+        Simulation budget per start, Jacobian columns included: at most
+        max(1, max_iter // (len(free) + 1)) residual evaluations, so a
+        budget below len(free) + 1 returns the start unchanged.
 
     Returns
     -------
@@ -349,6 +351,8 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     ------
     RankDeficient
         If the data carry fewer residuals than free parameters.
+    ValidationError
+        If the rates at a start overflow on the data's time span.
     """
     if block not in BLOCKS:
         raise ValidationError(f"unknown block {block!r}")
@@ -373,11 +377,12 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
             raise ValidationError(
                 f"trajectory carries no observables of block {block!r}"
             )
-        mask = traj.times > 0.0
         data = np.column_stack([traj.observables[lab] for lab in cols])
-        x0 = _initial_state(traj, labels)
+        # block coordinates at t = 0, zeros for absent labels
+        x0 = np.array([traj.observables[lab][0] if lab in cols else 0.0
+                       for lab in labels])
         prepared.append((traj.times, [labels.index(c) for c in cols], data, x0))
-        n_resid += int(mask.sum()) * len(cols)
+        n_resid += (len(traj.times) - 1) * len(cols)  # t = 0 is not informative
     if n_resid < len(free):
         raise RankDeficient(
             f"{n_resid} informative residuals cannot identify "
@@ -386,13 +391,12 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
 
     base = np.array([getattr(init_guess, name) for name in free])
 
-    def objective(params):
+    def residuals(params):
         rs = init_guess.with_rates(free, params)
-        total = 0.0
-        for times, col_idx, data, x0 in prepared:
-            sim = simulate_block(rs, block, x0, times)
-            total += float(np.sum((sim[:, col_idx] - data) ** 2))
-        return total
+        return np.concatenate([
+            (simulate_block(rs, block, x0, times)[:, col_idx] - data).ravel()
+            for times, col_idx, data, x0 in prepared
+        ])
 
     rng = np.random.default_rng(seed)
     starts = [base]
@@ -400,42 +404,13 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
         factors = np.exp(rng.uniform(-0.7, 0.7, size=len(base)))
         starts.append(base * factors + rng.normal(scale=1e-3, size=len(base)))
 
-    # function tolerance must scale with the achievable floor, which for
-    # noisy data is far above machine precision
-    f0 = objective(base)
-    fatol = max(1e-16, 1e-12 * f0)
-
-    best = None
-    for s in starts:
-        res = minimize(
-            objective,
-            s,
-            method="Nelder-Mead",
-            options=dict(maxiter=max_iter, xatol=1e-12, fatol=fatol, adaptive=True),
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    # simplex restart at the incumbent tightens the tail of the descent
-    best = minimize(
-        objective,
-        best.x,
-        method="Nelder-Mead",
-        options=dict(
-            maxiter=max_iter,
-            xatol=1e-13,
-            fatol=max(1e-18, 1e-13 * max(best.fun, 1e-30)),
-            adaptive=True,
-        ),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
+        finite = all(np.isfinite(residuals(s)).all() for s in starts)
+    if not finite:
+        raise ValidationError("start rates give a non-finite trajectory")
+    max_nfev = max(1, max_iter // (len(free) + 1))
+    best = min((least_squares(residuals, s, max_nfev=max_nfev) for s in starts),
+               key=lambda res: res.cost)
     fitted = init_guess.with_rates(free, best.x)
-    rms = float(np.sqrt(best.fun / max(n_resid, 1)))
+    rms = float(np.sqrt(2.0 * best.cost / n_resid))
     return fitted, rms
-
-
-def _initial_state(traj, labels):
-    """Block coordinates at the first sample (zeros for absent labels)."""
-    x0 = np.zeros(len(labels))
-    for j, lab in enumerate(labels):
-        if lab in traj.observables:
-            x0[j] = traj.observables[lab][0]
-    return x0

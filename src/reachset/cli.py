@@ -123,7 +123,11 @@ def cmd_bound(args):
 
 def _parse_rays(spec_str):
     if spec_str.startswith("fibonacci:"):
-        return fibonacci_sphere(int(spec_str.split(":", 1)[1]))
+        try:
+            count = int(spec_str.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"ray count must be an integer: {spec_str}") from exc
+        return fibonacci_sphere(count)
     if os.path.exists(spec_str):
         dirs = np.loadtxt(spec_str, delimiter=",", ndmin=2)
         with np.errstate(invalid="ignore"):  # zero rows are rejected as NaN
@@ -280,9 +284,14 @@ def cmd_fit(args):
 def _parse_grid(spec_str):
     try:
         lo, hi, count = spec_str.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise ValidationError(f"grid must be lo:hi:count, got {spec_str!r}") from exc
+    if count < 1 or not np.isfinite([lo, hi]).all():
+        raise ValidationError(
+            f"grid needs finite lo, hi and count >= 1, got {spec_str!r}"
+        )
+    return np.linspace(lo, hi, count)
 
 
 def cmd_robustness(args):

@@ -38,4 +38,4 @@ class RankDeficient(ReachsetError):
 
 
 class NoUniqueFixedPoint(ReachsetError):
-    """The one-period map has an eigenvalue 1; (I - M) is singular."""
+    """The one-period map has no attracting fixed point (rho >= 1 or I - M singular)."""

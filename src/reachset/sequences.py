@@ -186,6 +186,22 @@ def spectral_radius(M):
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
+def _attracting_fixed_point(M, c):
+    """(x, rho) with (I - M) x = c and rho the spectral radius of M.
+
+    Raises NoUniqueFixedPoint unless rho < 1 and cond(I - M) <= 1e12.
+    """
+    sr = spectral_radius(M)
+    eye_minus = np.eye(len(M)) - M
+    cond = np.linalg.cond(eye_minus)
+    if not (sr < 1.0 and cond <= 1e12):
+        raise NoUniqueFixedPoint(
+            "one-period map has no attracting fixed point "
+            f"(spectral radius {sr:.6f}, cond(I - M) {cond:.3e})"
+        )
+    return np.linalg.solve(eye_minus, c), sr
+
+
 @dataclass(frozen=True)
 class FixedPointReport:
     """Fixed point of a periodic sequence and its quality diagnostics.
@@ -216,16 +232,10 @@ def fixed_point(gen, seq, target=None, kappa_tol=0.12):
     Raises
     ------
     NoUniqueFixedPoint
-        If the one-period map has a unit eigenvalue.
+        If the fixed point is not attracting: the one-period map's spectral
+        radius is not below one or cond(I - M) exceeds 1e12.
     """
-    M, c = one_period_map(gen, seq)
-    sr = spectral_radius(M)
-    eye_minus = np.eye(len(M)) - M
-    if np.linalg.cond(eye_minus) > 1e12:
-        raise NoUniqueFixedPoint(
-            f"one-period map has an eigenvalue at 1 (spectral radius {sr:.6f})"
-        )
-    x = np.linalg.solve(eye_minus, c)
+    x, sr = _attracting_fixed_point(*one_period_map(gen, seq))
     x_star = CoherenceVector(n=gen.n, r=x)
     eta = theta = None
     if target is not None:
@@ -545,12 +555,12 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
     failed = np.zeros((len(dc), len(dh)), dtype=bool)
     for i, a in enumerate(dc):
         for j, b in enumerate(dh):
-            seq = seq_builder(a, b)
-            M, c = one_period_map(gen, seq)
-            if spectral_radius(M) >= 1.0:
+            M, c = one_period_map(gen, seq_builder(a, b))
+            try:
+                x, _ = _attracting_fixed_point(M, c)
+            except NoUniqueFixedPoint:
                 failed[i, j] = True
                 continue
-            x = np.linalg.solve(np.eye(len(M)) - M, c)
             delta[i, j] = np.linalg.norm(x - ref) / ref_norm
     return RobustnessResult(delta_c=dc, delta_h=dh, delta=delta, failed=failed)
 

@@ -70,10 +70,15 @@ def read_trajectory_csv(path):
         if not header or header[0] != "t":
             raise ValidationError("trajectory CSV must start with a 't' column")
         labels = header[1:]
-        data = [[float(v) for v in row] for row in reader if row]
+        data = [row for row in reader if row]
     if not data:
         raise ValidationError("trajectory CSV carries no rows")
-    arr = np.asarray(data)
+    if any(len(row) != len(header) for row in data):
+        raise ValidationError("trajectory CSV rows must match its header")
+    try:
+        arr = np.asarray(data, dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"trajectory CSV holds a non-number: {exc}") from exc
     return TrajectorySample(
         times=arr[:, 0],
         observables={lab: arr[:, 1 + j] for j, lab in enumerate(labels)},

@@ -16,7 +16,12 @@ from reachset import (
     simulate_block,
     synthesize_trajectories,
 )
-from reachset.chloroform import TrajectorySample, block_matrices, coupling_hamiltonian
+from reachset.chloroform import (
+    BLOCK_RATES,
+    TrajectorySample,
+    block_matrices,
+    coupling_hamiltonian,
+)
 
 
 def test_default_rates_are_the_fits():
@@ -105,6 +110,11 @@ def test_trajectory_sample_validation():
         TrajectorySample(times=[0.0, 1.0], observables={"QQ": [0.0, 1.0]})
     with pytest.raises(ValidationError):
         TrajectorySample(times=[0.0, 1.0], observables={"ZI": [0.0]})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            TrajectorySample(times=[0.0, bad], observables={"ZI": [0.0, 1.0]})
+        with pytest.raises(ValidationError):
+            TrajectorySample(times=[0.0, 1.0], observables={"ZI": [0.0, bad]})
 
 
 POP_STARTS = [
@@ -155,6 +165,22 @@ def test_population_fit_with_noise():
             ]
         )
     assert np.mean(errs, axis=0).max() < 0.05
+
+
+def test_fit_budget_below_one_jacobian_keeps_start():
+    # max_iter counts simulations, and the residuals plus a finite-difference
+    # Jacobian of the six population rates cost seven: a budget below that
+    # takes no step, and twice that allows one trial step
+    free = BLOCK_RATES["population"]
+    trajs = _synthesize("population", noise=0.01, seed=0)
+    guess = CHLOROFORM.with_rates(free, CHLOROFORM.rates_array()[:6] * 1.4 + 1e-3)
+    kept, rms_kept = fit_rates(trajs, "population", init_guess=guess,
+                               n_starts=1, max_iter=len(free))
+    assert kept == guess
+    moved, rms_moved = fit_rates(trajs, "population", init_guess=guess,
+                                 n_starts=1, max_iter=2 * (len(free) + 1))
+    assert moved != guess
+    assert rms_moved < rms_kept
 
 
 def test_single_time_point_is_rank_deficient():

@@ -161,9 +161,35 @@ def test_validation_exit_codes(tmp_path):
     rays.write_text("0,0,1\n0,0,0\n")  # a zero row has no direction
     assert run("stlc", "--preset", "chloroform", "--rays", str(rays),
                "--out", str(tmp_path / "s.csv")) == 2
+    assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:abc",
+               "--out", str(tmp_path / "f.csv")) == 2
     # the free equilibrium is a boundary point: a numerical verdict, exit 3
     assert run("stlc", "--preset", "chloroform", "--origin", "eq",
                "--rays", "fibonacci:2", "--out", str(tmp_path / "e.csv")) == 3
+    # a NaN, a non-number and a short row in a trajectory CSV
+    for bad_row in ("1,nan,4,0", "1,abc,4,0", "1,4,0"):
+        traj = tmp_path / "bad.csv"
+        traj.write_text(f"t,ZI,IZ,ZZ\n0,1,4,0\n{bad_row}\n2,1,4,0\n")
+        rates = tmp_path / "rates.json"
+        assert run("fit", "--block", "population", "--traj", str(traj),
+                   "--out", str(rates)) == 2
+        assert not rates.exists()
+    # initial rates that are not finite, or whose model overflows on the data
+    good = tmp_path / "good.csv"
+    good.write_text("t,ZI,IZ,ZZ\n0,1,4,0\n20,1,4,0\n40,1,4,0\n")
+    for r1 in (float("nan"), -30.0):
+        init = CHLOROFORM.to_json_dict()
+        init["r"][0] = r1
+        dump_json(init, tmp_path / "init.json")
+        assert run("fit", "--block", "population", "--traj", str(good),
+                   "--init", str(tmp_path / "init.json"),
+                   "--out", str(rates)) == 2
+        assert not rates.exists()
+    for grid in ("-0.05:0.05:0", "nan:0.05:3"):
+        delta = tmp_path / "delta.csv"
+        assert run("robustness", "--preset", "chloroform", f"--grid={grid}",
+                   "--out", str(delta)) == 2
+        assert not delta.exists()
 
 
 def test_trajectory_csv_round_trip(tmp_path):
