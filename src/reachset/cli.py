@@ -317,17 +317,19 @@ def cmd_robustness(args):
 
 
 def cmd_figure1(args):
+    if not (np.isfinite(args.noe_duration) and args.noe_duration >= 0):
+        raise ValidationError("NOE duration must be finite and >= 0")
     gen, _ = _load_generator(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
     slots = list(diag_slots(gen.n))
 
-    bound = max_purity_on_ellipsoid(gen, seed=args.seed)
-    dump_json(_sphere_payload(gen, bound), os.path.join(args.out_dir, "sphere.json"))
-
+    # traced before any file is written, so a rejected tol leaves no output
     rays = fibonacci_sphere(args.rays)
     origin = np.zeros(2 ** gen.n - 1)
     rows = [[*d, r, *p] for d, r, p in _trace_boundary(gen, rays, origin, args)]
+    os.makedirs(args.out_dir, exist_ok=True)
+    bound = max_purity_on_ellipsoid(gen, seed=args.seed)
+    dump_json(_sphere_payload(gen, bound), os.path.join(args.out_dir, "sphere.json"))
     write_csv(
         os.path.join(args.out_dir, "stlc_boundary.csv"),
         ["ray_x", "ray_y", "ray_z", "boundary_radius", "x1", "x2", "x3"],
@@ -404,11 +406,11 @@ def build_parser():
             default=1.0,
             help="polarization unit for the preset (default 1)",
         )
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=out_default)
 
     p = sub.add_parser("bound", help="purity-sphere outer bound")
     common(p, "bound.json")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-certify", action="store_true",
                    help="skip the multi-start oracle cross-check")
     p.add_argument("--starts", type=int, default=50)
@@ -474,6 +476,7 @@ def build_parser():
 
     p = sub.add_parser("figure1", help="export all bounds and trajectories")
     common(p, None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="figure1_data")
     p.add_argument("--rays", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-3)

@@ -181,8 +181,10 @@ def max_purity_on_ellipsoid(gen, certify=True, n_starts=50, seed=0):
     ContractivityViolation
         If the generator is unital/PSD.
     ValidationError
-        If certification fails.
+        If certification is on with n_starts < 1, or fails.
     """
+    if certify and n_starts < 1:
+        raise ValidationError(f"certification needs n_starts >= 1, got {n_starts}")
     if gen.unital:
         raise ContractivityViolation(
             "purity bound requires a strictly contractive relaxation matrix"

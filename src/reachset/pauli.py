@@ -131,7 +131,10 @@ class CoherenceVector:
         order = d.get("order", COHERENCE_VECTOR_ORDER)
         if order != COHERENCE_VECTOR_ORDER:
             raise ValidationError(f"unsupported coefficient order {order!r}")
-        return cls(n=int(d["n"]), r=np.asarray(d["r"], dtype=float))
+        r = np.asarray(d["r"], dtype=float)
+        if not np.isfinite(r).all():
+            raise ValidationError("coherence vector entries must be finite")
+        return cls(n=int(d["n"]), r=r)
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,16 @@ linear steady state; cross-relaxation then overpolarizes the other spin.
 
 For robustness studies the gates are compiled from an explicit pulse-level
 decomposition (single-spin rotations plus scalar-coupling delays) whose
-rotation angles scale with per-channel amplitude errors.  The default
-decomposition wraps every rotation in a BB1 composite, which suppresses
-amplitude miscalibration to third order; a plain uncompensated variant is
-available for comparison.
+rotation angles scale with per-channel amplitude errors.  Each pulse is the
+closed-form rotation cos(angle/2) I - i sin(angle/2) P, exact because its
+Pauli generator P squares to the identity.  The default decomposition wraps
+every rotation in a BB1 composite, which suppresses amplitude miscalibration
+to third order; a plain uncompensated variant is available for comparison.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .diagonal import project
 from .dynamics import relax_propagator
@@ -100,7 +100,7 @@ class PeriodicSequence:
 # ---------------------------------------------------------------------------
 # standard gates
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_PAULI = dict(zip(build_basis(2).labels, build_basis(2).matrices))
 
 
 def averaging_permutation():
@@ -117,10 +117,8 @@ def averaging_permutation():
 
 def bell_basis_change():
     """W = CNOT(C -> H) . (Hadamard on C); maps |00> to the Bell state."""
-    cnot = np.zeros((4, 4), dtype=complex)
-    cnot[0, 0] = cnot[1, 1] = 1.0
-    cnot[2, 3] = cnot[3, 2] = 1.0
-    return cnot @ np.kron(_HADAMARD, np.eye(2))
+    cnot = 0.5 * (_PAULI["II"] + _PAULI["ZI"] + _PAULI["IX"] - _PAULI["ZX"])
+    return cnot @ ((_PAULI["XI"] + _PAULI["ZI"]) / np.sqrt(2))
 
 
 def pps_direction():
@@ -399,42 +397,29 @@ class CouplingDelay:
     angle: float
 
 
-_PAULI_1Q = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def _embed(channel, op):
-    if channel == "C":
-        return np.kron(op, np.eye(2))
-    if channel == "H":
-        return np.kron(np.eye(2), op)
-    raise ValidationError('pulse channel must be "C" or "H"')
-
-
 def compile_pulses(pulses, delta_c=0.0, delta_h=0.0):
     """Compose a pulse list into a 4x4 unitary.
 
     Rotation angles on the carbon channel scale by (1 + delta_c), on the
-    proton channel by (1 + delta_h); coupling delays are unaffected.
+    proton channel by (1 + delta_h); coupling delays are unaffected.  Every
+    generator P (ZZ, or Z or cos(phase) X + sin(phase) Y on one spin) squares
+    to the identity, so a pulse acts as U <- cos(angle/2) U - i sin(angle/2) P U.
     """
     U = np.eye(4, dtype=complex)
-    zz = np.kron(_PAULI_1Q["Z"], _PAULI_1Q["Z"])
     for p in pulses:
         if isinstance(p, CouplingDelay):
-            gen_op = zz
-            angle = p.angle
+            P, angle = _PAULI["ZZ"], p.angle
+        elif p.channel not in ("C", "H"):
+            raise ValidationError('pulse channel must be "C" or "H"')
         else:
-            scale = 1.0 + (delta_c if p.channel == "C" else delta_h)
-            angle = p.angle * scale
+            on = "{}I" if p.channel == "C" else "I{}"
+            angle = p.angle * (1.0 + (delta_c if p.channel == "C" else delta_h))
             if isinstance(p, ZPulse):
-                gen_op = _embed(p.channel, _PAULI_1Q["Z"])
+                P = _PAULI[on.format("Z")]
             else:
-                axis = np.cos(p.phase) * _PAULI_1Q["X"] + np.sin(p.phase) * _PAULI_1Q["Y"]
-                gen_op = _embed(p.channel, axis)
-        U = expm(-0.5j * angle * gen_op) @ U
+                P = (np.cos(p.phase) * _PAULI[on.format("X")]
+                     + np.sin(p.phase) * _PAULI[on.format("Y")])
+        U = np.cos(0.5 * angle) * U - 1j * np.sin(0.5 * angle) * (P @ U)
     return U
 
 

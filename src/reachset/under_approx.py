@@ -282,6 +282,8 @@ def _first_exit(A, b, origin, direction, step, max_radius, tol):
         return max_radius
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:  # the bracket is one ulp wide
+            break
         if stlc_test(stacked_directions(A, b, origin + mid * direction)).is_full:
             t_lo = mid
         else:
@@ -299,7 +301,8 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     ray_dirs : ndarray, shape (R, 2^n - 1)
         Unit-norm directions.
     tol : float
-        Bisection tolerance on the ray radius.
+        Bisection tolerance on the ray radius, finite and positive.  A tol
+        below the radius' ulp stops once the bracket can no longer split.
     origin : ndarray, optional
         Base point; defaults to the diagonal part of r_eq.  Must test STLC.
         For the chloroform model the free equilibrium is a boundary point of
@@ -322,6 +325,8 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     The march steps outward by max(|origin|, 1)/20 up to the cutoff
     3 (|origin| + |r_eq|) + 1, which is reported for rays that never exit.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"bisection tol must be finite and positive, got {tol}")
     dirs = np.asarray(ray_dirs, dtype=float)
     m = 2 ** gen.n - 1
     if dirs.ndim != 2 or dirs.shape[1] != m or len(dirs) < 1:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reachset.cli import main
+import reachset
+from reachset.cli import build_parser, main
 from reachset.chloroform import CHLOROFORM, synthesize_trajectories
 from reachset.serialize import (
     dump_json,
@@ -190,6 +195,60 @@ def test_validation_exit_codes(tmp_path):
         assert run("robustness", "--preset", "chloroform", f"--grid={grid}",
                    "--out", str(delta)) == 2
         assert not delta.exists()
+    # a bisection tolerance that is not finite and positive
+    for tol in ("nan", "-1"):
+        stlc = tmp_path / "tol.csv"
+        assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:1",
+                   "--tol", tol, "--out", str(stlc)) == 2
+        assert not stlc.exists()
+    fig = tmp_path / "fig"
+    assert run("figure1", "--preset", "chloroform", "--tol", "nan",
+               "--out-dir", str(fig)) == 2
+    # a NOE trajectory of non-finite or negative length
+    for duration in ("nan", "inf", "-1"):
+        assert run("figure1", "--preset", "chloroform", "--rays", "1",
+                   "--noe-duration", duration, "--out-dir", str(fig)) == 2
+    assert not fig.exists()
+    # a target coherence vector with a NaN entry
+    target = tmp_path / "t.json"
+    target.write_text('{"n": 2, "r": [NaN' + ", 0.25" * 14 + "]}")
+    poly = tmp_path / "poly.json"
+    assert run("unitary-bound", "--preset", "chloroform", "--target", str(target),
+               "--out", str(poly)) == 2
+    assert not poly.exists()
+
+
+def test_stlc_tol_below_ulp_ends(tmp_path):
+    # a tol below the radius' ulp once bisected forever; the child process
+    # and its timeout make a hang fail the test instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(reachset.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    radii = {}
+    for tol in ("1e-17", "1e-3"):
+        out = tmp_path / f"stlc_{tol}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "reachset.cli", "stlc", "--preset", "chloroform",
+             "--rays", "fibonacci:1", "--tol", tol, "--out", str(out)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        radii[tol] = np.loadtxt(out, delimiter=",", skiprows=1)[3]
+    # the finer bisection continues the coarser one's bracket
+    assert 0.0 <= radii["1e-17"] - radii["1e-3"] <= 1e-3
+
+
+def test_seed_only_where_read():
+    parser = build_parser()
+    for argv in (["bound"], ["figure1"], ["fit", "--block", "population",
+                                          "--traj", "x.csv"]):
+        assert parser.parse_args([*argv, "--seed", "3"]).seed == 3
+    for command in ("stlc", "unitary-bound", "simulate", "noe", "robustness"):
+        assert "seed" not in vars(parser.parse_args([command]))
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--seed", "3"])
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from reachset import (
     CoherenceVector,
@@ -23,6 +24,8 @@ from reachset import (
 )
 from reachset.chloroform import RateSet, assemble_generator
 from reachset.sequences import (
+    CouplingDelay,
+    ZPulse,
     averaging_gate_pulses,
     averaging_permutation,
     bell_basis_change,
@@ -242,6 +245,41 @@ def test_pulse_compilation_matches_permutation():
         np.testing.assert_allclose(rep, target, atol=1e-12)
 
 
+def _compile_with_expm(pulses, delta_c, delta_h):
+    """Reference: one matrix exponential per pulse, generators built by kron."""
+    pauli = {
+        "I": np.eye(2),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]]),
+        "Z": np.diag([1.0, -1.0]),
+    }
+    U = np.eye(4, dtype=complex)
+    for p in pulses:
+        if isinstance(p, CouplingDelay):
+            gen_op, angle = np.kron(pauli["Z"], pauli["Z"]), p.angle
+        else:
+            angle = p.angle * (1.0 + (delta_c if p.channel == "C" else delta_h))
+            if isinstance(p, ZPulse):
+                axis = pauli["Z"]
+            else:
+                axis = np.cos(p.phase) * pauli["X"] + np.sin(p.phase) * pauli["Y"]
+            ops = (axis, pauli["I"]) if p.channel == "C" else (pauli["I"], axis)
+            gen_op = np.kron(*ops)
+        U = expm(-0.5j * angle * gen_op) @ U
+    return U
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+def test_pulse_compilation_matches_expm_off_nominal(compensated):
+    pulses = averaging_gate_pulses(compensated)
+    deltas = np.random.default_rng(61).uniform(-0.1, 0.1, size=(24, 2))
+    worst = max(
+        np.abs(compile_pulses(pulses, dc, dh) - _compile_with_expm(pulses, dc, dh)).max()
+        for dc, dh in deltas
+    )
+    assert worst <= 1e-13
+
+
 def test_robustness_sweep_compensated(chloroform_gen):
     builder = pps_pulse_sequence_builder(1.5, compensated=True)
     grid = np.linspace(-0.05, 0.05, 5)
@@ -276,3 +314,5 @@ def test_sequence_validation():
         GateStep(rep=np.ones((15, 15)))
     with pytest.raises(ValidationError):
         PeriodicSequence((RelaxStep(1.0),), repeat=0)
+    with pytest.raises(ValidationError, match="channel"):
+        compile_pulses([ZPulse("N", 0.5)])

@@ -257,6 +257,13 @@ def test_ray_validation(chloroform_gen, two_qubit_controls):
             stlc_boundary_rays(
                 chloroform_gen, two_qubit_controls, bad, origin=np.zeros(3)
             )
+    # a bisection tolerance that never ends the loop, or never starts it
+    for tol in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(ValidationError, match="tol"):
+            stlc_boundary_rays(
+                chloroform_gen, two_qubit_controls, fibonacci_sphere(1),
+                tol=tol, origin=np.zeros(3),
+            )
 
 
 def test_parallel_rays_match_serial(chloroform_gen, two_qubit_controls):
