@@ -96,7 +96,6 @@ from .under_approx import (
     hypersurface_point,
     simplex_lattice,
     stlc_boundary_rays,
-    stlc_test,
     stlc_test_3d,
     stlc_test_lp,
 )

@@ -36,7 +36,7 @@ from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from .dynamics import AffineGenerator, lindblad_to_bloch
-from .errors import RankDeficient, ValidationError
+from .errors import RankDeficient, ValidationError, json_fields
 from .pauli import build_basis
 from .pauli import _readonly
 
@@ -105,12 +105,12 @@ class RateSet:
 
     @classmethod
     def from_json_dict(cls, d):
-        rates = list(d["r"])
+        rates, J = json_fields(d, "rate set", "r", "J_hz")
         if len(rates) != 14:
             raise ValidationError("rate vector must have 14 entries")
         kw = {f"r{k+1}": float(rates[k]) for k in range(14)}
         return cls(
-            J=float(d["J_hz"]),
+            J=float(J),
             eps_C=float(d.get("eps_C", 1.0)),
             eps_H=float(d.get("eps_H", 4.0)),
             **kw,
@@ -352,10 +352,13 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     RankDeficient
         If the data carry fewer residuals than free parameters.
     ValidationError
-        If the rates at a start overflow on the data's time span.
+        If n_starts < 1, or the rates at a start overflow on the data's
+        time span.
     """
     if block not in BLOCKS:
         raise ValidationError(f"unknown block {block!r}")
+    if n_starts < 1:
+        raise ValidationError(f"a fit needs n_starts >= 1, got {n_starts}")
     if init_guess is None:
         init_guess = CHLOROFORM
     labels = BLOCKS[block]
@@ -400,7 +403,7 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
 
     rng = np.random.default_rng(seed)
     starts = [base]
-    for _ in range(max(0, n_starts - 1)):
+    for _ in range(n_starts - 1):
         factors = np.exp(rng.uniform(-0.7, 0.7, size=len(base)))
         starts.append(base * factors + rng.normal(scale=1e-3, size=len(base)))
 

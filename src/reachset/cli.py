@@ -106,9 +106,7 @@ def _sphere_payload(gen, bound):
 def cmd_bound(args):
     gen, _ = _load_generator(args)
     t0 = time.perf_counter()
-    bound = max_purity_on_ellipsoid(
-        gen, certify=not args.no_certify, n_starts=args.starts, seed=args.seed
-    )
+    bound = max_purity_on_ellipsoid(gen, certify=not args.no_certify)
     payload = _sphere_payload(gen, bound)
     payload.update(
         argmax=list(bound.argmax_r.r),
@@ -129,8 +127,11 @@ def _parse_rays(spec_str):
             raise ValidationError(f"ray count must be an integer: {spec_str}") from exc
         return fibonacci_sphere(count)
     if os.path.exists(spec_str):
-        dirs = np.loadtxt(spec_str, delimiter=",", ndmin=2)
-        with np.errstate(invalid="ignore"):  # zero rows are rejected as NaN
+        try:
+            dirs = np.loadtxt(spec_str, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a non-number or a ragged row
+            raise ValidationError(f"ray CSV {spec_str}: {exc}") from exc
+        with np.errstate(all="ignore"):  # zero, tiny or huge rows fail the norm check
             return dirs / np.linalg.norm(dirs, axis=1)[:, None]
     raise ValidationError(f"rays must be fibonacci:N or a CSV file: {spec_str}")
 
@@ -139,12 +140,11 @@ def _trace_boundary(gen, rays, origin, args):
     """Trace the STLC boundary along rays; (direction, radius, point) per kept ray.
 
     With ``args.region == "wedge"`` only points with 0 <= x3 <= x1 <= x2 are kept.
+    Other qubit counts are refused before their permutations are enumerated.
     """
-    if gen.n != 2:
-        raise ValidationError("boundary tracing is implemented for n=2")
     radii = stlc_boundary_rays(
         gen,
-        build_permutation_set(gen.n),
+        build_permutation_set(2),
         rays,
         tol=args.tol,
         origin=origin,
@@ -190,10 +190,8 @@ def cmd_unitary_bound(args):
     poly = polytope_vertices(source)
     coords = diagonal_vertex_coords(poly)
     target_diag = target.r[list(diag_slots(gen.n))]
-    ray_exit = None
     norm = np.linalg.norm(target_diag)
-    if norm > 0:
-        ray_exit = polytope_ray_exit(coords, target_diag / norm)
+    ray_exit = polytope_ray_exit(coords, target_diag / norm) if norm > 0 else None
     payload = {
         "kappa_max": kappa,
         "vertices_spectrum": [list(vrow) for vrow in poly.vertices],
@@ -322,13 +320,14 @@ def cmd_figure1(args):
     gen, _ = _load_generator(args)
     t0 = time.perf_counter()
     slots = list(diag_slots(gen.n))
+    seq = pps_sequence(args.tau, repeat=args.m)
 
     # traced before any file is written, so a rejected tol leaves no output
     rays = fibonacci_sphere(args.rays)
     origin = np.zeros(2 ** gen.n - 1)
     rows = [[*d, r, *p] for d, r, p in _trace_boundary(gen, rays, origin, args)]
     os.makedirs(args.out_dir, exist_ok=True)
-    bound = max_purity_on_ellipsoid(gen, seed=args.seed)
+    bound = max_purity_on_ellipsoid(gen)
     dump_json(_sphere_payload(gen, bound), os.path.join(args.out_dir, "sphere.json"))
     write_csv(
         os.path.join(args.out_dir, "stlc_boundary.csv"),
@@ -345,7 +344,6 @@ def cmd_figure1(args):
         [list(vrow) for vrow in coords],
     )
 
-    seq = pps_sequence(args.tau, repeat=args.m)
     sim = simulate_sequence(gen, seq, source, target=pps_direction())
     traj_rows = []
     for i, t in enumerate(sim.trajectory.times):
@@ -410,10 +408,8 @@ def build_parser():
 
     p = sub.add_parser("bound", help="purity-sphere outer bound")
     common(p, "bound.json")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-certify", action="store_true",
                    help="skip the multi-start oracle cross-check")
-    p.add_argument("--starts", type=int, default=50)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("stlc", help="trace the locally controllable boundary")
@@ -476,7 +472,6 @@ def build_parser():
 
     p = sub.add_parser("figure1", help="export all bounds and trajectories")
     common(p, None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="figure1_data")
     p.add_argument("--rays", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-3)

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ContractivityViolation, FixedPointUndefined, ValidationError
+from .errors import json_fields
 from .pauli import CoherenceVector, build_basis, _readonly
 
 _SYM_TOL = 1e-10
@@ -140,11 +141,12 @@ class AffineGenerator:
 
     @classmethod
     def from_json_dict(cls, d, unital=False):
+        n, H, R, r_eq = json_fields(d, "generator", "n", "H", "R", "r_eq")
         return cls(
-            n=int(d["n"]),
-            Hmat=np.asarray(d["H"], dtype=float),
-            Rmat=np.asarray(d["R"], dtype=float),
-            r_eq=np.asarray(d["r_eq"], dtype=float),
+            n=int(n),
+            Hmat=np.asarray(H, dtype=float),
+            Rmat=np.asarray(R, dtype=float),
+            r_eq=np.asarray(r_eq, dtype=float),
             unital=unital,
         )
 

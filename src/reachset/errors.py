@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the JSON key check."""
 
 
 class ReachsetError(Exception):
@@ -39,3 +39,11 @@ class RankDeficient(ReachsetError):
 
 class NoUniqueFixedPoint(ReachsetError):
     """The one-period map has no attracting fixed point (rho >= 1 or I - M singular)."""
+
+
+def json_fields(d, what, *keys):
+    """Values of `keys` in the JSON object d, naming the first one missing."""
+    for key in keys:
+        if not isinstance(d, dict) or key not in d:
+            raise ValidationError(f"{what} JSON must be an object with key {key!r}")
+    return [d[key] for key in keys]

@@ -13,8 +13,8 @@ Cholesky factor Rmat = L L^T, centers the constraint (center r_eq/2, level
 rho^2 = r_eq.Rmat.r_eq / 4) and maximizes |c + M y|^2 over the unit sphere
 |y| = 1 with c = r_eq/2 and M = rho L^{-T}.  The stationary condition
 reduces to a one-dimensional secular equation in the Lagrange multiplier,
-solved by bracketed root finding; an independent multi-start projected
-gradient ascent certifies the result.
+solved by bracketed root finding; an independent projected-gradient
+ascent from ORACLE_STARTS fixed seeded starts certifies the result.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,10 @@ from .pauli import CoherenceVector
 #: Relative agreement demanded between solver and certification oracle.
 CERTIFY_RTOL = 1e-6
 
-#: Ascent steps per oracle start, and the relative gain that ends a start.
+#: Oracle starts and their seed; ascent steps per start, and the relative
+#: gain that ends a start.
+ORACLE_STARTS = 50
+ORACLE_SEED = 0
 ORACLE_MAX_ITER = 2000
 ORACLE_STEP_TOL = 1e-14
 
@@ -115,7 +118,7 @@ def _max_norm_on_sphere(c, M):
     return c + M @ y, lam
 
 
-def max_purity_multistart(gen, n_starts=50, seed=0):
+def max_purity_multistart(gen, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
     """Projected-gradient certification oracle for the purity bound.
 
     Ascends |c + M y|^2 on the unit sphere from `n_starts` seeded random
@@ -159,7 +162,7 @@ def max_purity_multistart(gen, n_starts=50, seed=0):
     return best_val, best_r
 
 
-def max_purity_on_ellipsoid(gen, certify=True, n_starts=50, seed=0):
+def max_purity_on_ellipsoid(gen, certify=True):
     """Smallest origin-centered sphere no controlled trajectory can leave.
 
     Parameters
@@ -169,8 +172,6 @@ def max_purity_on_ellipsoid(gen, certify=True, n_starts=50, seed=0):
     certify : bool
         Cross-check the secular-equation solution against the multi-start
         projected-gradient oracle to relative 1e-6 (default on).
-    n_starts, seed : int
-        Oracle configuration.
 
     Returns
     -------
@@ -181,10 +182,8 @@ def max_purity_on_ellipsoid(gen, certify=True, n_starts=50, seed=0):
     ContractivityViolation
         If the generator is unital/PSD.
     ValidationError
-        If certification is on with n_starts < 1, or fails.
+        If certification is on and fails.
     """
-    if certify and n_starts < 1:
-        raise ValidationError(f"certification needs n_starts >= 1, got {n_starts}")
     if gen.unital:
         raise ContractivityViolation(
             "purity bound requires a strictly contractive relaxation matrix"
@@ -203,7 +202,7 @@ def max_purity_on_ellipsoid(gen, certify=True, n_starts=50, seed=0):
     residual = abs(float(r_opt @ (gen.Rmat @ (r_opt - gen.r_eq))))
 
     if certify:
-        oracle_val, _ = max_purity_multistart(gen, n_starts=n_starts, seed=seed)
+        oracle_val, _ = max_purity_multistart(gen)
         if abs(oracle_val - radius_sq) > CERTIFY_RTOL * max(radius_sq, 1e-30):
             raise ValidationError(
                 f"secular solution {radius_sq!r} disagrees with projected-"

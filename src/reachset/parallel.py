@@ -10,10 +10,10 @@ from multiprocessing import get_context
 
 
 def parallel_map(fn, items, workers):
-    """Order-preserving map, serial for workers <= 1."""
+    """Order-preserving fn(*item) over items, serial for workers <= 1."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+        return [fn(*it) for it in items]
     ctx = get_context("spawn")
     with ctx.Pool(processes=min(workers, len(items))) as pool:
-        return pool.map(fn, items)
+        return pool.starmap(fn, items)

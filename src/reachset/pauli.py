@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_fields
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -128,13 +128,14 @@ class CoherenceVector:
 
     @classmethod
     def from_json_dict(cls, d):
+        n, r = json_fields(d, "coherence vector", "n", "r")
         order = d.get("order", COHERENCE_VECTOR_ORDER)
         if order != COHERENCE_VECTOR_ORDER:
             raise ValidationError(f"unsupported coefficient order {order!r}")
-        r = np.asarray(d["r"], dtype=float)
+        r = np.asarray(r, dtype=float)
         if not np.isfinite(r).all():
             raise ValidationError("coherence vector entries must be finite")
-        return cls(n=int(d["n"]), r=r)
+        return cls(n=int(n), r=r)
 
 
 @dataclass(frozen=True)

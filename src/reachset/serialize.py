@@ -37,7 +37,10 @@ def dump_json(obj, path):
 
 def load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def fmt(x):

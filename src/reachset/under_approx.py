@@ -10,12 +10,11 @@ every direction on one side.
 
 Two implementations are provided and cross-validated:
 
-* ``stlc_test_3d`` - the triple-product enumeration specific to three
-  dimensions: for every pair (i, j), c_k = (v_i x v_j) . v_k must change
-  sign over k.
-* ``stlc_test_lp`` - a linear-programming membership oracle valid in any
-  dimension: the cone is full iff every +-unit coordinate target admits a
-  nonnegative conical decomposition.
+* ``stlc_test_3d`` - the run-time test, so tracing is two-qubit only: for
+  each unordered pair (i, j), c_k = (v_i x v_j) . v_k must change sign.
+* ``stlc_test_lp`` - its oracle, a linear-programming membership test in
+  any dimension: the cone is full iff every +-unit coordinate target
+  admits a nonnegative conical decomposition.
 
 Both classify degenerate configurations conservatively: a hyperplane with
 all products inside +-1e-12 counts as separating.  The free equilibrium of
@@ -140,24 +139,21 @@ def stlc_test_3d(directions):
     if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < 3:
         return ConeVerdict(is_full=False, witness=_rank_witness(v))
 
+    i, j = np.triu_indices(len(v), k=1)  # each unordered plane once
+    crosses = np.cross(v[i], v[j])
+    cross_norms = np.linalg.norm(crosses, axis=1)
     norms = np.linalg.norm(v, axis=1)
-    crosses = np.cross(v[:, None, :], v[None, :, :])
-    cross_norms = np.linalg.norm(crosses, axis=2)
-    valid = cross_norms > 1e-12 * np.outer(norms, norms)
-    prods = crosses @ v.T  # (K, K, K): (v_i x v_j) . v_k
-    scale = np.maximum(cross_norms[..., None] * norms[None, None, :], 1e-300)
-    below = (prods <= DEGENERACY_TOL * scale).all(axis=2)
-    above = (prods >= -DEGENERACY_TOL * scale).all(axis=2)
-    sep = (below | above) & valid
-    iu = np.triu_indices(len(v), k=1)
-    hits = np.flatnonzero(sep[iu])
+    prods = crosses @ v.T  # (pairs, K): (v_i x v_j) . v_k
+    scale = np.maximum(cross_norms[:, None] * norms, 1e-300)
+    below = (prods <= DEGENERACY_TOL * scale).all(axis=1)
+    above = (prods >= -DEGENERACY_TOL * scale).all(axis=1)
+    valid = cross_norms > 1e-12 * (norms[i] * norms[j])
+    hits = np.flatnonzero((below | above) & valid)
     if hits.size == 0:
         return ConeVerdict(is_full=True)
-    i, j = iu[0][hits[0]], iu[1][hits[0]]
-    normal = crosses[i, j] / cross_norms[i, j]
-    if not below[i, j]:
-        normal = -normal
-    return ConeVerdict(is_full=False, witness=normal)
+    h = hits[0]
+    normal = crosses[h] / cross_norms[h]
+    return ConeVerdict(is_full=False, witness=normal if below[h] else -normal)
 
 
 def _conical_feasible(v, target):
@@ -206,14 +202,6 @@ def stlc_test_lp(directions):
             if not _conical_feasible(v, target):
                 return ConeVerdict(is_full=False, witness=_lp_witness(v, target))
     return ConeVerdict(is_full=True)
-
-
-def stlc_test(directions):
-    """Dispatch to the triple-product test in 3-d, the LP test otherwise."""
-    v = np.asarray(directions, dtype=float)
-    if v.shape[1] == 3:
-        return stlc_test_3d(v)
-    return stlc_test_lp(v)
 
 
 def hypersurface_point(gen, controls, sigma, mu):
@@ -272,7 +260,7 @@ def _first_exit(A, b, origin, direction, step, max_radius, tol):
     t_hi = None
     t = step
     while t <= max_radius:
-        if stlc_test(stacked_directions(A, b, origin + t * direction)).is_full:
+        if stlc_test_3d(stacked_directions(A, b, origin + t * direction)).is_full:
             t_lo = t
         else:
             t_hi = t
@@ -284,7 +272,7 @@ def _first_exit(A, b, origin, direction, step, max_radius, tol):
         mid = 0.5 * (t_lo + t_hi)
         if not t_lo < mid < t_hi:  # the bracket is one ulp wide
             break
-        if stlc_test(stacked_directions(A, b, origin + mid * direction)).is_full:
+        if stlc_test_3d(stacked_directions(A, b, origin + mid * direction)).is_full:
             t_lo = mid
         else:
             t_hi = mid
@@ -297,8 +285,9 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     Parameters
     ----------
     gen : AffineGenerator
+        A two-qubit generator; any other qubit count raises ValidationError.
     controls : PermutationControlSet
-    ray_dirs : ndarray, shape (R, 2^n - 1)
+    ray_dirs : ndarray, shape (R, 3)
         Unit-norm directions.
     tol : float
         Bisection tolerance on the ray radius, finite and positive.  A tol
@@ -325,12 +314,13 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     The march steps outward by max(|origin|, 1)/20 up to the cutoff
     3 (|origin| + |r_eq|) + 1, which is reported for rays that never exit.
     """
+    if gen.n != 2:
+        raise ValidationError(f"boundary tracing is implemented for n=2, got n={gen.n}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"bisection tol must be finite and positive, got {tol}")
     dirs = np.asarray(ray_dirs, dtype=float)
-    m = 2 ** gen.n - 1
-    if dirs.ndim != 2 or dirs.shape[1] != m or len(dirs) < 1:
-        raise ValidationError(f"ray directions must be (R, {m}) with R >= 1")
+    if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) < 1:
+        raise ValidationError("ray directions must be (R, 3) with R >= 1")
     norms = np.linalg.norm(dirs, axis=1)
     if not (np.abs(norms - 1.0) <= 1e-9).all():
         raise ValidationError("ray directions must have unit norm")
@@ -338,7 +328,7 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
         origin = gen.r_eq[list(diag_slots(gen.n))]
     origin = np.asarray(origin, dtype=float)
     A, b = projected_field_stack(gen, controls.reps_full)
-    if not stlc_test(stacked_directions(A, b, origin)).is_full:
+    if not stlc_test_3d(stacked_directions(A, b, origin)).is_full:
         raise OriginNotControllable(
             "ray origin fails the local-controllability test"
         )
@@ -346,18 +336,10 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     step = max(scale, 1.0) / 20.0
     max_radius = 3.0 * (scale + float(np.linalg.norm(gen.r_eq))) + 1.0
 
-    if workers > 1:
-        from .parallel import parallel_map
+    from .parallel import parallel_map  # multiprocessing loads on first trace
 
-        args = [(A, b, origin, d, step, max_radius, tol) for d in dirs]
-        return np.asarray(parallel_map(_first_exit_star, args, workers))
-    return np.asarray(
-        [_first_exit(A, b, origin, d, step, max_radius, tol) for d in dirs]
-    )
-
-
-def _first_exit_star(args):
-    return _first_exit(*args)
+    args = [(A, b, origin, d, step, max_radius, tol) for d in dirs]
+    return np.asarray(parallel_map(_first_exit, args, workers))
 
 
 def fibonacci_sphere(count):

@@ -3,8 +3,10 @@
 Unitary conjugation permutes the spectrum of the deviation operator and
 nothing more, so the diagonal states reachable from rho by unitaries alone
 fill the convex polytope whose vertices are the distinct permutations of
-rho's deviation spectrum.  The transfer efficiency toward a target
-deviation sigma,
+rho's deviation spectrum.  By Rado's theorem (1952) it holds exactly the
+spectra that rho's spectrum majorizes, so a ray leaves it at the smallest
+ratio of partial sums, with no linear program.  The transfer efficiency
+toward a target deviation sigma,
 
     kappa = Tr(E(rho) sigma) / Tr(sigma^2),
 
@@ -19,7 +21,6 @@ never contributes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .diagonal import diag_slots
 from .errors import ResidualTooLarge, ValidationError
@@ -122,6 +123,12 @@ def polytope_vertices(rho):
     return SpectrumPolytope(vertices=vertices, source_state=rho)
 
 
+def _slot_signs(n):
+    """Diagonals of the slots' Z-type operators: x = signs @ lam / 2^n."""
+    basis = build_basis(n)
+    return np.array([np.diagonal(basis.matrices[k + 1]).real for k in diag_slots(n)])
+
+
 def diagonal_vertex_coords(polytope):
     """Vertices expressed in diagonal coordinates, shape (V, 2^n - 1).
 
@@ -129,35 +136,35 @@ def diagonal_vertex_coords(polytope):
     carrying it, x_i = <diag signs of slot i, spectrum>/2^n.
     """
     n = polytope.source_state.n
-    basis = build_basis(n)
-    signs = np.array(
-        [np.diagonal(basis.matrices[k + 1]).real for k in diag_slots(n)]
-    )
-    return polytope.vertices @ signs.T / 2 ** n
+    return polytope.vertices @ _slot_signs(n).T / 2 ** n
 
 
 def polytope_ray_exit(vertices_coords, direction):
     """Largest t with t * direction inside the convex hull of the vertices.
 
-    Solved as a linear program in (t, convex weights).  Returns 0.0 when
-    even the origin is not contained.
+    The rows are the diagonal coordinates of the distinct permutations of
+    one zero-sum spectrum lam (lam = signs^T x), so with Lam_k and S_k the
+    sums of the k largest entries of lam and of the direction's spectrum,
+    t = min over k < 2^n of Lam_k / S_k.  Each such S_k > 0: the partial
+    sums of a descending zero-sum vector are concave in k.
+
+    Raises
+    ------
+    ValidationError
+        If the rows are not permutations of one spectrum, or the direction
+        is zero, non-finite or of another dimension.
     """
     V = np.asarray(vertices_coords, dtype=float)
     d = np.asarray(direction, dtype=float)
-    nv, m = V.shape
-    if d.shape != (m,):
-        raise ValidationError("direction and vertex dimensions differ")
-    # variables: [t, w_1..w_nv]; maximize t s.t. V^T w - t d = 0, sum w = 1
-    cost = np.zeros(nv + 1)
-    cost[0] = -1.0
-    A_eq = np.zeros((m + 1, nv + 1))
-    A_eq[:m, 0] = -d
-    A_eq[:m, 1:] = V.T
-    A_eq[m, 1:] = 1.0
-    b_eq = np.zeros(m + 1)
-    b_eq[m] = 1.0
-    bounds = [(0, None)] * (nv + 1)
-    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        return 0.0
-    return float(res.x[0])
+    m = V.shape[1] if V.ndim == 2 else 0
+    n = (m + 1).bit_length() - 1
+    if n < 1 or 2 ** n != m + 1 or len(V) < 1 or d.shape != (m,):
+        raise ValidationError("need (V, 2^n - 1) vertices and a (2^n - 1,) direction")
+    if not (np.isfinite(d).all() and np.any(d)):
+        raise ValidationError("direction must be finite and nonzero")
+    signs = _slot_signs(n)
+    spectra = -np.sort(-(V @ signs), axis=1)
+    lam, mu = spectra[0], -np.sort(-(d @ signs))
+    if not np.abs(spectra - lam).max() <= 1e-9 * np.abs(lam).max():
+        raise ValidationError("vertex rows are not permutations of one spectrum")
+    return float(np.min(np.cumsum(lam)[:-1] / np.cumsum(mu)[:-1]))

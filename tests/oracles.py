@@ -1,8 +1,9 @@
 """Independent numerical oracles used only by the tests.
 
 Kept outside the library on purpose: the production propagator is the
-exact matrix-exponential solution, and these slower/brute-force routes
-exist to check it from a different direction.
+exact matrix-exponential solution and the unitary ray exit is a closed
+form, and these slower/brute-force routes exist to check them from a
+different direction.
 """
 
 import numpy as np
@@ -56,3 +57,27 @@ def superoperator_matrix(superop, n):
         img = superop(basis.matrices[j])
         m[:, j] = np.einsum("kab,ba->k", basis.matrices, img).real / 2 ** n
     return m
+
+
+def lp_ray_exit(vertices_coords, direction):
+    """Largest t with t * direction in the hull of the vertices, by LP.
+
+    Variables (t, convex weights w): maximize t subject to V^T w = t d,
+    sum w = 1, w >= 0.  Independent of the majorization route.
+    """
+    from scipy.optimize import linprog
+
+    V = np.asarray(vertices_coords, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    nv, m = V.shape
+    cost = np.zeros(nv + 1)
+    cost[0] = -1.0
+    A_eq = np.zeros((m + 1, nv + 1))
+    A_eq[:m, 0] = -d
+    A_eq[:m, 1:] = V.T
+    A_eq[m, 1:] = 1.0
+    b_eq = np.zeros(m + 1)
+    b_eq[m] = 1.0
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[0])

@@ -172,9 +172,7 @@ def _population_fixed_point(rates, tau, gate):
 
 def test_criterion_01_purity_bound_cli(tmp_path, chloroform_bound):
     out = tmp_path / "bound.json"
-    code = cli_main(
-        ["bound", "--preset", "chloroform", "--out", str(out), "--starts", "50"]
-    )
+    code = cli_main(["bound", "--preset", "chloroform", "--out", str(out)])
     payload = load_json(out)
     radius = payload["radius_sq"]
     ok = code == 0 and abs(radius - SPHERE_TARGET) <= 0.10 * SPHERE_TARGET

@@ -209,6 +209,15 @@ def test_fit_requires_time_zero_start():
         fit_rates([traj], "population")
 
 
+def test_fit_needs_a_start():
+    # zero and negative counts are refused rather than silently run as the
+    # one start from the initial guess
+    trajs = _synthesize("population")
+    for n_starts in (0, -3):
+        with pytest.raises(ValidationError, match="n_starts >= 1"):
+            fit_rates(trajs, "population", n_starts=n_starts)
+
+
 def test_rates_json_round_trip():
     d = CHLOROFORM.to_json_dict()
     back = RateSet.from_json_dict(d)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -156,7 +157,7 @@ def test_figure1_command(tmp_path):
     assert sphere["radius_sq"] == pytest.approx(18.673, abs=0.01)
 
 
-def test_validation_exit_codes(tmp_path):
+def test_validation_exit_codes(tmp_path, chloroform_gen):
     assert run("bound", "--out", str(tmp_path / "x.json")) == 2
     assert run("fit", "--block", "bogus", "--traj", "missing.csv",
                "--out", str(tmp_path / "r.json")) == 2
@@ -208,6 +209,10 @@ def test_validation_exit_codes(tmp_path):
     for duration in ("nan", "inf", "-1"):
         assert run("figure1", "--preset", "chloroform", "--rays", "1",
                    "--noe-duration", duration, "--out-dir", str(fig)) == 2
+    # a preparation sequence with no periods, or a negative relaxation time
+    for bad in (["--m", "0"], ["--tau", "-1"]):
+        assert run("figure1", "--preset", "chloroform", "--rays", "2", *bad,
+                   "--out-dir", str(fig)) == 2
     assert not fig.exists()
     # a target coherence vector with a NaN entry
     target = tmp_path / "t.json"
@@ -216,6 +221,31 @@ def test_validation_exit_codes(tmp_path):
     assert run("unitary-bound", "--preset", "chloroform", "--target", str(target),
                "--out", str(poly)) == 2
     assert not poly.exists()
+    # JSON that is malformed, is not an object, or lacks a key
+    no_h = chloroform_gen.to_json_dict()
+    del no_h["H"]
+    inputs = {"no_r.json": '{"n": 2}', "truncated.json": '{"n": 2, "H": [[0.0',
+              "no_h.json": json.dumps(no_h), "list.json": "[1, 2]",
+              "init.json": '{"J_hz": 214.5}', "gen.csv": "t,ZI,IZ,ZZ\n0,1,4,0\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    d = str(tmp_path)
+    for argv in (
+        ["unitary-bound", "--preset", "chloroform", "--target", f"{d}/no_r.json"],
+        ["bound", "--gen", f"{d}/truncated.json"],
+        ["bound", "--gen", f"{d}/no_h.json"],
+        ["bound", "--gen", f"{d}/list.json"],
+        ["fit", "--block", "population", "--traj", str(good),
+         "--init", f"{d}/init.json"],
+        ["bound", "--gen", f"{d}/gen.csv"],
+    ):
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", str(out)) == 2, argv
+        assert not out.exists()
+    # a fit from no start at all
+    assert run("fit", "--block", "population", "--traj", str(good), "--starts", "0",
+               "--out", str(rates)) == 2
+    assert not rates.exists()
 
 
 def test_stlc_tol_below_ulp_ends(tmp_path):
@@ -241,14 +271,17 @@ def test_stlc_tol_below_ulp_ends(tmp_path):
 
 
 def test_seed_only_where_read():
+    # only the rate fit draws random starts; the sphere oracle's are fixed
     parser = build_parser()
-    for argv in (["bound"], ["figure1"], ["fit", "--block", "population",
-                                          "--traj", "x.csv"]):
-        assert parser.parse_args([*argv, "--seed", "3"]).seed == 3
-    for command in ("stlc", "unitary-bound", "simulate", "noe", "robustness"):
+    fit = ["fit", "--block", "population", "--traj", "x.csv"]
+    assert parser.parse_args([*fit, "--seed", "3"]).seed == 3
+    for command in ("bound", "figure1", "stlc", "unitary-bound", "simulate", "noe",
+                    "robustness"):
         assert "seed" not in vars(parser.parse_args([command]))
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--seed", "3"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["bound", "--starts", "50"])
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -316,4 +349,62 @@ def test_nonfinite_generator_rejected(tmp_path_factory, chloroform_gen, key, ind
     for argv in (["bound"], ["simulate", "--m", "5"]):
         out = d / "out"
         assert main([*argv, "--gen", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+_TOKENS = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0).map(repr),
+    st.sampled_from(["0", "nan", "inf", "-inf", "1e308", "1e-320", "abc", ""]),
+)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """One malformed-or-not input: a ray CSV, a --grid spec or a --tol."""
+    kind = draw(st.sampled_from(["rays", "grid", "tol"]))
+    if kind == "rays":
+        rows = draw(st.lists(st.lists(_TOKENS, min_size=1, max_size=4), max_size=3))
+        return kind, "".join(",".join(row) + "\n" for row in rows)
+    if kind == "grid":
+        count = draw(st.sampled_from(["-1", "0", "1", "3", "2.5", "x"]))
+        parts = [draw(_TOKENS), draw(_TOKENS), count][: draw(st.integers(1, 3))]
+        return kind, ":".join(parts)
+    tol = draw(st.one_of(st.floats().map(repr), st.sampled_from(["1e-300", "x"])))
+    return kind, tol
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a value of the wrong type
+        return exc.code
+
+
+@settings(max_examples=20, deadline=None)
+@example(case=("rays", "abc,1,2\n"))
+@example(case=("rays", "1,2,3\n4,5\n"))
+@example(case=("rays", "1e308\n"))
+@example(case=("rays", "0.5,-1.5,0.25\n"))
+@example(case=("grid", "nan:1:2"))
+@example(case=("tol", "-inf"))
+@given(case=_cli_inputs())
+def test_cli_inputs_end_cleanly(tmp_path_factory, case):
+    # every input ends in success with finite output, or in exit 2 or 3
+    # with no output; none ends in a traceback
+    kind, text = case
+    d = tmp_path_factory.mktemp("cli")
+    out = d / "out.csv"
+    preset = ["--preset", "chloroform"]
+    if kind == "rays":
+        (d / "rays.csv").write_text(text)
+        argv = ["stlc", *preset, "--rays", str(d / "rays.csv"), "--tol", "5e-2"]
+    elif kind == "grid":
+        argv = ["robustness", *preset, f"--grid={text}"]
+    else:
+        argv = ["stlc", *preset, "--rays", "fibonacci:2", f"--tol={text}"]
+    code = _exit_code([*argv, "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()
+    else:
         assert not out.exists()

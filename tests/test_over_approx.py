@@ -4,7 +4,6 @@ import pytest
 from reachset import (
     AffineGenerator,
     CoherenceVector,
-    ValidationError,
     ellipsoid_axis_intersections,
     evolve,
     max_purity_multistart,
@@ -109,12 +108,3 @@ def test_ellipsoid_axis_crossings(chloroform_gen):
     assert vals[1] == pytest.approx(4.2309, abs=1e-3)
     # the proton-axis crossing and the sphere radius do not coincide
     assert vals[1] < np.sqrt(18.673)
-
-
-def test_certify_rejects_zero_starts(chloroform_gen):
-    # no oracle start would compare the secular solution with -inf
-    with pytest.raises(ValidationError, match="n_starts >= 1, got 0"):
-        max_purity_on_ellipsoid(chloroform_gen, n_starts=0)
-    assert max_purity_on_ellipsoid(
-        chloroform_gen, certify=False, n_starts=0
-    ).radius_sq == pytest.approx(18.6732, abs=1e-4)

@@ -257,6 +257,12 @@ def test_ray_validation(chloroform_gen, two_qubit_controls):
             stlc_boundary_rays(
                 chloroform_gen, two_qubit_controls, bad, origin=np.zeros(3)
             )
+    # a one-qubit register: tracing is two-qubit only
+    one = AffineGenerator(n=1, Hmat=np.zeros((3, 3)), Rmat=np.eye(3),
+                          r_eq=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValidationError, match="n=2"):
+        stlc_boundary_rays(one, build_permutation_set(1), np.array([[1.0]]),
+                           origin=np.zeros(1))
     # a bisection tolerance that never ends the loop, or never starts it
     for tol in (np.nan, np.inf, -1.0, 0.0):
         with pytest.raises(ValidationError, match="tol"):

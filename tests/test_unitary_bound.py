@@ -20,6 +20,7 @@ from reachset import (
 from reachset.sequences import pps_direction
 
 from conftest import haar_unitary
+from oracles import lp_ray_exit
 
 
 def thermal_state(gen=None):
@@ -161,3 +162,46 @@ def test_ray_exit_along_pps_direction():
     assert t == pytest.approx(5.0 / np.sqrt(3), abs=1e-7)
     kappa = kappa_unitary_max(thermal_state(), pps_direction())
     assert t == pytest.approx(kappa * np.sqrt(3) / 4.0, abs=1e-7)
+
+
+def test_ray_exit_matches_lp_oracle(rng):
+    # majorization against an LP over the same vertices: random states with
+    # coherences, degenerate spectra rotated off the diagonal, and diagonal
+    # degenerate spectra, each along a random direction
+    from reachset import encode
+
+    states = [CoherenceVector(n=2, r=rng.normal(size=15) * rng.uniform(0.1, 5))
+              for _ in range(120)]
+    for lam in ([1, 1, -1, -1], [3, -1, -1, -1], [2, 0, 0, -2], [1, 1, 1, -3]):
+        for _ in range(15):
+            u = haar_unitary(rng, 4)
+            dev = u @ np.diag(np.multiply(lam, rng.uniform(0.1, 5))) @ u.conj().T
+            states.append(encode(np.eye(4) / 4 + dev))
+    basis = build_basis(2)
+    for label in ("ZI", "IZ", "ZZ"):
+        for _ in range(7):
+            r = np.zeros(15)
+            r[basis.index(label)] = rng.uniform(-5, 5)
+            states.append(CoherenceVector(n=2, r=r))
+    assert len(states) >= 200
+    worst = 0.0
+    for state in states:
+        coords = diagonal_vertex_coords(polytope_vertices(state))
+        d = rng.normal(size=3) * rng.uniform(0.1, 10)
+        t, t_lp = polytope_ray_exit(coords, d), lp_ray_exit(coords, d)
+        worst = max(worst, abs(t - t_lp) / abs(t_lp))
+    assert worst <= 1e-12
+    # the maximally mixed state's polytope is the origin alone
+    zero = diagonal_vertex_coords(polytope_vertices(CoherenceVector(n=2, r=np.zeros(15))))
+    assert polytope_ray_exit(zero, np.ones(3)) == lp_ray_exit(zero, np.ones(3)) == 0.0
+    # a zero, non-finite or misshapen direction, and rows of two spectra
+    coords = diagonal_vertex_coords(polytope_vertices(thermal_state()))
+    for direction in (np.zeros(3), np.array([np.nan, 0, 1]), np.array([np.inf, 0, 0]),
+                      np.ones(2)):
+        with pytest.raises(ValidationError):
+            polytope_ray_exit(coords, direction)
+    mixed = coords.copy()
+    mixed[0] *= 2  # one row's spectrum is not a permutation of the others'
+    for vertices in (mixed, coords[:, :2], np.ones(3)):
+        with pytest.raises(ValidationError):
+            polytope_ray_exit(vertices, np.ones(3))
