@@ -13,6 +13,8 @@ Subcommands wrap the library modules one-to-one:
 
 Every command writes a `<out>.meta.json` sidecar (version, configuration,
 timing).  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+`main` is the one runner: each `cmd_*` only computes and writes its primary
+outputs, then returns (sidecar base path, extra sidecar keys, message).
 """
 
 import argparse
@@ -53,32 +55,33 @@ from .unitary_bound import (
 
 
 def _load_generator(args):
-    if getattr(args, "preset", None):
-        if args.preset != "chloroform":
-            raise ValidationError(f"unknown preset {args.preset!r}")
-        eps = getattr(args, "epsilon", 1.0)
-        rates = RateSet(eps_C=eps, eps_H=4.0 * eps)
-        return assemble_generator(rates), rates
-    if getattr(args, "gen", None):
-        if not os.path.exists(args.gen):
-            raise ValidationError(f"generator file not found: {args.gen}")
-        return AffineGenerator.from_json_dict(load_json(args.gen)), None
+    """The generator of --preset (scaled by --epsilon, default 1) or of --gen."""
+    if args.gen is not None and args.preset:
+        raise ValidationError("give --gen FILE or --preset chloroform, not both")
+    if args.epsilon is not None and not args.preset:
+        raise ValidationError("--epsilon rescales --preset only")
+    if args.preset:
+        if args.epsilon is None:
+            args.epsilon = 1.0  # the sidecar records the unit applied
+        eps = args.epsilon
+        return assemble_generator(RateSet(eps_C=eps, eps_H=4.0 * eps))
+    if args.gen is not None:
+        return AffineGenerator.from_json_dict(load_json(args.gen))
     raise ValidationError("provide --gen FILE or --preset chloroform")
 
 
-def _sidecar(args, out_path, elapsed, extra=None):
+def _sidecar(args, out_path, elapsed, extra):
     meta = {
         "version": __version__,
         "command": args.command,
         "options": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("command", "func") and v is not None
+            if k not in ("command", "func", "takes_gen") and v is not None
         },
         "elapsed_s": elapsed,
     }
-    if extra:
-        meta.update(extra)
+    meta.update(extra)
     dump_json(meta, out_path + ".meta.json")
 
 
@@ -103,10 +106,8 @@ def _sphere_payload(gen, bound):
     }
 
 
-def cmd_bound(args):
-    gen, _ = _load_generator(args)
-    t0 = time.perf_counter()
-    bound = max_purity_on_ellipsoid(gen, certify=not args.no_certify)
+def cmd_bound(args, gen):
+    bound = max_purity_on_ellipsoid(gen)
     payload = _sphere_payload(gen, bound)
     payload.update(
         argmax=list(bound.argmax_r.r),
@@ -114,9 +115,7 @@ def cmd_bound(args):
         lagrange_mult=bound.lagrange_mult,
     )
     dump_json(payload, args.out)
-    _sidecar(args, args.out, time.perf_counter() - t0)
-    print(f"radius_sq = {bound.radius_sq:.6f} -> {args.out}")
-    return 0
+    return args.out, {}, f"radius_sq = {bound.radius_sq:.6f} -> {args.out}"
 
 
 def _parse_rays(spec_str):
@@ -128,7 +127,14 @@ def _parse_rays(spec_str):
         return fibonacci_sphere(count)
     if os.path.exists(spec_str):
         try:
-            dirs = np.loadtxt(spec_str, delimiter=",", ndmin=2)
+            with open(spec_str) as fh:  # blank and '#' lines hold no row, as in loadtxt
+                lines = [ln for ln in fh if ln.split("#", 1)[0].strip()]
+        except (OSError, ValueError) as exc:  # a directory, unreadable or undecodable
+            raise ValidationError(f"cannot read ray CSV {spec_str}: {exc}") from exc
+        if not lines:
+            raise ValidationError(f"ray CSV {spec_str} holds no rows")
+        try:
+            dirs = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError as exc:  # a non-number or a ragged row
             raise ValidationError(f"ray CSV {spec_str}: {exc}") from exc
         with np.errstate(all="ignore"):  # zero, tiny or huge rows fail the norm check
@@ -161,30 +167,20 @@ def _trace_boundary(gen, rays, origin, args):
     return kept
 
 
-def cmd_stlc(args):
-    gen, _ = _load_generator(args)
+def cmd_stlc(args, gen):
     rays = _parse_rays(args.rays)
     if args.origin == "eq":
         origin = gen.r_eq[list(diag_slots(gen.n))]
     else:
         origin = np.zeros(2 ** gen.n - 1)
-    t0 = time.perf_counter()
     rows = [[*d, r] for d, r, _ in _trace_boundary(gen, rays, origin, args)]
     write_csv(args.out, ["ray_x", "ray_y", "ray_z", "boundary_radius"], rows)
-    _sidecar(
-        args,
-        args.out,
-        time.perf_counter() - t0,
-        {"origin": list(origin), "rays_total": len(rays), "rays_written": len(rows)},
-    )
-    print(f"{len(rows)} boundary radii -> {args.out}")
-    return 0
+    extra = {"origin": list(origin), "rays_total": len(rays), "rays_written": len(rows)}
+    return args.out, extra, f"{len(rows)} boundary radii -> {args.out}"
 
 
-def cmd_unitary_bound(args):
-    gen, _ = _load_generator(args)
+def cmd_unitary_bound(args, gen):
     target = _target_vector(args.target)
-    t0 = time.perf_counter()
     source = CoherenceVector(n=gen.n, r=gen.r_eq)
     kappa = kappa_unitary_max(source, target)
     poly = polytope_vertices(source)
@@ -199,20 +195,16 @@ def cmd_unitary_bound(args):
         "ray_exit_radius": ray_exit,
     }
     dump_json(payload, args.out)
-    _sidecar(args, args.out, time.perf_counter() - t0)
-    print(f"kappa_max = {kappa:.6f} -> {args.out}")
-    return 0
+    return args.out, {}, f"kappa_max = {kappa:.6f} -> {args.out}"
 
 
-def cmd_simulate(args):
-    gen, _ = _load_generator(args)
+def cmd_simulate(args, gen):
     if args.seq == "pps":
         seq = pps_sequence(args.tau, repeat=args.m)
         target = pps_direction()
     else:
         seq = bell_sequence(args.tau, repeat=args.m)
         target = bell_direction()
-    t0 = time.perf_counter()
     start = CoherenceVector(n=gen.n, r=gen.r_eq)
     result = simulate_sequence(
         gen, seq, start, record_every=args.record_every, target=target
@@ -227,25 +219,16 @@ def cmd_simulate(args):
         )
     write_csv(args.out, ["t"] + labels + ["eta", "theta"], rows)
     report = fixed_point(gen, seq, target=target, kappa_tol=1.0)
-    _sidecar(
-        args,
-        args.out,
-        time.perf_counter() - t0,
-        {
-            "fixed_point_eta": report.eta_eff,
-            "fixed_point_theta": report.theta,
-            "spectral_radius": report.spectral_radius,
-        },
-    )
-    print(
-        f"eta* = {report.eta_eff:.4f}, theta* = {report.theta:.4f} -> {args.out}"
-    )
-    return 0
+    extra = {
+        "fixed_point_eta": report.eta_eff,
+        "fixed_point_theta": report.theta,
+        "spectral_radius": report.spectral_radius,
+    }
+    message = f"eta* = {report.eta_eff:.4f}, theta* = {report.theta:.4f} -> {args.out}"
+    return args.out, extra, message
 
 
-def cmd_noe(args):
-    gen, _ = _load_generator(args)
-    t0 = time.perf_counter()
+def cmd_noe(args, gen):
     x = noe_steady_state(gen, args.saturate)
     payload = {
         "saturated": args.saturate,
@@ -253,12 +236,10 @@ def cmd_noe(args):
         "x": list(x.x),
     }
     dump_json(payload, args.out)
-    _sidecar(args, args.out, time.perf_counter() - t0)
-    print(f"steady state {np.round(x.x, 4)} -> {args.out}")
-    return 0
+    return args.out, {}, f"steady state {np.round(x.x, 4)} -> {args.out}"
 
 
-def cmd_fit(args):
+def cmd_fit(args, _):
     if args.block not in BLOCKS:
         raise ValidationError(
             f"block must be one of {sorted(BLOCKS)}, got {args.block!r}"
@@ -267,16 +248,11 @@ def cmd_fit(args):
     init = CHLOROFORM
     if args.init:
         init = RateSet.from_json_dict(load_json(args.init))
-    t0 = time.perf_counter()
     fitted, rms = fit_rates(
         trajs, args.block, init_guess=init, n_starts=args.starts, seed=args.seed
     )
     dump_json(fitted.to_json_dict(), args.out)
-    _sidecar(
-        args, args.out, time.perf_counter() - t0, {"rms_residual": rms}
-    )
-    print(f"rms residual = {rms:.3e} -> {args.out}")
-    return 0
+    return args.out, {"rms_residual": rms}, f"rms residual = {rms:.3e} -> {args.out}"
 
 
 def _parse_grid(spec_str):
@@ -292,11 +268,9 @@ def _parse_grid(spec_str):
     return np.linspace(lo, hi, count)
 
 
-def cmd_robustness(args):
-    gen, _ = _load_generator(args)
+def cmd_robustness(args, gen):
     grid = _parse_grid(args.grid)
     builder = pps_pulse_sequence_builder(args.tau, compensated=not args.plain)
-    t0 = time.perf_counter()
     reference = fixed_point(gen, pps_sequence(args.tau)).x_star
     result = robustness_sweep(gen, builder, grid, grid, reference=reference)
     rows = []
@@ -304,21 +278,13 @@ def cmd_robustness(args):
         for j, b in enumerate(result.delta_h):
             rows.append([a, b, result.delta[i, j]])
     write_csv(args.out, ["delta_c", "delta_h", "delta"], rows)
-    _sidecar(
-        args,
-        args.out,
-        time.perf_counter() - t0,
-        {"max_delta": result.max_delta, "failed_cells": int(result.failed.sum())},
-    )
-    print(f"max delta = {result.max_delta:.4f} -> {args.out}")
-    return 0
+    extra = {"max_delta": result.max_delta, "failed_cells": int(result.failed.sum())}
+    return args.out, extra, f"max delta = {result.max_delta:.4f} -> {args.out}"
 
 
-def cmd_figure1(args):
+def cmd_figure1(args, gen):
     if not (np.isfinite(args.noe_duration) and args.noe_duration >= 0):
         raise ValidationError("NOE duration must be finite and >= 0")
-    gen, _ = _load_generator(args)
-    t0 = time.perf_counter()
     slots = list(diag_slots(gen.n))
     seq = pps_sequence(args.tau, repeat=args.m)
 
@@ -326,7 +292,10 @@ def cmd_figure1(args):
     rays = fibonacci_sphere(args.rays)
     origin = np.zeros(2 ** gen.n - 1)
     rows = [[*d, r, *p] for d, r, p in _trace_boundary(gen, rays, origin, args)]
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:  # a file in its place or no permission
+        raise ValidationError(f"cannot make {args.out_dir}: {exc.strerror}") from exc
     bound = max_purity_on_ellipsoid(gen)
     dump_json(_sphere_payload(gen, bound), os.path.join(args.out_dir, "sphere.json"))
     write_csv(
@@ -378,10 +347,7 @@ def cmd_figure1(args):
         {"noe_steady_state": list(noe.x)},
         os.path.join(args.out_dir, "noe.json"),
     )
-
-    _sidecar(args, os.path.join(args.out_dir, "figure1"), time.perf_counter() - t0)
-    print(f"figure data -> {args.out_dir}/")
-    return 0
+    return os.path.join(args.out_dir, "figure1"), {}, f"figure data -> {args.out_dir}/"
 
 
 def build_parser():
@@ -392,8 +358,12 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(takes_gen=False)
 
-    def common(p, out_default):
+    def common(p, out_default=None):
+        """--gen/--preset/--epsilon, and --out if it has a default, of a command
+        that runs on a generator."""
+        p.set_defaults(takes_gen=True)
         p.add_argument("--gen", help="generator JSON file")
         p.add_argument(
             "--preset", choices=["chloroform"], help="bundled measured model"
@@ -401,22 +371,31 @@ def build_parser():
         p.add_argument(
             "--epsilon",
             type=float,
-            default=1.0,
             help="polarization unit for the preset (default 1)",
         )
-        p.add_argument("--out", default=out_default)
+        if out_default:
+            p.add_argument("--out", default=out_default)
+
+    def tracing(p):
+        """Bisection tolerance, region filter and workers of a boundary trace."""
+        p.add_argument("--tol", type=float, default=1e-3)
+        p.add_argument(
+            "--region",
+            choices=["all", "wedge"],
+            default="all",
+            help="wedge keeps only boundary points with 0 <= x3 <= x1 <= x2",
+        )
+        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("bound", help="purity-sphere outer bound")
     common(p, "bound.json")
-    p.add_argument("--no-certify", action="store_true",
-                   help="skip the multi-start oracle cross-check")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("stlc", help="trace the locally controllable boundary")
     common(p, "stlc.csv")
+    tracing(p)
     p.add_argument("--rays", default="fibonacci:200",
                    help="fibonacci:N or a CSV of unit directions")
-    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument(
         "--origin",
         choices=["zero", "eq"],
@@ -425,13 +404,6 @@ def build_parser():
         "locally controllable set (its direction cone is not full), so "
         "scans default to the maximally mixed state",
     )
-    p.add_argument(
-        "--region",
-        choices=["all", "wedge"],
-        default="all",
-        help="wedge keeps only boundary points with 0 <= x3 <= x1 <= x2",
-    )
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_stlc)
 
     p = sub.add_parser("unitary-bound", help="spectrum polytope and kappa")
@@ -471,36 +443,34 @@ def build_parser():
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("figure1", help="export all bounds and trajectories")
-    common(p, None)
+    common(p)
+    tracing(p)
     p.add_argument("--out-dir", default="figure1_data")
     p.add_argument("--rays", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--tau", type=float, default=1.5)
     p.add_argument("--m", type=int, default=500)
     p.add_argument("--noe-duration", type=float, default=60.0)
-    p.add_argument(
-        "--region",
-        choices=["all", "wedge"],
-        default="all",
-        help="wedge keeps only boundary points with 0 <= x3 <= x1 <= x2",
-    )
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_figure1)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the clock starts once the generator is loaded."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        gen = _load_generator(args) if args.takes_gen else None
+        t0 = time.perf_counter()
+        base, extra, message = args.func(args, gen)
+        _sidecar(args, base, time.perf_counter() - t0, extra)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReachsetError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

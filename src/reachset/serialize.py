@@ -29,14 +29,22 @@ def _normalize(obj):
     return obj
 
 
+def _open(path, mode="r", **kwargs):
+    """open() that reports a missing, unreadable or unwritable path as bad input."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:  # no such file or directory, a directory, no permission
+        raise ValidationError(f"cannot open {path}: {exc.strerror}") from exc
+
+
 def dump_json(obj, path):
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         json.dump(_normalize(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_json(path):
-    with open(path) as fh:
+    with _open(path) as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # malformed JSON or undecodable bytes
@@ -49,7 +57,7 @@ def fmt(x):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -67,13 +75,16 @@ def write_trajectory_csv(path, traj):
 
 
 def read_trajectory_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "t":
-            raise ValidationError("trajectory CSV must start with a 't' column")
-        labels = header[1:]
-        data = [row for row in reader if row]
+    with _open(path, newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (csv.Error, ValueError) as exc:  # undecodable bytes or a NUL byte
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+    header = rows[0] if rows else []
+    if not header or header[0] != "t":
+        raise ValidationError("trajectory CSV must start with a 't' column")
+    labels = header[1:]
+    data = [row for row in rows[1:] if row]
     if not data:
         raise ValidationError("trajectory CSV carries no rows")
     if any(len(row) != len(header) for row in data):

@@ -73,10 +73,11 @@ class PermutationControlSet:
 def build_permutation_set(n):
     """Enumerate all permutation controls for an n-qubit register.
 
-    Guarded at n <= 3 (8! = 40320 permutations already at n = 3).
+    Guarded at n <= 2: at n = 3 the 8! = 40320 full representations alone
+    would take about 1.28 GB, and boundary tracing runs on two qubits only.
     """
-    if not 1 <= n <= 3:
-        raise ValidationError("permutation control sets are built for n <= 3")
+    if not 1 <= n <= 2:
+        raise ValidationError("permutation control sets are built for n <= 2")
     basis = build_basis(n)
     dim = 2 ** n
     slots = list(diag_slots(n))

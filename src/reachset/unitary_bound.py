@@ -19,6 +19,8 @@ never contributes.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
+from math import factorial, prod
 
 import numpy as np
 
@@ -106,12 +108,15 @@ def kappa_channel(output, sigma, tol=1e-6):
 
 
 def polytope_vertices(rho):
-    """All distinct permutations of the deviation spectrum of rho."""
+    """All distinct permutations of the deviation spectrum of rho.
+
+    Guarded at n <= 3: four qubits would loop over 16! ~ 2.1e13 permutations.
+    """
+    if rho.n > 3:
+        raise ValidationError("spectrum polytopes are enumerated for n <= 3")
     lam = deviation_spectrum(rho)
     seen = set()
     rows = []
-    from itertools import permutations
-
     for perm in permutations(range(len(lam))):
         row = lam[list(perm)]
         key = tuple(np.round(row, 12))
@@ -142,8 +147,8 @@ def diagonal_vertex_coords(polytope):
 def polytope_ray_exit(vertices_coords, direction):
     """Largest t with t * direction inside the convex hull of the vertices.
 
-    The rows are the diagonal coordinates of the distinct permutations of
-    one zero-sum spectrum lam (lam = signs^T x), so with Lam_k and S_k the
+    The rows are the diagonal coordinates of every distinct permutation of
+    one zero-sum spectrum lam (lam = signs^T x), each once, so with Lam_k and S_k the
     sums of the k largest entries of lam and of the direction's spectrum,
     t = min over k < 2^n of Lam_k / S_k.  Each such S_k > 0: the partial
     sums of a descending zero-sum vector are concave in k.
@@ -151,7 +156,8 @@ def polytope_ray_exit(vertices_coords, direction):
     Raises
     ------
     ValidationError
-        If the rows are not permutations of one spectrum, or the direction
+        If the rows are not every distinct permutation of one spectrum,
+        (2^n)! / prod(multiplicity!) of them, or the direction
         is zero, non-finite or of another dimension.
     """
     V = np.asarray(vertices_coords, dtype=float)
@@ -163,8 +169,17 @@ def polytope_ray_exit(vertices_coords, direction):
     if not (np.isfinite(d).all() and np.any(d)):
         raise ValidationError("direction must be finite and nonzero")
     signs = _slot_signs(n)
-    spectra = -np.sort(-(V @ signs), axis=1)
+    rows = V @ signs
+    spectra = -np.sort(-rows, axis=1)
     lam, mu = spectra[0], -np.sort(-(d @ signs))
-    if not np.abs(spectra - lam).max() <= 1e-9 * np.abs(lam).max():
+    tol = 1e-9 * np.abs(lam).max()
+    if not np.abs(spectra - lam).max() <= tol:
         raise ValidationError("vertex rows are not permutations of one spectrum")
+    # label each entry by its group of equal eigenvalues to count distinct rows
+    group = np.cumsum(np.r_[0, np.diff(lam) < -tol])
+    labels = group[np.abs(rows[:, :, None] - lam).argmin(axis=2)]
+    count = factorial(m + 1) // prod(factorial(k) for k in np.bincount(group))
+    if not len(V) == len(np.unique(labels, axis=0)) == count:
+        raise ValidationError(
+            f"need all {count} distinct permutations of the spectrum, once each")
     return float(np.min(np.cumsum(lam)[:-1] / np.cumsum(mu)[:-1]))

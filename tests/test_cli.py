@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +248,114 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
     assert run("fit", "--block", "population", "--traj", str(good), "--starts", "0",
                "--out", str(rates)) == 2
     assert not rates.exists()
+
+
+def test_file_errors_exit_2(tmp_path, chloroform_gen):
+    # a missing file, a directory in a file's place, a missing output
+    # directory and an empty file end in exit 2 with no output, no traceback
+    # and no warning
+    d = tmp_path
+    gen = d / "gen.json"
+    dump_json(chloroform_gen.to_json_dict(), gen)
+    (d / "empty.csv").write_text("")
+    (d / "blank.csv").write_text("\n# no rows\n")
+    (d / "bytes.csv").write_bytes(b"t,ZI,IZ,ZZ\n0,1,4,0\n\xff,1,4,0\n")
+    preset = ["--preset", "chloroform"]
+    out = d / "out"
+    for argv in (
+        ["fit", "--block", "population", "--traj", str(d / "missing.csv")],
+        ["fit", "--block", "population", "--traj", str(d / "empty.csv")],
+        ["fit", "--block", "population", "--traj", str(d)],
+        ["fit", "--block", "population", "--traj", str(d / "bytes.csv")],
+        ["bound", "--gen", str(d)],
+        ["unitary-bound", *preset, "--target", str(d)],
+        ["stlc", *preset, "--rays", str(d)],
+        ["stlc", *preset, "--rays", str(d / "empty.csv")],
+        ["stlc", *preset, "--rays", str(d / "blank.csv")],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--out", str(out)) == 2, argv
+        assert not out.exists()
+    for argv in (["bound", "--gen", str(gen)], ["noe", *preset]):
+        missing = d / "no-such-dir" / "out.json"
+        assert run(*argv, "--out", str(missing)) == 2
+    assert not (d / "no-such-dir").exists()
+    assert run("figure1", *preset, "--rays", "1", "--m", "1",
+               "--out-dir", str(gen)) == 2
+
+
+def test_generator_sources_exclusive(tmp_path, chloroform_gen):
+    # --gen with --preset, or --epsilon without --preset, is refused
+    gen = tmp_path / "gen.json"
+    dump_json(chloroform_gen.to_json_dict(), gen)
+    out = tmp_path / "bound.json"
+    for argv in (["--gen", str(gen), "--preset", "chloroform"],
+                 ["--gen", str(gen), "--preset", "chloroform", "--epsilon", "3"],
+                 ["--gen", str(gen), "--epsilon", "3"],
+                 ["--epsilon", "3"]):
+        assert run("bound", *argv, "--out", str(out)) == 2, argv
+        assert not out.exists()
+    parser = build_parser()
+    assert parser.parse_args(["bound"]).epsilon is None
+    # the two removed options: bound --no-certify and figure1 --out
+    with pytest.raises(SystemExit):
+        parser.parse_args(["bound", "--no-certify"])
+    assert "out" not in vars(parser.parse_args(["figure1"]))
+
+
+def test_sidecar_contract(tmp_path, chloroform_gen):
+    # every subcommand writes <out>.meta.json (figure1: <out-dir>/figure1)
+    # with version, command, options and a finite elapsed_s; a rejected
+    # invocation writes neither output nor sidecar
+    trajs = synthesize_trajectories(
+        CHLOROFORM, "population", [np.array([-1.0, 4.0, 0.0]), np.array([0, 0, 3.0])],
+        np.linspace(0.0, 40.0, 10))
+    traj_args = []
+    for k, traj in enumerate(trajs):
+        write_trajectory_csv(tmp_path / f"traj{k}.csv", traj)
+        traj_args += ["--traj", str(tmp_path / f"traj{k}.csv")]
+    gen = tmp_path / "gen.json"
+    dump_json(chloroform_gen.to_json_dict(), gen)
+    preset = ["--preset", "chloroform"]
+    commands = {
+        "bound": ["--out", "{}.json"],
+        "stlc": ["--rays", "fibonacci:2", "--tol", "5e-2", "--out", "{}.csv"],
+        "unitary-bound": ["--out", "{}.json"],
+        "simulate": ["--m", "3", "--out", "{}.csv"],
+        "noe": ["--out", "{}.json"],
+        "robustness": ["--grid=0:0:1", "--out", "{}.csv"],
+        "figure1": ["--rays", "2", "--tol", "5e-2", "--m", "3", "--out-dir", "{}"],
+    }
+    for command, opts in commands.items():
+        for kind, source in (("ok", preset), ("bad", ["--gen", str(gen), *preset])):
+            base = tmp_path / f"{command}_{kind}"
+            argv = [command, *source, *[o.format(base) for o in opts]]
+            if command == "figure1":
+                out, sidecar = base, base / "figure1.meta.json"
+            else:
+                out = Path(argv[-1])
+                sidecar = Path(f"{out}.meta.json")
+            if kind == "bad":
+                assert run(*argv) == 2
+                assert not out.exists() and not sidecar.exists()
+                continue
+            assert run(*argv) == 0
+            meta = load_json(sidecar)
+            assert meta["version"] == reachset.__version__
+            assert meta["command"] == command
+            assert meta["options"]["preset"] == "chloroform"
+            assert not {"func", "takes_gen", "command"} & set(meta["options"])
+            assert np.isfinite(meta["elapsed_s"]) and meta["elapsed_s"] >= 0
+    fit = ["fit", "--block", "population", "--starts", "1"]
+    out = tmp_path / "rates.json"
+    assert run(*fit, *traj_args, "--out", str(out)) == 0
+    meta = load_json(f"{out}.meta.json")
+    assert meta["command"] == "fit" and np.isfinite(meta["elapsed_s"])
+    assert meta["options"]["traj"] == traj_args[1::2]
+    out = tmp_path / "rates_bad.json"
+    assert run(*fit, "--traj", str(tmp_path / "missing.csv"), "--out", str(out)) == 2
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 def test_stlc_tol_below_ulp_ends(tmp_path):

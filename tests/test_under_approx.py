@@ -64,8 +64,10 @@ def test_diag_reps_preserve_norm(two_qubit_controls, rng):
 
 
 def test_permutation_set_guard():
-    with pytest.raises(ValidationError):
-        build_permutation_set(4)
+    # n = 3 would fill (40320, 63, 63) full representations, about 1.28 GB
+    for n in (3, 4):
+        with pytest.raises(ValidationError):
+            build_permutation_set(n)
 
 
 # ---------------------------------------------------------------------------

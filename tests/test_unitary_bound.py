@@ -127,6 +127,12 @@ def test_polytope_degenerate_spectra():
     assert polytope_vertices(CoherenceVector(n=2, r=r)).vertices.shape[0] == 6
 
 
+def test_polytope_vertices_guard():
+    # four qubits would loop over 16! ~ 2.1e13 permutations
+    with pytest.raises(ValidationError):
+        polytope_vertices(CoherenceVector(n=4, r=np.zeros(255)))
+
+
 def test_orbit_samples_stay_inside_polytope(rng):
     rho = thermal_state()
     poly = polytope_vertices(rho)
@@ -202,6 +208,16 @@ def test_ray_exit_matches_lp_oracle(rng):
             polytope_ray_exit(coords, direction)
     mixed = coords.copy()
     mixed[0] *= 2  # one row's spectrum is not a permutation of the others'
-    for vertices in (mixed, coords[:, :2], np.ones(3)):
+    # the exit is read off the spectrum, so a subset or a repeat of the
+    # distinct permutations (4!/(2! 2!) = 6 for the spectrum (c, -c, -c, c))
+    # would pass for the whole polytope
+    r = np.zeros(15)
+    r[basis.index("ZZ")] = 0.3
+    degenerate = diagonal_vertex_coords(polytope_vertices(CoherenceVector(n=2, r=r)))
+    for vertices in (mixed, coords[:, :2], np.ones(3), coords[:1], coords[[0, 0, 0]],
+                     coords[:23], np.vstack([coords[:23], coords[:1]]),
+                     np.vstack([coords, coords[:1]]), degenerate[:5],
+                     degenerate[[0, 1, 2, 3, 4, 4]]):
         with pytest.raises(ValidationError):
             polytope_ray_exit(vertices, np.ones(3))
+
