@@ -21,12 +21,12 @@ from reachset.sequences import bell_direction, pps_direction
 gen = assemble_generator()
 thermal = CoherenceVector(n=2, r=gen.r_eq)
 
-poly = polytope_vertices(thermal)
+vertices = polytope_vertices(thermal)
 print(f"deviation spectrum of the thermal state: "
-      f"{np.round(sorted(poly.vertices[0], reverse=True), 3)}")
-print(f"polytope vertices: {len(poly.vertices)} distinct permutations")
+      f"{np.round(sorted(vertices[0], reverse=True), 3)}")
+print(f"polytope vertices: {len(vertices)} distinct permutations")
 
-coords = diagonal_vertex_coords(poly)
+coords = diagonal_vertex_coords(vertices)
 print("a few vertices in diagonal coordinates (x1, x2, x3):")
 for row in coords[:5]:
     print("  ", np.round(row, 3))

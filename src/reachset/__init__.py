@@ -60,7 +60,6 @@ from .over_approx import (
 from .pauli import (
     CoherenceVector,
     PauliBasis,
-    UnitaryRep,
     build_basis,
     decode,
     deviation_matrix,
@@ -94,13 +93,11 @@ from .under_approx import (
     build_permutation_set,
     fibonacci_sphere,
     hypersurface_point,
-    simplex_lattice,
     stlc_boundary_rays,
     stlc_test_3d,
     stlc_test_lp,
 )
 from .unitary_bound import (
-    SpectrumPolytope,
     diagonal_vertex_coords,
     kappa_channel,
     kappa_unitary,

@@ -32,10 +32,9 @@ scale eps ~ 1e-5 multiplies linearly and is left configurable.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .dynamics import AffineGenerator, lindblad_to_bloch
+from .dynamics import AffineGenerator, affine_trajectory, lindblad_to_bloch
 from .errors import RankDeficient, ValidationError, json_fields
 from .pauli import build_basis
 from .pauli import _readonly
@@ -264,21 +263,6 @@ def _block_fixed_point(rs, block):
     return np.zeros(len(BLOCKS[block]))
 
 
-def _propagate_block(sym, antisym, x_fix, x0, times):
-    """Exact block evolution dx/dt = (antisym - sym)(x - x_fix)."""
-    A = antisym - sym
-    if np.abs(antisym).max() == 0.0:
-        w, V = np.linalg.eigh(A)
-        y0 = V.T @ (x0 - x_fix)
-        return (V * np.exp(np.outer(times, w))[:, None, :] @ y0[:, None])[
-            :, :, 0
-        ] + x_fix
-    out = np.empty((len(times), len(x0)))
-    for i, t in enumerate(times):
-        out[i] = expm(A * t) @ (x0 - x_fix) + x_fix
-    return out
-
-
 def simulate_block(rates, block, x0, times):
     """Exact trajectory of one secular block from initial coordinates x0."""
     labels = BLOCKS[block]
@@ -287,7 +271,7 @@ def simulate_block(rates, block, x0, times):
         raise ValidationError(f"initial state must have length {len(labels)}")
     sym, antisym = block_matrices(rates, block)
     x_fix = _block_fixed_point(rates, block)
-    return _propagate_block(sym, antisym, x_fix, x0, times)
+    return affine_trajectory(antisym - sym, x_fix, x0, times)
 
 
 def synthesize_trajectories(

@@ -23,12 +23,11 @@ import sys
 import time
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__
 from .chloroform import BLOCKS, CHLOROFORM, RateSet, assemble_generator, fit_rates
 from .diagonal import diag_labels, diag_slots
-from .dynamics import AffineGenerator
+from .dynamics import AffineGenerator, affine_trajectory
 from .errors import ReachsetError, ValidationError
 from .over_approx import ellipsoid_axis_intersections, max_purity_on_ellipsoid
 from .pauli import CoherenceVector
@@ -183,14 +182,14 @@ def cmd_unitary_bound(args, gen):
     target = _target_vector(args.target)
     source = CoherenceVector(n=gen.n, r=gen.r_eq)
     kappa = kappa_unitary_max(source, target)
-    poly = polytope_vertices(source)
-    coords = diagonal_vertex_coords(poly)
+    vertices = polytope_vertices(source)
+    coords = diagonal_vertex_coords(vertices)
     target_diag = target.r[list(diag_slots(gen.n))]
     norm = np.linalg.norm(target_diag)
     ray_exit = polytope_ray_exit(coords, target_diag / norm) if norm > 0 else None
     payload = {
         "kappa_max": kappa,
-        "vertices_spectrum": [list(vrow) for vrow in poly.vertices],
+        "vertices_spectrum": [list(vrow) for vrow in vertices],
         "vertices_diag": [list(vrow) for vrow in coords],
         "ray_exit_radius": ray_exit,
     }
@@ -305,8 +304,7 @@ def cmd_figure1(args, gen):
     )
 
     source = CoherenceVector(n=gen.n, r=gen.r_eq)
-    poly = polytope_vertices(source)
-    coords = diagonal_vertex_coords(poly)
+    coords = diagonal_vertex_coords(polytope_vertices(source))
     write_csv(
         os.path.join(args.out_dir, "polytope_vertices.csv"),
         ["x1", "x2", "x3"],
@@ -329,15 +327,10 @@ def cmd_figure1(args, gen):
     # steady state
     noe = noe_steady_state(gen, "C")
     free, A, xinf = saturation_system(gen, "C")
-    start_free = gen.r_eq[free]
     times = np.linspace(0.0, args.noe_duration, 200)
-    noe_rows = []
-    for t in times:
-        xf = expm(A * t) @ (start_free - xinf) + xinf
-        full = np.zeros(gen.dim)
-        full[free] = xf
-        x = full[slots]
-        noe_rows.append([t, x[0], x[1], x[2]])
+    full = np.zeros((len(times), gen.dim))
+    full[:, free] = affine_trajectory(A, xinf, gen.r_eq[free], times)
+    noe_rows = [[t, *x] for t, x in zip(times, full[:, slots])]
     write_csv(
         os.path.join(args.out_dir, "noe_trajectory.csv"),
         ["t", "x1", "x2", "x3"],
@@ -355,10 +348,15 @@ def build_parser():
         prog="reachset",
         description="Reachable-set bounds and state engineering for "
         "coherently controlled relaxing qubits.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.set_defaults(takes_gen=False)
+
+    def command(name, help_text):
+        """A subcommand whose options, like the top level's, parse only in full."""
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
     def common(p, out_default=None):
         """--gen/--preset/--epsilon, and --out if it has a default, of a command
@@ -387,11 +385,11 @@ def build_parser():
         )
         p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("bound", help="purity-sphere outer bound")
+    p = command("bound", "purity-sphere outer bound")
     common(p, "bound.json")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("stlc", help="trace the locally controllable boundary")
+    p = command("stlc", "trace the locally controllable boundary")
     common(p, "stlc.csv")
     tracing(p)
     p.add_argument("--rays", default="fibonacci:200",
@@ -406,12 +404,12 @@ def build_parser():
     )
     p.set_defaults(func=cmd_stlc)
 
-    p = sub.add_parser("unitary-bound", help="spectrum polytope and kappa")
+    p = command("unitary-bound", "spectrum polytope and kappa")
     common(p, "polytope.json")
     p.add_argument("--target", default="pps", help="pps | bell | vector JSON")
     p.set_defaults(func=cmd_unitary_bound)
 
-    p = sub.add_parser("simulate", help="periodic preparation sequences")
+    p = command("simulate", "periodic preparation sequences")
     common(p, "traj.csv")
     p.add_argument("--seq", choices=["pps", "bell"], default="pps")
     p.add_argument("--tau", type=float, default=1.5)
@@ -419,12 +417,12 @@ def build_parser():
     p.add_argument("--record-every", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("noe", help="saturation steady state")
+    p = command("noe", "saturation steady state")
     common(p, "noe.json")
     p.add_argument("--saturate", choices=["C", "H"], default="C")
     p.set_defaults(func=cmd_noe)
 
-    p = sub.add_parser("fit", help="fit block relaxation rates")
+    p = command("fit", "fit block relaxation rates")
     p.add_argument("--block", required=True)
     p.add_argument("--traj", action="append", required=True,
                    help="trajectory CSV (repeatable)")
@@ -434,7 +432,7 @@ def build_parser():
     p.add_argument("--out", default="rates.json")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("robustness", help="pulse-error sensitivity sweep")
+    p = command("robustness", "pulse-error sensitivity sweep")
     common(p, "delta.csv")
     p.add_argument("--grid", default="-0.05:0.05:11", help="lo:hi:count")
     p.add_argument("--tau", type=float, default=1.5)
@@ -442,7 +440,7 @@ def build_parser():
                    help="uncompensated pulses instead of BB1 composites")
     p.set_defaults(func=cmd_robustness)
 
-    p = sub.add_parser("figure1", help="export all bounds and trajectories")
+    p = command("figure1", "export all bounds and trajectories")
     common(p)
     tracing(p)
     p.add_argument("--out-dir", default="figure1_data")

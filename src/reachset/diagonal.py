@@ -78,13 +78,14 @@ def project(v):
 
 
 def projected_field_stack(gen, reps):
-    """Stacked field coefficients for a list of control unitaries.
+    """Stacked field coefficients of the controls' orthogonal representations.
 
     Parameters
     ----------
     gen : AffineGenerator
-    reps : ndarray, shape (K, d, d) or sequence of UnitaryRep
-        Full-space representations of the controls.
+    reps : array-like, shape (K, d, d)
+        Orthogonal full-space representations of the controls, as returned
+        by unitary_rep or stacked in PermutationControlSet.reps_full.
 
     Returns
     -------
@@ -99,9 +100,7 @@ def projected_field_stack(gen, reps):
         If the controls do not act on the generator's coherence space.
     """
     slots = list(diag_slots(gen.n))
-    mats = np.asarray(
-        [u.matrix if hasattr(u, "matrix") else u for u in reps], dtype=float
-    )
+    mats = np.asarray(reps, dtype=float)
     if mats.shape[1:] != (gen.dim, gen.dim):
         raise ValidationError("qubit counts of generator and controls differ")
     RU = np.einsum("kia,ij,kjb->kab", mats, gen.Rmat, mats)

@@ -239,6 +239,24 @@ def relax_propagator(gen, t):
     return E, rstar - E @ rstar
 
 
+def affine_trajectory(A, x_fix, x0, times):
+    """Exact solution of dx/dt = A (x - x_fix) from x0, one row per time.
+
+    Rows are e^{At} (x0 - x_fix) + x_fix: from one eigendecomposition when
+    A is exactly symmetric, else from one matrix exponential per time.
+    """
+    if np.array_equal(A, A.T):
+        w, V = np.linalg.eigh(A)
+        y0 = V.T @ (x0 - x_fix)
+        return (V * np.exp(np.outer(times, w))[:, None, :] @ y0[:, None])[
+            :, :, 0
+        ] + x_fix
+    out = np.empty((len(times), len(x0)))
+    for i, t in enumerate(times):
+        out[i] = expm(A * t) @ (x0 - x_fix) + x_fix
+    return out
+
+
 def evolve(gen, r0, t):
     """Propagate a state exactly for time t under the free dynamics.
 

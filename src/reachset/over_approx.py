@@ -74,7 +74,7 @@ def _sphere_objective_data(gen):
 
 
 def _max_norm_on_sphere(c, M):
-    """Maximize |c + M y|^2 over |y| = 1 via the secular equation.
+    """The maximizer c + M y of |c + M y|^2 over |y| = 1, via the secular equation.
 
     Works in the eigenbasis of G = M^T M: with btilde the transformed
     linear term, the maximizer satisfies y_i = btilde_i / (lam - g_i) with
@@ -104,7 +104,6 @@ def _max_norm_on_sphere(c, M):
             t_sq = 0.0
         k = np.argmax(top)
         yt[k] = np.sqrt(t_sq)
-        lam = gmax
     else:
         lo = gmax + max(b_top * (1 - 1e-12), 1e-14 * scale)
         hi = gmax + np.linalg.norm(bt) + 1e-12 * scale
@@ -115,7 +114,7 @@ def _max_norm_on_sphere(c, M):
         lam = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
         yt = bt / (lam - g)
     y = V @ yt
-    return c + M @ y, lam
+    return c + M @ y
 
 
 def max_purity_multistart(gen, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
@@ -162,16 +161,16 @@ def max_purity_multistart(gen, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
     return best_val, best_r
 
 
-def max_purity_on_ellipsoid(gen, certify=True):
+def max_purity_on_ellipsoid(gen):
     """Smallest origin-centered sphere no controlled trajectory can leave.
+
+    The secular-equation solution is cross-checked against the multi-start
+    projected-gradient oracle to relative CERTIFY_RTOL.
 
     Parameters
     ----------
     gen : AffineGenerator
         Must have a strictly positive definite relaxation matrix.
-    certify : bool
-        Cross-check the secular-equation solution against the multi-start
-        projected-gradient oracle to relative 1e-6 (default on).
 
     Returns
     -------
@@ -182,7 +181,7 @@ def max_purity_on_ellipsoid(gen, certify=True):
     ContractivityViolation
         If the generator is unital/PSD.
     ValidationError
-        If certification is on and fails.
+        If the oracle disagrees with the secular solution.
     """
     if gen.unital:
         raise ContractivityViolation(
@@ -193,7 +192,7 @@ def max_purity_on_ellipsoid(gen, certify=True):
         return PurityBound(0.0, zero, 0.0, 0.0)
 
     c, M = _sphere_objective_data(gen)
-    r_opt, _lam_sphere = _max_norm_on_sphere(c, M)
+    r_opt = _max_norm_on_sphere(c, M)
     radius_sq = float(r_opt @ r_opt)
 
     # multiplier in the original coordinates: 2 r = mu * R (2 r - r_eq)
@@ -201,13 +200,12 @@ def max_purity_on_ellipsoid(gen, certify=True):
     mu = float((2.0 * r_opt) @ gc / (gc @ gc))
     residual = abs(float(r_opt @ (gen.Rmat @ (r_opt - gen.r_eq))))
 
-    if certify:
-        oracle_val, _ = max_purity_multistart(gen)
-        if abs(oracle_val - radius_sq) > CERTIFY_RTOL * max(radius_sq, 1e-30):
-            raise ValidationError(
-                f"secular solution {radius_sq!r} disagrees with projected-"
-                f"gradient oracle {oracle_val!r} beyond relative {CERTIFY_RTOL}"
-            )
+    oracle_val, _ = max_purity_multistart(gen)
+    if abs(oracle_val - radius_sq) > CERTIFY_RTOL * max(radius_sq, 1e-30):
+        raise ValidationError(
+            f"secular solution {radius_sq!r} disagrees with projected-"
+            f"gradient oracle {oracle_val!r} beyond relative {CERTIFY_RTOL}"
+        )
     return PurityBound(
         radius_sq=radius_sq,
         argmax_r=CoherenceVector(n=gen.n, r=r_opt),

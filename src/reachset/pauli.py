@@ -138,27 +138,6 @@ class CoherenceVector:
         return cls(n=int(n), r=r)
 
 
-@dataclass(frozen=True)
-class UnitaryRep:
-    """Orthogonal action of a unitary on coherence vectors.
-
-    matrix[k, j] = Tr(B_k U B_j U^dag) / 2^n for k, j >= 1.  Conjugation
-    rho -> U rho U^dag becomes r -> matrix @ r, and |r| is preserved.
-    """
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        d = 4 ** self.n - 1
-        if m.shape != (d, d):
-            raise ValidationError(f"representation must be {d}x{d}, got {m.shape}")
-        if not np.allclose(m.T @ m, np.eye(d), atol=1e-10):
-            raise ValidationError("representation matrix is not orthogonal")
-        object.__setattr__(self, "matrix", _readonly(m.copy()))
-
-
 def encode(rho, n=None):
     """Expand a density matrix into its coherence vector.
 
@@ -213,7 +192,9 @@ def unitary_rep(U, n=None):
 
     Returns
     -------
-    UnitaryRep
+    ndarray, shape (4^n - 1, 4^n - 1), read-only
+        rep[k, j] = Tr(B_k U B_j U^dag) / 2^n for k, j >= 1, orthogonal:
+        conjugation rho -> U rho U^dag becomes r -> rep @ r, preserving |r|.
     """
     U = np.asarray(U, dtype=complex)
     if n is None:
@@ -225,4 +206,4 @@ def unitary_rep(U, n=None):
     basis = build_basis(n)
     conj = np.einsum("ab,jbc,dc->jad", U, basis.matrices, U.conj())
     rep = np.einsum("kab,jba->kj", basis.matrices, conj).real / 2 ** n
-    return UnitaryRep(n=n, matrix=rep[1:, 1:])
+    return _readonly(rep[1:, 1:].copy())

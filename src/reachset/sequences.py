@@ -71,7 +71,7 @@ class GateStep:
 
 def gate_step(unitary, name="gate", n=None):
     """GateStep from a Hilbert-space unitary."""
-    return GateStep(rep=unitary_rep(unitary, n=n).matrix, name=name)
+    return GateStep(rep=unitary_rep(unitary, n=n), name=name)
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def pps_direction():
 
 def bell_direction():
     """Deviation direction of the pseudo-Bell target, W applied to PPS."""
-    wrep = unitary_rep(bell_basis_change()).matrix
+    wrep = unitary_rep(bell_basis_change())
     return CoherenceVector(n=2, r=wrep @ pps_direction().r)
 
 
@@ -152,7 +152,7 @@ def bell_sequence(tau, repeat=1):
     Built so that the one-period map is exactly W o map_PPS o W^T, making
     the fixed point the W image of the averaging fixed point.
     """
-    wrep = unitary_rep(bell_basis_change()).matrix
+    wrep = unitary_rep(bell_basis_change())
     steps = (GateStep(rep=wrep.T, name="Wt"), RelaxStep(tau),
              gate_step(averaging_permutation(), "V"), GateStep(rep=wrep, name="W"))
     return PeriodicSequence(steps=steps, repeat=repeat)
@@ -404,22 +404,27 @@ def compile_pulses(pulses, delta_c=0.0, delta_h=0.0):
     proton channel by (1 + delta_h); coupling delays are unaffected.  Every
     generator P (ZZ, or Z or cos(phase) X + sin(phase) Y on one spin) squares
     to the identity, so a pulse acts as U <- cos(angle/2) U - i sin(angle/2) P U.
+    A channel other than "C" or "H", or a scaled angle that overflows, raises
+    ValidationError.
     """
     U = np.eye(4, dtype=complex)
-    for p in pulses:
-        if isinstance(p, CouplingDelay):
-            P, angle = _PAULI["ZZ"], p.angle
-        elif p.channel not in ("C", "H"):
-            raise ValidationError('pulse channel must be "C" or "H"')
-        else:
-            on = "{}I" if p.channel == "C" else "I{}"
-            angle = p.angle * (1.0 + (delta_c if p.channel == "C" else delta_h))
-            if isinstance(p, ZPulse):
-                P = _PAULI[on.format("Z")]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf angle is caught below
+        for p in pulses:
+            if isinstance(p, CouplingDelay):
+                P, angle = _PAULI["ZZ"], p.angle
+            elif p.channel not in ("C", "H"):
+                raise ValidationError('pulse channel must be "C" or "H"')
             else:
-                P = (np.cos(p.phase) * _PAULI[on.format("X")]
-                     + np.sin(p.phase) * _PAULI[on.format("Y")])
-        U = np.cos(0.5 * angle) * U - 1j * np.sin(0.5 * angle) * (P @ U)
+                on = "{}I" if p.channel == "C" else "I{}"
+                angle = p.angle * (1.0 + (delta_c if p.channel == "C" else delta_h))
+                if isinstance(p, ZPulse):
+                    P = _PAULI[on.format("Z")]
+                else:
+                    P = (np.cos(p.phase) * _PAULI[on.format("X")]
+                         + np.sin(p.phase) * _PAULI[on.format("Y")])
+            U = np.cos(0.5 * angle) * U - 1j * np.sin(0.5 * angle) * (P @ U)
+    if not np.isfinite(U).all():
+        raise ValidationError("a pulse angle overflows: amplitude error too large")
     return U
 
 

@@ -50,7 +50,7 @@ DEGENERACY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PermutationControlSet:
-    """The 2^n! diagonal-entry permutations and their vector representations.
+    """The 2^n! basis-state permutations and their vector representations.
 
     Attributes
     ----------
@@ -58,15 +58,13 @@ class PermutationControlSet:
     perms : tuple of tuples
         Permutations of range(2^n); entry t = perm[s] means basis state s
         is sent to t.
-    reps_diag : ndarray, shape (K, 2^n - 1, 2^n - 1)
-        Orthogonal action on diagonal coordinates.
-    reps_full : ndarray, shape (K, 4^n - 1, 4^n - 1)
-        Orthogonal action on full coherence vectors.
+    reps_full : ndarray, shape (K, 4^n - 1, 4^n - 1), read-only
+        Orthogonal action on full coherence vectors, in `perms` order; the
+        action on diagonal coordinates is the diag_slots(n) block of each.
     """
 
     n: int
     perms: tuple
-    reps_diag: np.ndarray
     reps_full: np.ndarray
 
 
@@ -80,22 +78,15 @@ def build_permutation_set(n):
         raise ValidationError("permutation control sets are built for n <= 2")
     basis = build_basis(n)
     dim = 2 ** n
-    slots = list(diag_slots(n))
     perms = tuple(permutations(range(dim)))
     reps_full = np.empty((len(perms), basis.dim, basis.dim))
-    reps_diag = np.empty((len(perms), dim - 1, dim - 1))
     P = np.zeros((dim, dim), dtype=complex)
     for i, pm in enumerate(perms):
         P[:] = 0.0
         P[list(pm), range(dim)] = 1.0
-        rep = unitary_rep(P, n=n).matrix
-        reps_full[i] = rep
-        reps_diag[i] = rep[np.ix_(slots, slots)]
+        reps_full[i] = unitary_rep(P, n=n)
     reps_full.setflags(write=False)
-    reps_diag.setflags(write=False)
-    return PermutationControlSet(
-        n=n, perms=perms, reps_diag=reps_diag, reps_full=reps_full
-    )
+    return PermutationControlSet(n=n, perms=perms, reps_full=reps_full)
 
 
 @dataclass(frozen=True)
@@ -236,23 +227,6 @@ def hypersurface_point(gen, controls, sigma, mu):
         return np.linalg.solve(Aw, bw)
     except np.linalg.LinAlgError as exc:
         raise SingularCombination("weighted field matrix is singular") from exc
-
-
-def simplex_lattice(k, subdivisions=10):
-    """Deterministic lattice of simplex weights, (s+k-1 choose k-1) rows."""
-    if k < 1 or subdivisions < 1:
-        raise ValidationError("need k >= 1 and subdivisions >= 1")
-    out = []
-
-    def rec(prefix, remaining, depth):
-        if depth == k - 1:
-            out.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, depth + 1)
-
-    rec([], subdivisions, 0)
-    return np.asarray(out, dtype=float) / subdivisions
 
 
 def _first_exit(A, b, origin, direction, step, max_radius, tol):

@@ -18,7 +18,6 @@ All computations here use traceless deviation parts; the identity component
 never contributes.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, prod
 
@@ -26,24 +25,7 @@ import numpy as np
 
 from .diagonal import diag_slots
 from .errors import ResidualTooLarge, ValidationError
-from .pauli import CoherenceVector, build_basis, deviation_matrix
-
-
-@dataclass(frozen=True)
-class SpectrumPolytope:
-    """Permutation polytope of a deviation spectrum.
-
-    Attributes
-    ----------
-    vertices : ndarray, shape (V, 2^n)
-        Distinct permutations of the deviation eigenvalues; every row has
-        the same multiset of entries and zero sum.
-    source_state : CoherenceVector
-        The state whose spectrum generated the polytope.
-    """
-
-    vertices: np.ndarray
-    source_state: CoherenceVector
+from .pauli import build_basis, deviation_matrix, _readonly
 
 
 def deviation_spectrum(v):
@@ -110,7 +92,9 @@ def kappa_channel(output, sigma, tol=1e-6):
 def polytope_vertices(rho):
     """All distinct permutations of the deviation spectrum of rho.
 
-    Guarded at n <= 3: four qubits would loop over 16! ~ 2.1e13 permutations.
+    Returns a read-only (V, 2^n) array: every row has the same multiset of
+    entries and zero sum.  Guarded at n <= 3: four qubits would loop over
+    16! ~ 2.1e13 permutations.
     """
     if rho.n > 3:
         raise ValidationError("spectrum polytopes are enumerated for n <= 3")
@@ -123,9 +107,7 @@ def polytope_vertices(rho):
         if key not in seen:
             seen.add(key)
             rows.append(row)
-    vertices = np.asarray(rows)
-    vertices.setflags(write=False)
-    return SpectrumPolytope(vertices=vertices, source_state=rho)
+    return _readonly(np.asarray(rows))
 
 
 def _slot_signs(n):
@@ -134,14 +116,23 @@ def _slot_signs(n):
     return np.array([np.diagonal(basis.matrices[k + 1]).real for k in diag_slots(n)])
 
 
-def diagonal_vertex_coords(polytope):
-    """Vertices expressed in diagonal coordinates, shape (V, 2^n - 1).
+def diagonal_vertex_coords(vertices):
+    """Spectrum rows expressed in diagonal coordinates, shape (V, 2^n - 1).
 
-    Each spectrum row becomes the coordinate vector of the diagonal matrix
-    carrying it, x_i = <diag signs of slot i, spectrum>/2^n.
+    Each row of the (V, 2^n) `vertices` array (as from polytope_vertices)
+    becomes the coordinate vector of the diagonal matrix carrying it,
+    x_i = <diag signs of slot i, spectrum>/2^n; n is read from the row width.
+
+    Raises
+    ------
+    ValidationError
+        If `vertices` is not two-dimensional with a power-of-two width >= 2.
     """
-    n = polytope.source_state.n
-    return polytope.vertices @ _slot_signs(n).T / 2 ** n
+    V = np.asarray(vertices, dtype=float)
+    n = V.shape[1].bit_length() - 1 if V.ndim == 2 else 0
+    if n < 1 or V.shape[1] != 2 ** n:
+        raise ValidationError("vertices must be (V, 2^n) spectrum rows with n >= 1")
+    return V @ _slot_signs(n).T / 2 ** n
 
 
 def polytope_ray_exit(vertices_coords, direction):

@@ -205,7 +205,7 @@ def test_criterion_03_unitary_bound(chloroform_gen, rng):
     worst = -np.inf
     for _ in range(1000):
         rep = unitary_rep(haar_unitary(rng, 4))
-        worst = max(worst, kappa_unitary(source, target, rep.matrix))
+        worst = max(worst, kappa_unitary(source, target, rep))
     ok = abs(kappa - float(exact)) < 1e-9 and worst <= kappa + 1e-9
     _report(3, "unitary transfer bound", ok,
             f"kappa={kappa:.12f} (=20/3 to 1e-9), "
@@ -259,7 +259,7 @@ def test_criterion_04_pps_fixed_point(chloroform_gen):
 
 
 def test_criterion_05_bell_conjugation(chloroform_gen):
-    wrep = unitary_rep(bell_basis_change()).matrix
+    wrep = unitary_rep(bell_basis_change())
     Mp, cp = one_period_map(chloroform_gen, pps_sequence(1.5))
     Mb, cb = one_period_map(chloroform_gen, bell_sequence(1.5))
     err_m = np.abs(Mb - wrep @ Mp @ wrep.T).max()
@@ -350,8 +350,8 @@ def test_criterion_07_sandwich_along_pps_ray(
     chloroform_gen, two_qubit_controls, chloroform_bound
 ):
     d = np.ones(3) / np.sqrt(3)
-    poly = polytope_vertices(CoherenceVector(n=2, r=chloroform_gen.r_eq))
-    t_unitary = polytope_ray_exit(diagonal_vertex_coords(poly), d)
+    vertices = polytope_vertices(CoherenceVector(n=2, r=chloroform_gen.r_eq))
+    t_unitary = polytope_ray_exit(diagonal_vertex_coords(vertices), d)
     t_stlc = stlc_boundary_rays(
         chloroform_gen, two_qubit_controls, d[None, :], tol=1e-4,
         origin=np.zeros(3),

@@ -304,6 +304,18 @@ def test_generator_sources_exclusive(tmp_path, chloroform_gen):
     assert "out" not in vars(parser.parse_args(["figure1"]))
 
 
+def test_abbreviated_options_rejected():
+    # an option parses only when spelled in full, so a prefix (or the old
+    # spelling of a removed option) cannot stand for a longer one
+    parser = build_parser()
+    for argv in (["figure1", "--out", "x"], ["noe", "--sat", "H"],
+                 ["simulate", "--rec", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, argv
+    assert parser.parse_args(["robustness", "--grid=-0.1:0.1:3"]).grid == "-0.1:0.1:3"
+
+
 def test_sidecar_contract(tmp_path, chloroform_gen):
     # every subcommand writes <out>.meta.json (figure1: <out-dir>/figure1)
     # with version, command, options and a finite elapsed_s; a rejected
@@ -496,6 +508,7 @@ def _exit_code(argv):
 @example(case=("rays", "1e308\n"))
 @example(case=("rays", "0.5,-1.5,0.25\n"))
 @example(case=("grid", "nan:1:2"))
+@example(case=("grid", "0:1e308:3"))
 @example(case=("tol", "-inf"))
 @given(case=_cli_inputs())
 def test_cli_inputs_end_cleanly(tmp_path_factory, case):

@@ -5,7 +5,6 @@ from reachset import (
     AffineGenerator,
     CoherenceVector,
     DiagonalVector,
-    UnitaryRep,
     ValidationError,
     build_basis,
     diag_labels,
@@ -87,7 +86,7 @@ def test_coherent_part_does_not_contribute(chloroform_gen, two_qubit_controls, r
 
 def test_stacked_directions_order_and_duplicates(chloroform_gen, two_qubit_controls):
     x_eq = project(CoherenceVector(n=2, r=chloroform_gen.r_eq)).x
-    controls = [UnitaryRep(n=2, matrix=m) for m in two_qubit_controls.reps_full]
+    controls = two_qubit_controls.reps_full
     dirs = stacked_directions(*projected_field_stack(chloroform_gen, controls), x_eq)
     assert dirs.shape == (24, 3)
 

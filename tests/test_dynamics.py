@@ -12,6 +12,7 @@ from reachset import (
     purity,
     purity_rate,
 )
+from reachset.dynamics import affine_trajectory
 
 from conftest import random_density_matrix
 from oracles import lindblad_dissipator, rk4_evolve, superoperator_matrix
@@ -92,6 +93,24 @@ def test_evolve_matches_rk4(chloroform_gen, rng):
     exact = evolve(chloroform_gen, r0, 1.0)
     rk = rk4_evolve(chloroform_gen, r0, 1.0, 200_000)
     np.testing.assert_allclose(exact.r, rk.r, atol=1e-8)
+
+
+def test_affine_trajectory_matches_expm_per_time(rng):
+    # the eigendecomposition branch (exactly symmetric A) and the expm branch
+    # (A with an antisymmetric part) both reproduce e^{At} (x0 - x*) + x*
+    from scipy.linalg import expm
+
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    sym = -(q * rng.uniform(0.1, 2.0, size=4)) @ q.T
+    sym = 0.5 * (sym + sym.T)
+    skew = rng.normal(size=(4, 4))
+    x_fix, x0 = rng.normal(size=4), rng.normal(size=4)
+    times = np.linspace(0.0, 3.0, 7)
+    for A in (sym, sym + skew - skew.T):
+        expected = [expm(A * t) @ (x0 - x_fix) + x_fix for t in times]
+        got = affine_trajectory(A, x_fix, x0, times)
+        assert got.shape == (7, 4)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_free_relaxation_contracts_monotonically(chloroform_gen):

@@ -86,7 +86,7 @@ def test_solver_matches_multistart_oracle(dim, rng):
             gen = AffineGenerator(
                 n=n, Hmat=np.zeros((dim, dim)), Rmat=R, r_eq=r_eq
             )
-            secular = max_purity_on_ellipsoid(gen, certify=False).radius_sq
+            secular = max_purity_on_ellipsoid(gen).radius_sq
             oracle, _ = max_purity_multistart(gen, n_starts=50, seed=7)
         else:
             # non-qubit dimensions exercise the solver core through a duck
@@ -95,7 +95,7 @@ def test_solver_matches_multistart_oracle(dim, rng):
             rho_sq = float(r_eq @ R @ r_eq) / 4
             L = cholesky(R, lower=True)
             M = np.sqrt(rho_sq) * solve_triangular(L.T, np.eye(dim), lower=False)
-            r_opt, _ = _max_norm_on_sphere(c, M)
+            r_opt = _max_norm_on_sphere(c, M)
             secular = float(r_opt @ r_opt)
             duck = type("Duck", (), {"Rmat": R, "r_eq": r_eq, "unital": False})()
             oracle, _ = max_purity_multistart(duck, n_starts=50, seed=7)

@@ -93,7 +93,7 @@ def test_encode_decode_round_trip(rng):
 
 def test_unitary_rep_identity():
     rep = unitary_rep(np.eye(4))
-    np.testing.assert_allclose(rep.matrix, np.eye(15), atol=1e-14)
+    np.testing.assert_allclose(rep, np.eye(15), atol=1e-14)
 
 
 def test_unitary_rep_cnot_maps_iz_to_zz():
@@ -105,19 +105,19 @@ def test_unitary_rep_cnot_maps_iz_to_zz():
     iz, zz, zi = (basis.index(lab) for lab in ("IZ", "ZZ", "ZI"))
     src = np.zeros(15)
     src[iz] = 1.0
-    out = rep.matrix @ src
+    out = rep @ src
     assert out[zz] == pytest.approx(1.0, abs=1e-12)
     assert abs(out[iz]) < 1e-12
     src_zi = np.zeros(15)
     src_zi[zi] = 1.0
-    np.testing.assert_allclose(rep.matrix @ src_zi, src_zi, atol=1e-12)
+    np.testing.assert_allclose(rep @ src_zi, src_zi, atol=1e-12)
 
 
 def test_unitary_rep_preserves_norm(rng):
     for _ in range(10):
         rep = unitary_rep(haar_unitary(rng, 4))
         r = rng.normal(size=15)
-        assert np.linalg.norm(rep.matrix @ r) == pytest.approx(
+        assert np.linalg.norm(rep @ r) == pytest.approx(
             np.linalg.norm(r), abs=1e-10
         )
 
@@ -125,8 +125,8 @@ def test_unitary_rep_preserves_norm(rng):
 def test_unitary_rep_is_homomorphism(rng):
     for _ in range(20):
         u, w = haar_unitary(rng, 4), haar_unitary(rng, 4)
-        lhs = unitary_rep(u @ w).matrix
-        rhs = unitary_rep(u).matrix @ unitary_rep(w).matrix
+        lhs = unitary_rep(u @ w)
+        rhs = unitary_rep(u) @ unitary_rep(w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -140,7 +140,7 @@ def test_conjugation_matches_rep(rng):
     rep = unitary_rep(u)
     rho = random_density_matrix(rng, 2)
     lhs = encode(u @ rho @ u.conj().T).r
-    rhs = rep.matrix @ encode(rho).r
+    rhs = rep @ encode(rho).r
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

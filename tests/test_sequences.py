@@ -44,7 +44,7 @@ def thermal(gen):
 
 
 def test_averaging_gate_is_cyclic_on_diagonal():
-    rep = unitary_rep(averaging_permutation()).matrix
+    rep = unitary_rep(averaging_permutation())
     slots = list(diag_slots(2))
     sub = rep[np.ix_(slots, slots)]
     np.testing.assert_allclose(sub, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], atol=1e-12)
@@ -61,7 +61,7 @@ def test_bell_gate_maps_ground_to_bell():
 
 
 def test_bell_direction_is_rotated_pps():
-    wrep = unitary_rep(bell_basis_change()).matrix
+    wrep = unitary_rep(bell_basis_change())
     np.testing.assert_allclose(
         bell_direction().r, wrep @ pps_direction().r, atol=1e-15
     )
@@ -136,7 +136,7 @@ def test_fixed_point_start_independent(chloroform_gen, rng):
 
 
 def test_bell_period_is_conjugated_averaging(chloroform_gen):
-    wrep = unitary_rep(bell_basis_change()).matrix
+    wrep = unitary_rep(bell_basis_change())
     Mp, cp = one_period_map(chloroform_gen, pps_sequence(1.5))
     Mb, cb = one_period_map(chloroform_gen, bell_sequence(1.5))
     np.testing.assert_allclose(Mb, wrep @ Mp @ wrep.T, atol=1e-10)
@@ -238,10 +238,10 @@ def test_trajectories_respect_purity_sphere(chloroform_gen, chloroform_bound):
 
 
 def test_pulse_compilation_matches_permutation():
-    target = unitary_rep(averaging_permutation()).matrix
+    target = unitary_rep(averaging_permutation())
     for compensated in (False, True):
         pulses = averaging_gate_pulses(compensated)
-        rep = unitary_rep(compile_pulses(pulses)).matrix
+        rep = unitary_rep(compile_pulses(pulses))
         np.testing.assert_allclose(rep, target, atol=1e-12)
 
 

@@ -11,7 +11,6 @@ from reachset import (
     diag_slots,
     fibonacci_sphere,
     hypersurface_point,
-    simplex_lattice,
     stlc_boundary_rays,
     stlc_test_3d,
     stlc_test_lp,
@@ -23,23 +22,29 @@ from reachset.diagonal import projected_field_stack, stacked_directions
 # permutation control sets
 
 
+def _diag_reps(controls):
+    """Each control's action on diagonal coordinates, (K, 2^n - 1, 2^n - 1)."""
+    s = list(diag_slots(controls.n))
+    return controls.reps_full[:, s][:, :, s]
+
+
 def test_single_qubit_permutations():
     controls = build_permutation_set(1)
     assert len(controls.perms) == 2
-    flat = sorted(float(m[0, 0]) for m in controls.reps_diag)
+    flat = sorted(float(m[0, 0]) for m in _diag_reps(controls))
     assert flat == [-1.0, 1.0]
 
 
 def test_two_qubit_permutation_count(two_qubit_controls):
     assert len(two_qubit_controls.perms) == 24
-    assert two_qubit_controls.reps_diag.shape == (24, 3, 3)
+    assert _diag_reps(two_qubit_controls).shape == (24, 3, 3)
     assert two_qubit_controls.reps_full.shape == (24, 15, 15)
 
 
 def test_cyclic_averaging_member(two_qubit_controls):
     cyclic = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0.0]])
     assert any(
-        np.allclose(m, cyclic, atol=1e-12) for m in two_qubit_controls.reps_diag
+        np.allclose(m, cyclic, atol=1e-12) for m in _diag_reps(two_qubit_controls)
     )
 
 
@@ -59,7 +64,7 @@ def test_group_closure_on_sampled_pairs(two_qubit_controls, rng):
 
 def test_diag_reps_preserve_norm(two_qubit_controls, rng):
     x = rng.normal(size=3)
-    for m in two_qubit_controls.reps_diag[:8]:
+    for m in _diag_reps(two_qubit_controls)[:8]:
         assert np.linalg.norm(m @ x) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
 
@@ -191,14 +196,6 @@ def test_hypersurface_weight_validation(chloroform_gen, two_qubit_controls):
         )
 
 
-def test_simplex_lattice():
-    grid = simplex_lattice(3, 10)
-    assert grid.shape == (66, 3)
-    np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
-    assert grid.min() >= 0.0
-    np.testing.assert_array_equal(grid, simplex_lattice(3, 10))
-
-
 # ---------------------------------------------------------------------------
 # boundary rays
 
@@ -243,8 +240,8 @@ def test_pps_ray_bracketed_by_unitary_and_sphere(
     radius = stlc_boundary_rays(
         chloroform_gen, two_qubit_controls, d[None, :], tol=1e-3, origin=np.zeros(3)
     )[0]
-    poly = polytope_vertices(CoherenceVector(n=2, r=chloroform_gen.r_eq))
-    unitary_exit = polytope_ray_exit(diagonal_vertex_coords(poly), d)
+    vertices = polytope_vertices(CoherenceVector(n=2, r=chloroform_gen.r_eq))
+    unitary_exit = polytope_ray_exit(diagonal_vertex_coords(vertices), d)
     assert unitary_exit <= radius <= np.sqrt(chloroform_bound.radius_sq)
 
 

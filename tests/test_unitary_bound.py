@@ -77,7 +77,7 @@ def test_sampled_unitaries_never_exceed_bound(rng):
     worst = -np.inf
     for _ in range(200):
         rep = unitary_rep(haar_unitary(rng, 4))
-        worst = max(worst, kappa_unitary(rho, sig, rep.matrix))
+        worst = max(worst, kappa_unitary(rho, sig, rep))
     assert worst <= bound + 1e-9
 
 
@@ -110,21 +110,21 @@ def test_kappa_channel_on_saturation_steady_state(chloroform_gen):
 
 
 def test_polytope_vertices_thermal():
-    poly = polytope_vertices(thermal_state())
-    assert poly.vertices.shape == (24, 4)
-    sums = poly.vertices.sum(axis=1)
+    vertices = polytope_vertices(thermal_state())
+    assert vertices.shape == (24, 4)
+    sums = vertices.sum(axis=1)
     np.testing.assert_allclose(sums, 0.0, atol=1e-9)
-    for row in poly.vertices:
+    for row in vertices:
         assert sorted(np.round(row).astype(int)) == [-5, -3, 3, 5]
 
 
 def test_polytope_degenerate_spectra():
     zero = CoherenceVector(n=2, r=np.zeros(15))
-    assert polytope_vertices(zero).vertices.shape == (1, 4)
+    assert polytope_vertices(zero).shape == (1, 4)
     basis = build_basis(2)
     r = np.zeros(15)
     r[basis.index("ZZ")] = 0.3  # spectrum (c, -c, -c, c)
-    assert polytope_vertices(CoherenceVector(n=2, r=r)).vertices.shape[0] == 6
+    assert polytope_vertices(CoherenceVector(n=2, r=r)).shape[0] == 6
 
 
 def test_polytope_vertices_guard():
@@ -135,8 +135,7 @@ def test_polytope_vertices_guard():
 
 def test_orbit_samples_stay_inside_polytope(rng):
     rho = thermal_state()
-    poly = polytope_vertices(rho)
-    coords = diagonal_vertex_coords(poly)
+    coords = diagonal_vertex_coords(polytope_vertices(rho))
     from reachset import diag_slots, encode, decode
 
     slots = list(diag_slots(2))
@@ -152,15 +151,27 @@ def test_orbit_samples_stay_inside_polytope(rng):
 
 
 def test_vertex_coords_contain_thermal_state():
-    poly = polytope_vertices(thermal_state())
-    coords = diagonal_vertex_coords(poly)
+    coords = diagonal_vertex_coords(polytope_vertices(thermal_state()))
     assert any(np.allclose(c, [1, 4, 0], atol=1e-9) for c in coords)
     assert any(np.allclose(c, [4, 1, 0], atol=1e-9) for c in coords)
 
 
+def test_vertex_coords_read_n_from_row_width():
+    # one qubit: spectrum (a, -a) is the state a Z, so x = a
+    np.testing.assert_allclose(diagonal_vertex_coords([[0.5, -0.5]]), [[0.5]])
+    for n in (1, 2, 3):
+        r = np.zeros(4 ** n - 1)
+        r[-1] = 0.2  # the all-Z label, a diagonal state
+        coords = diagonal_vertex_coords(polytope_vertices(CoherenceVector(n=n, r=r)))
+        assert coords.shape[1] == 2 ** n - 1
+    for bad in (np.ones((2, 3)), np.ones((2, 1)), np.ones((2, 0)), np.ones(4),
+                np.ones((1, 2, 2))):
+        with pytest.raises(ValidationError):
+            diagonal_vertex_coords(bad)
+
+
 def test_ray_exit_along_pps_direction():
-    poly = polytope_vertices(thermal_state())
-    coords = diagonal_vertex_coords(poly)
+    coords = diagonal_vertex_coords(polytope_vertices(thermal_state()))
     d = np.ones(3) / np.sqrt(3)
     t = polytope_ray_exit(coords, d)
     # the exit point (5/3)(1,1,1) has radius 5/sqrt(3); consistent with the
