@@ -47,7 +47,7 @@ print("  unitary-only ceiling is 20/3 = 6.6667: beaten at every tau above")
 print("\nconvergence from thermal equilibrium (tau = 1.5 s):")
 sim = simulate_sequence(gen, pps_sequence(1.5, repeat=60), thermal,
                         record_every=10, target=pps_direction())
-for t, eta, theta in zip(sim.trajectory.times, sim.eta, sim.theta):
+for t, eta, theta in zip(sim.times, sim.eta, sim.theta):
     print(f"  period {int(round(t / 1.5)):3d}: eta={eta:.4f} theta={theta:.4f}")
 
 print("\n== pseudo-Bell preparation, the same period in a rotated frame ==")

@@ -30,7 +30,7 @@ from .diagonal import diag_labels, diag_slots
 from .dynamics import AffineGenerator, affine_trajectory
 from .errors import ReachsetError, ValidationError
 from .over_approx import ellipsoid_axis_intersections, max_purity_on_ellipsoid
-from .pauli import CoherenceVector
+from .pauli import CoherenceVector, build_basis
 from .sequences import (
     bell_direction,
     bell_sequence,
@@ -40,6 +40,7 @@ from .sequences import (
     pps_pulse_sequence_builder,
     pps_sequence,
     robustness_sweep,
+    saturated_diagonal,
     saturation_system,
     simulate_sequence,
 )
@@ -208,16 +209,14 @@ def cmd_simulate(args, gen):
     result = simulate_sequence(
         gen, seq, start, record_every=args.record_every, target=target
     )
-    labels = sorted(result.trajectory.observables)
-    rows = []
-    for i, t in enumerate(result.trajectory.times):
-        rows.append(
-            [t]
-            + [result.trajectory.observables[lab][i] for lab in labels]
-            + [result.eta[i], result.theta[i]]
-        )
-    write_csv(args.out, ["t"] + labels + ["eta", "theta"], rows)
     report = fixed_point(gen, seq, target=target, kappa_tol=1.0)
+    names = build_basis(gen.n).labels[1:]  # the column order of states
+    labels = sorted(names)
+    cols = [names.index(lab) for lab in labels]
+    rows = np.column_stack(
+        [result.times, result.states[:, cols], result.eta, result.theta]
+    )
+    write_csv(args.out, ["t", *labels, "eta", "theta"], rows)
     extra = {
         "fixed_point_eta": report.eta_eff,
         "fixed_point_theta": report.theta,
@@ -286,60 +285,42 @@ def cmd_figure1(args, gen):
         raise ValidationError("NOE duration must be finite and >= 0")
     slots = list(diag_slots(gen.n))
     seq = pps_sequence(args.tau, repeat=args.m)
+    source = CoherenceVector(n=gen.n, r=gen.r_eq)
 
-    # traced before any file is written, so a rejected tol leaves no output
+    # everything is computed before the first write, so a failed run
+    # leaves no output directory
     rays = fibonacci_sphere(args.rays)
     origin = np.zeros(2 ** gen.n - 1)
     rows = [[*d, r, *p] for d, r, p in _trace_boundary(gen, rays, origin, args)]
+    sphere = _sphere_payload(gen, max_purity_on_ellipsoid(gen))
+    coords = diagonal_vertex_coords(polytope_vertices(source))
+    sim = simulate_sequence(gen, seq, source, target=pps_direction())
+    # saturation path: carbon coordinates clamped to zero, the remaining
+    # subsystem relaxes from the (clamped) thermal state to its driven
+    # steady state
+    free, A, xinf = saturation_system(gen, "C")
+    times = np.linspace(0.0, args.noe_duration, 200)
+    noe_path = saturated_diagonal(
+        gen, free, affine_trajectory(A, xinf, gen.r_eq[free], times)
+    )
+    noe = saturated_diagonal(gen, free, xinf)
+
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:  # a file in its place or no permission
         raise ValidationError(f"cannot make {args.out_dir}: {exc.strerror}") from exc
-    bound = max_purity_on_ellipsoid(gen)
-    dump_json(_sphere_payload(gen, bound), os.path.join(args.out_dir, "sphere.json"))
-    write_csv(
-        os.path.join(args.out_dir, "stlc_boundary.csv"),
-        ["ray_x", "ray_y", "ray_z", "boundary_radius", "x1", "x2", "x3"],
-        rows,
-    )
-
-    source = CoherenceVector(n=gen.n, r=gen.r_eq)
-    coords = diagonal_vertex_coords(polytope_vertices(source))
-    write_csv(
-        os.path.join(args.out_dir, "polytope_vertices.csv"),
-        ["x1", "x2", "x3"],
-        [list(vrow) for vrow in coords],
-    )
-
-    sim = simulate_sequence(gen, seq, source, target=pps_direction())
-    traj_rows = []
-    for i, t in enumerate(sim.trajectory.times):
-        x = sim.states[i][slots]
-        traj_rows.append([t, x[0], x[1], x[2], sim.eta[i], sim.theta[i]])
-    write_csv(
-        os.path.join(args.out_dir, "pps_trajectory.csv"),
-        ["t", "x1", "x2", "x3", "eta", "theta"],
-        traj_rows,
-    )
-
-    # saturation path: carbon coordinates clamped to zero, the remaining
-    # subsystem relaxes from the (clamped) thermal state to its driven
-    # steady state
-    noe = noe_steady_state(gen, "C")
-    free, A, xinf = saturation_system(gen, "C")
-    times = np.linspace(0.0, args.noe_duration, 200)
-    full = np.zeros((len(times), gen.dim))
-    full[:, free] = affine_trajectory(A, xinf, gen.r_eq[free], times)
-    noe_rows = [[t, *x] for t, x in zip(times, full[:, slots])]
-    write_csv(
-        os.path.join(args.out_dir, "noe_trajectory.csv"),
-        ["t", "x1", "x2", "x3"],
-        noe_rows,
-    )
-    dump_json(
-        {"noe_steady_state": list(noe.x)},
-        os.path.join(args.out_dir, "noe.json"),
-    )
+    dump_json(sphere, os.path.join(args.out_dir, "sphere.json"))
+    for name, header, table in (
+        ("stlc_boundary.csv",
+         ["ray_x", "ray_y", "ray_z", "boundary_radius", "x1", "x2", "x3"], rows),
+        ("polytope_vertices.csv", ["x1", "x2", "x3"], coords),
+        ("pps_trajectory.csv", ["t", "x1", "x2", "x3", "eta", "theta"],
+         np.column_stack([sim.times, sim.states[:, slots], sim.eta, sim.theta])),
+        ("noe_trajectory.csv", ["t", "x1", "x2", "x3"],
+         np.column_stack([times, noe_path])),
+    ):
+        write_csv(os.path.join(args.out_dir, name), header, table)
+    dump_json({"noe_steady_state": list(noe)}, os.path.join(args.out_dir, "noe.json"))
     return os.path.join(args.out_dir, "figure1"), {}, f"figure data -> {args.out_dir}/"
 
 

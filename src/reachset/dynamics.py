@@ -230,11 +230,18 @@ def relax_propagator(gen, t):
     """Exact affine propagator of the free dynamics over time t.
 
     Returns (E, c) with r(t) = E @ r0 + c, computed from the matrix
-    exponential of the drift and the full fixed point.
+    exponential of the drift and the full fixed point.  A time so long that
+    e^{At} is not finite (expm gives NaN without a warning) raises
+    ValidationError.
     """
     if t < 0:
         raise ValidationError("propagation time must be nonnegative")
-    E = expm(gen.drift * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite At is caught below
+        E = expm(gen.drift * t)
+    if not np.isfinite(E).all():
+        raise ValidationError(
+            f"relaxation time {t:g} s is too long: e^(At) is not finite"
+        )
     rstar = gen.fixed_point
     return E, rstar - E @ rstar
 

@@ -5,6 +5,9 @@ relaxation.  One period composes, in chronological order, the exact affine
 relaxation propagators and the orthogonal gate representations into an
 affine map x -> M x + c on the full coherence space; attracting fixed
 points (spectral radius of M below one) are the engineered steady states.
+simulate_sequence iterates the map and records, per period, the time, the
+full coherence vector and its projection onto and angle to a target; the
+fixed point's angle comes from the same formula.
 
 The polarization-averaging sequence [tau - V] uses the cyclic coordinate
 permutation V: (x1, x2, x3) -> (x2, x3, x1); its fixed point approaches the
@@ -31,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonal import project
+from .diagonal import DiagonalVector, diag_slots
 from .dynamics import relax_propagator
 from .errors import NoUniqueFixedPoint, ValidationError
 from .pauli import CoherenceVector, build_basis, unitary_rep, _readonly
 from .unitary_bound import kappa_channel
-from .chloroform import TrajectorySample
 
 # ---------------------------------------------------------------------------
 # sequence steps
@@ -69,9 +71,9 @@ class GateStep:
         object.__setattr__(self, "rep", _readonly(rep.copy()))
 
 
-def gate_step(unitary, name="gate", n=None):
+def gate_step(unitary, name="gate"):
     """GateStep from a Hilbert-space unitary."""
-    return GateStep(rep=unitary_rep(unitary, n=n), name=name)
+    return GateStep(rep=unitary_rep(unitary), name=name)
 
 
 @dataclass(frozen=True)
@@ -238,26 +240,29 @@ def fixed_point(gen, seq, target=None, kappa_tol=0.12):
     eta = theta = None
     if target is not None:
         eta = kappa_channel(x_star, target, tol=kappa_tol)
-        theta = angle_to(x_star, target)
+        theta = float(_angle(x_star.r, target))
     return FixedPointReport(
         x_star=x_star, spectral_radius=sr, eta_eff=eta, theta=theta
     )
 
 
-def angle_to(state, target):
-    """Angle between two deviation vectors, radians."""
-    nx, nt = np.linalg.norm(state.r), np.linalg.norm(target.r)
-    if nx == 0.0 or nt == 0.0:
-        return float("nan")
-    cosine = float(state.r @ target.r) / (nx * nt)
-    return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
+def _angle(states, target):
+    """Angle of a deviation vector, or of each row of a stack, to target, radians.
+
+    A zero vector has cosine 0 and so the angle pi/2.
+    """
+    norms = np.linalg.norm(states, axis=-1) * np.linalg.norm(target.r)
+    cosine = states @ target.r / np.maximum(norms, 1e-300)
+    return np.arccos(np.clip(cosine, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
 class SequenceResult:
-    """Recorded periodic trajectory with per-period target diagnostics."""
+    """Recorded periods: row i of states is the coherence vector at times[i]
+    (columns in basis-label order), eta[i] and theta[i] its projection onto
+    and angle to the target (NaN without a target)."""
 
-    trajectory: TrajectorySample
+    times: np.ndarray
     states: np.ndarray
     eta: np.ndarray
     theta: np.ndarray
@@ -281,11 +286,12 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
     Returns
     -------
     SequenceResult
+        Recorded periods at times m * period_duration (m * 1 for a period
+        without relaxation).
     """
     if record_every < 1:
         raise ValidationError("record_every must be >= 1")
     M, c = one_period_map(gen, seq)
-    basis = build_basis(gen.n)
     x = start.r.copy()
     dt = seq.period_duration if seq.period_duration > 0 else 1.0
     times, rows = [], []
@@ -296,21 +302,12 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
             rows.append(x.copy())
     states = np.asarray(rows)
     if target is not None:
-        t_sq = float(target.r @ target.r)
-        eta = states @ target.r / t_sq
-        norms = np.linalg.norm(states, axis=1)
-        cosine = states @ target.r / np.maximum(
-            norms * np.linalg.norm(target.r), 1e-300
-        )
-        theta = np.arccos(np.clip(cosine, -1.0, 1.0))
+        eta = states @ target.r / float(target.r @ target.r)
+        theta = _angle(states, target)
     else:
         eta = np.full(len(states), np.nan)
         theta = np.full(len(states), np.nan)
-    observables = {
-        lab: states[:, k] for k, lab in enumerate(basis.labels[1:])
-    }
-    traj = TrajectorySample(times=np.asarray(times), observables=observables)
-    return SequenceResult(trajectory=traj, states=states, eta=eta, theta=theta)
+    return SequenceResult(times=np.asarray(times), states=states, eta=eta, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +361,18 @@ def noe_steady_state(gen, saturated):
     DiagonalVector
     """
     free, _, x_free = saturation_system(gen, saturated)
-    full = np.zeros(gen.dim)
-    full[free] = x_free
-    return project(CoherenceVector(n=2, r=full))
+    return DiagonalVector(n=2, x=saturated_diagonal(gen, free, x_free))
+
+
+def saturated_diagonal(gen, free, x_free):
+    """Diagonal coordinates of saturation_system states, clamped ones at zero.
+
+    x_free holds the free coordinates of one state, or of one state per row;
+    the result has the same leading shape with the diagonal slots last.
+    """
+    full = np.zeros(np.shape(x_free)[:-1] + (gen.dim,))
+    full[..., free] = x_free
+    return full[..., list(diag_slots(gen.n))]
 
 
 # ---------------------------------------------------------------------------

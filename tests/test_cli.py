@@ -359,6 +359,17 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
             assert meta["options"]["preset"] == "chloroform"
             assert not {"func", "takes_gen", "command"} & set(meta["options"])
             assert np.isfinite(meta["elapsed_s"]) and meta["elapsed_s"] >= 0
+    # a numerical failure, too, leaves neither output nor sidecar
+    failures = (
+        (3, ["simulate", "--tau", "0", "--m", "3"]),
+        (3, ["simulate", "--tau", "1e-300", "--m", "3"]),
+        (2, ["figure1", "--tau", "1e300", "--rays", "2", "--tol", "5e-2", "--m", "3"]),
+    )
+    for k, (code, argv) in enumerate(failures):
+        out = tmp_path / f"failed{k}"
+        flag = "--out-dir" if argv[0] == "figure1" else "--out"
+        assert run(*argv, *preset, flag, str(out)) == code, argv
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
     fit = ["fit", "--block", "population", "--starts", "1"]
     out = tmp_path / "rates.json"
     assert run(*fit, *traj_args, "--out", str(out)) == 0
@@ -368,6 +379,18 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
     out = tmp_path / "rates_bad.json"
     assert run(*fit, "--traj", str(tmp_path / "missing.csv"), "--out", str(out)) == 2
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+def test_nonfinite_propagator_exits_2(tmp_path, capsys):
+    # expm of the drift times 1e300 is NaN: an error naming the relaxation
+    # time, exit 2 and no output instead of a LinAlgError traceback
+    for argv in (["robustness", "--grid=0:0:1"], ["simulate", "--m", "3"]):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--preset", "chloroform", "--tau", "1e300",
+                   "--out", str(out)) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: relaxation time 1e+300 s"), err
+        assert not out.exists()
 
 
 def test_stlc_tol_below_ulp_ends(tmp_path):
@@ -482,8 +505,8 @@ _TOKENS = st.one_of(
 
 @st.composite
 def _cli_inputs(draw):
-    """One malformed-or-not input: a ray CSV, a --grid spec or a --tol."""
-    kind = draw(st.sampled_from(["rays", "grid", "tol"]))
+    """One malformed-or-not input: a ray CSV, a --grid spec, a --tol or a --tau."""
+    kind = draw(st.sampled_from(["rays", "grid", "tol", "tau"]))
     if kind == "rays":
         rows = draw(st.lists(st.lists(_TOKENS, min_size=1, max_size=4), max_size=3))
         return kind, "".join(",".join(row) + "\n" for row in rows)
@@ -491,8 +514,8 @@ def _cli_inputs(draw):
         count = draw(st.sampled_from(["-1", "0", "1", "3", "2.5", "x"]))
         parts = [draw(_TOKENS), draw(_TOKENS), count][: draw(st.integers(1, 3))]
         return kind, ":".join(parts)
-    tol = draw(st.one_of(st.floats().map(repr), st.sampled_from(["1e-300", "x"])))
-    return kind, tol
+    value = draw(st.one_of(st.floats().map(repr), st.sampled_from(["1e-300", "x"])))
+    return kind, value
 
 
 def _exit_code(argv):
@@ -510,24 +533,32 @@ def _exit_code(argv):
 @example(case=("grid", "nan:1:2"))
 @example(case=("grid", "0:1e308:3"))
 @example(case=("tol", "-inf"))
+@example(case=("tau", "0"))
+@example(case=("tau", "1e-300"))
+@example(case=("tau", "1e300"))
 @given(case=_cli_inputs())
 def test_cli_inputs_end_cleanly(tmp_path_factory, case):
     # every input ends in success with finite output, or in exit 2 or 3
     # with no output; none ends in a traceback
     kind, text = case
     d = tmp_path_factory.mktemp("cli")
-    out = d / "out.csv"
     preset = ["--preset", "chloroform"]
     if kind == "rays":
         (d / "rays.csv").write_text(text)
-        argv = ["stlc", *preset, "--rays", str(d / "rays.csv"), "--tol", "5e-2"]
+        argvs = [["stlc", *preset, "--rays", str(d / "rays.csv"), "--tol", "5e-2"]]
     elif kind == "grid":
-        argv = ["robustness", *preset, f"--grid={text}"]
+        argvs = [["robustness", *preset, f"--grid={text}"]]
+    elif kind == "tol":
+        argvs = [["stlc", *preset, "--rays", "fibonacci:2", f"--tol={text}"]]
     else:
-        argv = ["stlc", *preset, "--rays", "fibonacci:2", f"--tol={text}"]
-    code = _exit_code([*argv, "--out", str(out)])
-    assert code in (0, 2, 3)
-    if code == 0:
-        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()
-    else:
-        assert not out.exists()
+        argvs = [["simulate", *preset, "--m", "3", f"--tau={text}"],
+                 ["robustness", *preset, "--grid=0:0:1", f"--tau={text}"]]
+    for k, argv in enumerate(argvs):
+        out = d / f"out{k}.csv"
+        code = _exit_code([*argv, "--out", str(out)])
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(data).all(), argv
+        else:
+            assert not out.exists(), argv
