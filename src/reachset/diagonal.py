@@ -110,5 +110,9 @@ def projected_field_stack(gen, reps):
 
 
 def stacked_directions(A, b, x):
-    """Evaluate all stacked fields at coordinates x: -A @ x + b, shape (K, m)."""
-    return -np.einsum("kab,b->ka", A, np.asarray(x, dtype=float)) + b
+    """Evaluate all stacked fields at coordinates x: -A @ x + b.
+
+    A point x of shape (m,) gives the (K, m) direction set; a stack of
+    points (..., m) gives one set per point, shape (..., K, m).
+    """
+    return -np.einsum("kab,...b->...ka", A, np.asarray(x, dtype=float)) + b

@@ -27,7 +27,11 @@ equilibrium a boundary point of the STLC set.
 The boundary of the STLC set is traced by marching along rays from a
 verified interior point and bisecting the first sign change; the reported
 radius is the last radius at which the test succeeded, which keeps the
-trace a certified inner bound.
+trace a certified inner bound.  All rays of a fan are traced in lockstep:
+each round stacks every live ray's next point, a march point or a
+bisection midpoint, into one call of ``stlc_test_3d``, whose verdict on
+each set is bit for bit that of a call on the set alone, so the radii do
+not depend on which rays are traced together.
 """
 
 from dataclasses import dataclass
@@ -46,6 +50,10 @@ from .pauli import build_basis, unitary_rep
 
 #: Products inside this band count as "on the hyperplane".
 DEGENERACY_TOL = 1e-12
+
+#: Most direction sets a stacked cone test evaluates at once: the
+#: (CHUNK, 276, 24) triple products of 24 fields take about 3.4 MB.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -115,37 +123,87 @@ def stlc_test_3d(directions):
 
     Parameters
     ----------
-    directions : array-like, shape (K, 3)
-        Admissible evolution directions (K >= 2; typically the 24
-        permutation fields of a two-qubit register).
+    directions : array-like, shape (..., K, 3)
+        Admissible evolution directions (K >= 1; typically the 24
+        permutation fields of a two-qubit register).  Leading axes stack
+        independent direction sets, tested CHUNK sets at a time.
 
     Returns
     -------
     ConeVerdict
+        For one set of shape (K, 3), ``is_full`` is a bool and ``witness``
+        a unit normal or None.  For a stack, ``is_full`` is a bool array of
+        the leading shape and ``witness`` a (..., 3) array that is NaN
+        where the cone is full; each entry equals the one-set call on its
+        set, bit for bit.
     """
     v = np.asarray(directions, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ValidationError("directions must be a (K, 3) array")
+    if v.ndim < 2 or v.shape[-1] != 3 or v.shape[-2] < 1:
+        raise ValidationError("directions must be a (..., K, 3) array with K >= 1")
     if not np.all(np.isfinite(v)):
         raise ValidationError("directions must be finite")
-    if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < 3:
-        return ConeVerdict(is_full=False, witness=_rank_witness(v))
-
-    i, j = np.triu_indices(len(v), k=1)  # each unordered plane once
-    crosses = np.cross(v[i], v[j])
-    cross_norms = np.linalg.norm(crosses, axis=1)
-    norms = np.linalg.norm(v, axis=1)
-    prods = crosses @ v.T  # (pairs, K): (v_i x v_j) . v_k
-    scale = np.maximum(cross_norms[:, None] * norms, 1e-300)
-    below = (prods <= DEGENERACY_TOL * scale).all(axis=1)
-    above = (prods >= -DEGENERACY_TOL * scale).all(axis=1)
-    valid = cross_norms > 1e-12 * (norms[i] * norms[j])
-    hits = np.flatnonzero((below | above) & valid)
-    if hits.size == 0:
+    lead = v.shape[:-2]
+    sets = v.reshape(-1, *v.shape[-2:])
+    chunks = [_cone_verdicts(sets[s:s + CHUNK]) for s in range(0, max(len(sets), 1), CHUNK)]
+    full = np.concatenate([f for f, _ in chunks])
+    witness = np.concatenate([w for _, w in chunks])
+    if lead:
+        return ConeVerdict(is_full=full.reshape(lead), witness=witness.reshape(*lead, 3))
+    if full[0]:
         return ConeVerdict(is_full=True)
-    h = hits[0]
-    normal = crosses[h] / cross_norms[h]
-    return ConeVerdict(is_full=False, witness=normal if below[h] else -normal)
+    return ConeVerdict(is_full=False, witness=witness[0])
+
+
+def _cone_verdicts(v):
+    """Verdicts and witnesses of the triple-product test on (N, K, 3) sets.
+
+    A set whose directions do not span R^3 gets the rank witness.  Otherwise
+    the cone is not full iff some valid plane (v_i x v_j, |v_i x v_j| above
+    1e-12 |v_i| |v_j|) has every product c_k = (v_i x v_j) . v_k on one side
+    of the band +-DEGENERACY_TOL |v_i x v_j| |v_k|, and the first such plane
+    in triu order gives the witness.  Two sound prefilters keep the exact
+    work small: a plane with products beyond four times the widest band on
+    both sides cannot separate, and a set with some |c_k| above twice
+    |V|_F^2 times the rank tolerance has rank 3 (by Cauchy-Binet, every
+    3x3 minor is at most s1^2 s3), so only the other sets take the SVD.
+    """
+    i, j = np.triu_indices(v.shape[1], k=1)  # each unordered plane once
+    w = v.transpose(2, 0, 1)
+    (a0, a1, a2), (b0, b1, b2) = w[:, :, i], w[:, :, j]  # np.cross, term by term
+    crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+    cross_norms = np.linalg.norm(crosses, axis=1)  # (N, pairs)
+    norms = np.linalg.norm(v, axis=-1)
+    prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
+    top, bottom = prods.max(axis=1), prods.min(axis=1)
+    band = 4 * DEGENERACY_TOL * np.maximum(
+        cross_norms * norms.max(axis=-1, keepdims=True), 1e-300)
+    valid = cross_norms > 1e-12 * (norms[:, i] * norms[:, j])
+    rows, pairs = np.nonzero(valid & ~((top > band) & (bottom < -band)))
+    c = prods[rows, :, pairs]
+    scale = np.maximum(cross_norms[rows, pairs][:, None] * norms[rows], 1e-300)
+    below = (c <= DEGENERACY_TOL * scale).all(axis=1)
+    above = (c >= -DEGENERACY_TOL * scale).all(axis=1)
+    hit = below | above
+    rows, pairs, below = rows[hit], pairs[hit], below[hit]
+    _, first = np.unique(rows, return_index=True)  # rows ascend, pairs within rows
+    rows, pairs, below = rows[first], pairs[first], below[first]
+
+    full = np.ones(len(v), dtype=bool)
+    full[rows] = False
+    witness = np.full((len(v), 3), np.nan)
+    normal = crosses[rows, :, pairs] / cross_norms[rows, pairs][:, None]
+    witness[rows] = np.where(below[:, None], normal, -normal)
+
+    rank_tol = 1e-12 * np.maximum(1.0, np.abs(v).max(axis=(1, 2)))
+    widest = np.maximum(top.max(axis=1, initial=0.0), -bottom.min(axis=1, initial=0.0))
+    frobenius_sq = (v * v).sum(axis=(1, 2))
+    unsure = np.flatnonzero(~(widest > 2.0 * frobenius_sq * rank_tol))
+    if unsure.size:
+        deficient = unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol[unsure]) < 3]
+        full[deficient] = False
+        for r in deficient:
+            witness[r] = _rank_witness(v[r])
+    return full, witness
 
 
 def _conical_feasible(v, target):
@@ -229,29 +287,42 @@ def hypersurface_point(gen, controls, sigma, mu):
         raise SingularCombination("weighted field matrix is singular") from exc
 
 
-def _first_exit(A, b, origin, direction, step, max_radius, tol):
-    """March outward then bisect the first STLC sign change on one ray."""
-    t_lo = 0.0
-    t_hi = None
-    t = step
-    while t <= max_radius:
-        if stlc_test_3d(stacked_directions(A, b, origin + t * direction)).is_full:
-            t_lo = t
-        else:
-            t_hi = t
-            break
-        t += step
-    if t_hi is None:
-        return max_radius
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < mid < t_hi:  # the bracket is one ulp wide
-            break
-        if stlc_test_3d(stacked_directions(A, b, origin + mid * direction)).is_full:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return t_lo
+def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
+    """March outward then bisect the first STLC sign change, all rays at once.
+
+    Each ray runs the march-and-bisect of a lone ray: radii step, 2 step,
+    ... (by repeated addition) up to max_radius, then bisection of the
+    first failing step until the bracket is tol or one ulp wide.  Every
+    round tests each live ray's next radius, a march point or a midpoint,
+    in one stacked cone test.
+    """
+    lo = np.zeros(len(dirs))
+    hi = np.full(len(dirs), np.inf)  # inf while the ray is still marching
+    t = np.full(len(dirs), step)
+    radius = np.full(len(dirs), max_radius)  # for rays that never exit
+    live = np.arange(len(dirs))
+    while True:
+        marching = live[np.isinf(hi[live])]
+        marching = marching[t[marching] <= max_radius]
+        halving = live[np.isfinite(hi[live])]
+        mid = 0.5 * (lo[halving] + hi[halving])
+        # stop at tol, or once the bracket is one ulp wide
+        split = ((hi[halving] - lo[halving] > tol)
+                 & (lo[halving] < mid) & (mid < hi[halving]))
+        radius[halving[~split]] = lo[halving[~split]]
+        halving, mid = halving[split], mid[split]
+        live = np.concatenate([marching, halving])
+        if not live.size:
+            return radius
+        points = origin + np.concatenate([t[marching], mid])[:, None] * dirs[live]
+        full = stlc_test_3d(stacked_directions(A, b, points)).is_full
+        stepped, full = full[:len(marching)], full[len(marching):]
+        passed, failed = marching[stepped], marching[~stepped]
+        lo[passed] = t[passed]
+        t[passed] += step
+        hi[failed] = t[failed]
+        lo[halving[full]] = mid[full]
+        hi[halving[~full]] = mid[~full]
 
 
 def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1):
@@ -274,7 +345,7 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
         band, while points just toward the origin pass.  Chloroform scans
         are therefore anchored at the maximally mixed state.
     workers : int
-        Ray-level parallelism (1 = serial).
+        Processes to trace with, a positive integer (1 = serial).
 
     Returns
     -------
@@ -288,11 +359,20 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     -----
     The march steps outward by max(|origin|, 1)/20 up to the cutoff
     3 (|origin| + |r_eq|) + 1, which is reported for rays that never exit.
+    Rays are traced in lockstep: each round tests the next point of every
+    ray still marching or bisecting in one stacked cone test, evaluated
+    CHUNK points at a time so memory stays near 3.4 MB per chunk whatever
+    the fan size.  With workers > 1 the fan is split into contiguous parts,
+    one per process (at most the CPUs available), each traced in lockstep,
+    and the radii are joined in ray order; every ray's radius equals that
+    of tracing it alone.
     """
     if gen.n != 2:
         raise ValidationError(f"boundary tracing is implemented for n=2, got n={gen.n}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"bisection tol must be finite and positive, got {tol}")
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     dirs = np.asarray(ray_dirs, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) < 1:
         raise ValidationError("ray directions must be (R, 3) with R >= 1")
@@ -311,10 +391,11 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     step = max(scale, 1.0) / 20.0
     max_radius = 3.0 * (scale + float(np.linalg.norm(gen.r_eq))) + 1.0
 
-    from .parallel import parallel_map  # multiprocessing loads on first trace
+    from .parallel import parallel_map, pool_size  # multiprocessing loads on first trace
 
-    args = [(A, b, origin, d, step, max_radius, tol) for d in dirs]
-    return np.asarray(parallel_map(_first_exit, args, workers))
+    parts = np.array_split(dirs, pool_size(workers, len(dirs)))
+    args = [(A, b, origin, part, step, max_radius, tol) for part in parts]
+    return np.concatenate(parallel_map(_trace_lockstep, args, workers))
 
 
 def fibonacci_sphere(count):

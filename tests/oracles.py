@@ -1,14 +1,15 @@
 """Independent numerical oracles used only by the tests.
 
 Kept outside the library on purpose: the production propagator is the
-exact matrix-exponential solution and the unitary ray exit is a closed
-form, and these slower/brute-force routes exist to check them from a
-different direction.
+exact matrix-exponential solution, the unitary ray exit is a closed form
+and boundary rays are traced in lockstep, and these slower/brute-force
+routes exist to check them from a different direction.
 """
 
 import numpy as np
 
-from reachset import CoherenceVector
+from reachset import CoherenceVector, stlc_test_3d
+from reachset.diagonal import projected_field_stack, stacked_directions
 
 
 def rk4_evolve(gen, r0, t, n_steps):
@@ -81,3 +82,43 @@ def lp_ray_exit(vertices_coords, direction):
     res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.x[0])
+
+
+def first_exit(A, b, origin, direction, step, max_radius, tol):
+    """March outward then bisect the first STLC sign change on one ray.
+
+    One cone test per point and one ray at a time: the tracer that lockstep
+    tracing replaced.
+    """
+    t_lo = 0.0
+    t_hi = None
+    t = step
+    while t <= max_radius:
+        if stlc_test_3d(stacked_directions(A, b, origin + t * direction)).is_full:
+            t_lo = t
+        else:
+            t_hi = t
+            break
+        t += step
+    if t_hi is None:
+        return max_radius
+    while t_hi - t_lo > tol:
+        mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:  # the bracket is one ulp wide
+            break
+        if stlc_test_3d(stacked_directions(A, b, origin + mid * direction)).is_full:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return t_lo
+
+
+def boundary_rays_one_by_one(gen, controls, ray_dirs, tol, origin):
+    """stlc_boundary_rays ray by ray, with its march step and cutoff."""
+    origin = np.asarray(origin, dtype=float)
+    A, b = projected_field_stack(gen, controls.reps_full)
+    scale = float(np.linalg.norm(origin))
+    step = max(scale, 1.0) / 20.0
+    max_radius = 3.0 * (scale + float(np.linalg.norm(gen.r_eq))) + 1.0
+    return np.array([first_exit(A, b, origin, d, step, max_radius, tol)
+                     for d in np.asarray(ray_dirs, dtype=float)])

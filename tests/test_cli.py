@@ -204,8 +204,16 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
         assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:1",
                    "--tol", tol, "--out", str(stlc)) == 2
         assert not stlc.exists()
+    # a worker count below one
+    for workers in ("0", "-3"):
+        stlc = tmp_path / "workers.csv"
+        assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:1",
+                   "--workers", workers, "--out", str(stlc)) == 2
+        assert not stlc.exists()
     fig = tmp_path / "fig"
     assert run("figure1", "--preset", "chloroform", "--tol", "nan",
+               "--out-dir", str(fig)) == 2
+    assert run("figure1", "--preset", "chloroform", "--rays", "2", "--workers", "0",
                "--out-dir", str(fig)) == 2
     # a NOE trajectory of non-finite or negative length
     for duration in ("nan", "inf", "-1"):

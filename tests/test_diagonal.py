@@ -103,6 +103,16 @@ def test_stacked_directions_order_and_duplicates(chloroform_gen, two_qubit_contr
     np.testing.assert_array_equal(dup[0], dup[1])
 
 
+def test_stacked_directions_of_a_point_stack(chloroform_gen, two_qubit_controls, rng):
+    # one direction set per point, each bit for bit the one-point call
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
+    points = rng.normal(size=(4, 5, 3)) * 3.0
+    stack = stacked_directions(A, b, points)
+    assert stack.shape == (4, 5, 24, 3)
+    for idx in np.ndindex(4, 5):
+        assert stack[idx].tobytes() == stacked_directions(A, b, points[idx]).tobytes()
+
+
 def test_dimension_guard(chloroform_gen):
     with pytest.raises(ValidationError):
         projected_field_stack(chloroform_gen, [unitary_rep(np.eye(2))])

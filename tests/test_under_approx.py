@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachset import (
     AffineGenerator,
@@ -15,7 +17,9 @@ from reachset import (
     stlc_test_3d,
     stlc_test_lp,
 )
+from reachset import parallel, under_approx
 from reachset.diagonal import projected_field_stack, stacked_directions
+from oracles import boundary_rays_one_by_one, first_exit
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +140,131 @@ def test_chloroform_equilibrium_agreement(chloroform_gen, two_qubit_controls):
     assert v3.is_full == vlp.is_full == False  # noqa: E712
     # while every nearby interior point toward the origin passes
     assert stlc_test_3d(stacked_directions(A, b, 0.999 * x_eq)).is_full
+
+
+# ---------------------------------------------------------------------------
+# stacked cone tests: each set of a stack gets the one-set verdict and witness
+
+
+def _assert_rows_match_one_set_calls(sets):
+    stacked = stlc_test_3d(sets)
+    lead = sets.shape[:-2]
+    assert stacked.is_full.shape == lead and stacked.witness.shape == (*lead, 3)
+    for idx in np.ndindex(*lead):
+        one = stlc_test_3d(sets[idx])
+        assert stacked.is_full[idx] == one.is_full, idx
+        if one.is_full:
+            assert one.witness is None and np.isnan(stacked.witness[idx]).all()
+        else:
+            assert stacked.witness[idx].tobytes() == one.witness.tobytes(), idx
+    return stacked
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.sampled_from([1, 63, 64, 65, 129]))
+def test_stacked_cone_test_on_random_fields(seed, count):
+    rng = np.random.default_rng(seed)
+    sets = rng.normal(size=(count, 24, 3))
+    half = rng.random(count) < 0.5  # about half lie in an open half space
+    sets[half, :, 0] = np.abs(sets[half, :, 0]) + 0.05
+    _assert_rows_match_one_set_calls(sets)
+
+
+def test_stacked_cone_test_near_the_chloroform_boundary(chloroform_gen, two_qubit_controls):
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
+    x_eq = chloroform_gen.r_eq[list(diag_slots(2))]
+    rays = fibonacci_sphere(12)
+    radii = stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=1e-6,
+                               origin=np.zeros(3))
+    # x_eq, where the identity field vanishes, points along the ray toward
+    # it, and points within 1e-6 of traced boundary points on both sides
+    scales = np.concatenate([[1.0], 1.0 + np.linspace(-1e-3, 1e-3, 21)])
+    offsets = np.array([-1e-6, 0.0, 1e-6, 2e-6])
+    points = np.vstack([scales[:, None] * x_eq,
+                        ((radii[:, None] + offsets)[..., None] * rays[:, None]).reshape(-1, 3)])
+    stacked = _assert_rows_match_one_set_calls(stacked_directions(A, b, points))
+    assert not stacked.is_full[0]  # the equilibrium is a boundary point
+    assert stacked.is_full.any() and not stacked.is_full.all()
+
+
+def test_stacked_cone_test_rank_deficient_sets(rng):
+    planar = rng.normal(size=(5, 24, 3))
+    planar[..., 2] = 0.0  # coplanar fields
+    line = rng.normal(size=(5, 24, 1)) * rng.normal(size=(5, 1, 3))  # collinear
+    generic = rng.normal(size=(5, 24, 3))
+    sets = np.concatenate([planar, np.zeros((3, 24, 3)), line, generic])
+    stacked = _assert_rows_match_one_set_calls(sets)
+    assert not stacked.is_full[:13].any()
+    # the rank fallback's witness is the plane's normal
+    np.testing.assert_allclose(np.abs(stacked.witness[:5, 2]), 1.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=st.floats(-8.0, 8.0), count=st.sampled_from([1, 65]))
+def test_stacked_cone_test_products_at_the_band(factor, count):
+    # +-x and +-y, fields above the xy plane and one just below it: the
+    # xy plane separates exactly when the last product lies within the band
+    rng = np.random.default_rng(7)
+    up = np.column_stack([rng.uniform(-1, 1, size=(19, 2)), rng.uniform(0.1, 1, 19)])
+    low = np.array([0.5, 0.5, 0.0])
+    low[2] = factor * 1e-12 * np.linalg.norm(low)
+    base = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], up, low])
+    sets = np.repeat(base[None], count, axis=0)
+    stacked = _assert_rows_match_one_set_calls(sets)
+    if factor >= -0.99:
+        assert not stacked.is_full.any()
+        np.testing.assert_array_equal(stacked.witness[0], [-0.0, -0.0, -1.0])
+    elif factor <= -1.01:
+        assert stacked.is_full.all()
+
+
+def test_stacked_cone_test_chunk_sizes_and_shapes(rng):
+    sets = rng.normal(size=(129, 24, 3))
+    sets[::3, :, 1] = np.abs(sets[::3, :, 1])
+    sets[5] = 0.0
+    whole = stlc_test_3d(sets)
+    for count in (63, 64, 65, 129):
+        part = stlc_test_3d(sets[:count])
+        np.testing.assert_array_equal(part.is_full, whole.is_full[:count])
+        assert part.witness.tobytes() == whole.witness[:count].tobytes()
+    # two leading axes, and an empty stack
+    grid = stlc_test_3d(sets[:65].reshape(5, 13, 24, 3))
+    np.testing.assert_array_equal(grid.is_full.ravel(), whole.is_full[:65])
+    empty = stlc_test_3d(np.empty((0, 24, 3)))
+    assert empty.is_full.shape == (0,) and empty.witness.shape == (0, 3)
+    for bad in (np.empty((24,)), np.empty((24, 2)), np.empty((4, 0, 3))):
+        with pytest.raises(ValidationError):
+            stlc_test_3d(bad)
+
+
+# ---------------------------------------------------------------------------
+# symmetry: the 24 signed permutations Q_k of the diagonal coordinates map the
+# field set at x onto the field set at Q_k x, whatever the rates
+
+
+def test_cone_verdicts_invariant_under_signed_permutations(
+    chloroform_gen, two_qubit_controls, rng
+):
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
+    points = rng.normal(size=(200, 3)) * rng.uniform(0.5, 5.0, size=(200, 1))
+    verdicts = stlc_test_3d(stacked_directions(A, b, points)).is_full
+    assert verdicts.any() and not verdicts.all()
+    for q in _diag_reps(two_qubit_controls):
+        moved = stlc_test_3d(stacked_directions(A, b, points @ q.T)).is_full
+        np.testing.assert_array_equal(moved, verdicts)
+
+
+def test_traced_radii_invariant_under_signed_permutations(
+    chloroform_gen, two_qubit_controls
+):
+    rays = fibonacci_sphere(5)
+    qs = _diag_reps(two_qubit_controls)
+    fan = np.concatenate([rays @ q.T for q in qs])
+    radii = stlc_boundary_rays(chloroform_gen, two_qubit_controls, fan, tol=1e-4,
+                               origin=np.zeros(3)).reshape(len(qs), len(rays))
+    for row in radii:
+        np.testing.assert_array_equal(row, radii[0])
+
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +411,99 @@ def test_parallel_rays_match_serial(chloroform_gen, two_qubit_controls):
         origin=np.zeros(3), workers=2,
     )
     np.testing.assert_array_equal(serial, parallel)
+
+
+def test_worker_count_validated(chloroform_gen, two_qubit_controls):
+    for workers in (0, -3, 1.5, "2", None):
+        with pytest.raises(ValidationError, match="workers"):
+            stlc_boundary_rays(chloroform_gen, two_qubit_controls, fibonacci_sphere(1),
+                               origin=np.zeros(3), workers=workers)
+
+
+class _RecordingContext:
+    """A stand-in for the spawn context: records pool sizes, maps serially."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, items):
+        return [fn(*it) for it in items]
+
+
+def test_pool_never_exceeds_available_cpus(
+    monkeypatch, chloroform_gen, two_qubit_controls
+):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(parallel, "get_context", lambda method: ctx)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert parallel.parallel_map(pow, [(k, 2) for k in range(10)], 1000) == [
+        k * k for k in range(10)]
+    assert parallel.parallel_map(pow, [(3, 2), (4, 2)], 1000) == [9, 16]
+    assert parallel.parallel_map(pow, [(3, 2)], 1000) == [9]  # serial, no pool
+    assert ctx.processes == [3, 2]
+    rays = fibonacci_sphere(7)
+    serial = stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=1e-2,
+                                origin=np.zeros(3))
+    capped = stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=1e-2,
+                                origin=np.zeros(3), workers=1000)
+    assert ctx.processes == [3, 2, 3]  # one lockstep part per process
+    np.testing.assert_array_equal(capped, serial)
+
+
+
+@pytest.fixture(scope="module")
+def reference_fan(chloroform_gen, two_qubit_controls):
+    """200 rays traced one by one, one cone test per point."""
+    rays = fibonacci_sphere(200)
+    return rays, boundary_rays_one_by_one(chloroform_gen, two_qubit_controls, rays,
+                                          tol=1e-2, origin=np.zeros(3))
+
+
+@pytest.mark.parametrize("count", [1, 64, 65, 200])
+def test_lockstep_radii_match_one_by_one_tracing(
+    chloroform_gen, two_qubit_controls, reference_fan, count
+):
+    rays, reference = reference_fan
+    radii = stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays[:count],
+                               tol=1e-2, origin=np.zeros(3))
+    np.testing.assert_array_equal(radii, reference[:count])
+
+
+@pytest.mark.parametrize("tol, workers", [(1e-5, 1), (1e-20, 1), (1e-3, 2)])
+def test_lockstep_radii_match_one_by_one_at_fine_tol_and_in_parallel(
+    chloroform_gen, two_qubit_controls, tol, workers
+):
+    # 1e-20 lies below the radius' ulp: bisection ends on a one-ulp bracket
+    rays = fibonacci_sphere(5)
+    origin = np.array([0.1, -0.2, 0.05])
+    radii = stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=tol,
+                               origin=origin, workers=workers)
+    reference = boundary_rays_one_by_one(chloroform_gen, two_qubit_controls, rays,
+                                         tol=tol, origin=origin)
+    np.testing.assert_array_equal(radii, reference)
+
+
+def test_rays_without_exit_report_the_cutoff(chloroform_gen, two_qubit_controls):
+    # a cutoff below the first exit: every ray marches to it, in lockstep
+    # as one by one
+    gen = chloroform_gen
+    rays = fibonacci_sphere(3)
+    A, b = projected_field_stack(gen, two_qubit_controls.reps_full)
+    lockstep = under_approx._trace_lockstep(A, b, np.zeros(3), rays, 0.05, 0.3, 1e-3)
+    reference = [first_exit(A, b, np.zeros(3), d, 0.05, 0.3, 1e-3) for d in rays]
+    np.testing.assert_array_equal(lockstep, reference)
+    np.testing.assert_array_equal(lockstep, 0.3)
+
 
 
 def test_fibonacci_sphere_properties():
