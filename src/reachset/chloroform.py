@@ -32,7 +32,6 @@ scale eps ~ 1e-5 multiplies linearly and is left configurable.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dynamics import AffineGenerator, affine_trajectory, lindblad_to_bloch
 from .errors import RankDeficient, ValidationError, json_fields
@@ -395,6 +394,8 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
         finite = all(np.isfinite(residuals(s)).all() for s in starts)
     if not finite:
         raise ValidationError("start rates give a non-finite trajectory")
+    from scipy.optimize import least_squares
+
     max_nfev = max(1, max_iter // (len(free) + 1))
     best = min((least_squares(residuals, s, max_nfev=max_nfev) for s in starts),
                key=lambda res: res.cost)

@@ -12,7 +12,8 @@ Subcommands wrap the library modules one-to-one:
   figure1        CSV/JSON bundle with all bounds and trajectories
 
 Every command writes a `<out>.meta.json` sidecar (version, configuration,
-timing).  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+timing, environment).  Exit codes: 0 success, 2 invalid input, 3 numerical
+failure.
 `main` is the one runner: each `cmd_*` only computes and writes its primary
 outputs, then returns (sidecar base path, extra sidecar keys, message).
 """
@@ -70,6 +71,18 @@ def _load_generator(args):
     raise ValidationError("provide --gen FILE or --preset chloroform")
 
 
+def _environment():
+    """Python and numpy versions, scipy's if this process loaded it, BLAS threads."""
+    scipy = sys.modules.get("scipy")
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": getattr(scipy, "__version__", None),
+        **{var: os.environ.get(var)
+           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def _sidecar(args, out_path, elapsed, extra):
     meta = {
         "version": __version__,
@@ -80,6 +93,7 @@ def _sidecar(args, out_path, elapsed, extra):
             if k not in ("command", "func", "takes_gen") and v is not None
         },
         "elapsed_s": elapsed,
+        "environment": _environment(),
     }
     meta.update(extra)
     dump_json(meta, out_path + ".meta.json")

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ContractivityViolation, FixedPointUndefined, ValidationError
 from .errors import json_fields
@@ -234,6 +233,8 @@ def relax_propagator(gen, t):
     e^{At} is not finite (expm gives NaN without a warning) raises
     ValidationError.
     """
+    from scipy.linalg import expm
+
     if t < 0:
         raise ValidationError("propagation time must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite At is caught below
@@ -258,6 +259,8 @@ def affine_trajectory(A, x_fix, x0, times):
         return (V * np.exp(np.outer(times, w))[:, None, :] @ y0[:, None])[
             :, :, 0
         ] + x_fix
+    from scipy.linalg import expm
+
     out = np.empty((len(times), len(x0)))
     for i, t in enumerate(times):
         out[i] = expm(A * t) @ (x0 - x_fix) + x_fix

@@ -20,8 +20,6 @@ ascent from ORACLE_STARTS fixed seeded starts certifies the result.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.optimize import brentq
 
 from .diagonal import diag_slots
 from .errors import ContractivityViolation, ValidationError
@@ -64,6 +62,8 @@ class PurityBound:
 
 def _sphere_objective_data(gen):
     """Transform the QP into max |c + M y|^2 over the unit sphere."""
+    from scipy.linalg import cholesky, solve_triangular
+
     R = gen.Rmat
     c = gen.r_eq / 2.0
     rho_sq = float(gen.r_eq @ (R @ gen.r_eq)) / 4.0
@@ -105,6 +105,8 @@ def _max_norm_on_sphere(c, M):
         k = np.argmax(top)
         yt[k] = np.sqrt(t_sq)
     else:
+        from scipy.optimize import brentq
+
         lo = gmax + max(b_top * (1 - 1e-12), 1e-14 * scale)
         hi = gmax + np.linalg.norm(bt) + 1e-12 * scale
         while phi(hi) > 0.0:

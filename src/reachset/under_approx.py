@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .diagonal import diag_slots, projected_field_stack, stacked_directions
 from .errors import (
@@ -207,6 +206,8 @@ def _cone_verdicts(v):
 
 
 def _conical_feasible(v, target):
+    from scipy.optimize import linprog
+
     res = linprog(
         np.zeros(len(v)),
         A_eq=v.T,
@@ -219,6 +220,8 @@ def _conical_feasible(v, target):
 
 def _lp_witness(v, target):
     """Farkas certificate: n with n . v_k <= 0 for all k and n . target > 0."""
+    from scipy.optimize import linprog
+
     m = v.shape[1]
     res = linprog(
         -target,

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,20 @@ from reachset.serialize import (
 
 def run(*argv):
     return main(list(argv))
+
+
+def _child(argv, cwd, timeout=60):
+    """Run `python argv...` in a fresh interpreter that imports this reachset."""
+    src = os.path.dirname(os.path.dirname(reachset.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_bound_preset(tmp_path):
@@ -367,6 +383,12 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
             assert meta["options"]["preset"] == "chloroform"
             assert not {"func", "takes_gen", "command"} & set(meta["options"])
             assert np.isfinite(meta["elapsed_s"]) and meta["elapsed_s"] >= 0
+            env = meta["environment"]
+            assert env["python"] == platform.python_version()
+            assert env["numpy"] == np.__version__
+            assert env["scipy"] == scipy.__version__  # this process imported it
+            assert {v: env[v] for v in _THREAD_VARS} == {
+                v: os.environ.get(v) for v in _THREAD_VARS}
     # a numerical failure, too, leaves neither output nor sidecar
     failures = (
         (3, ["simulate", "--tau", "0", "--m", "3"]),
@@ -384,6 +406,13 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
     meta = load_json(f"{out}.meta.json")
     assert meta["command"] == "fit" and np.isfinite(meta["elapsed_s"])
     assert meta["options"]["traj"] == traj_args[1::2]
+    assert meta["environment"]["scipy"] == scipy.__version__
+    # a run that never loads scipy records null, and does not import it to ask
+    out = tmp_path / "noe_fresh.json"
+    proc = _child(["-m", "reachset.cli", "noe", "--preset", "chloroform",
+                   "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert load_json(f"{out}.meta.json")["environment"]["scipy"] is None
     out = tmp_path / "rates_bad.json"
     assert run(*fit, "--traj", str(tmp_path / "missing.csv"), "--out", str(out)) == 2
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
@@ -404,23 +433,67 @@ def test_nonfinite_propagator_exits_2(tmp_path, capsys):
 def test_stlc_tol_below_ulp_ends(tmp_path):
     # a tol below the radius' ulp once bisected forever; the child process
     # and its timeout make a hang fail the test instead of stalling the suite
-    src = os.path.dirname(os.path.dirname(reachset.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    )
     radii = {}
     for tol in ("1e-17", "1e-3"):
         out = tmp_path / f"stlc_{tol}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "reachset.cli", "stlc", "--preset", "chloroform",
-             "--rays", "fibonacci:1", "--tol", tol, "--out", str(out)],
-            env=env, capture_output=True, timeout=60,
-        )
+        proc = _child(["-m", "reachset.cli", "stlc", "--preset", "chloroform",
+                       "--rays", "fibonacci:1", "--tol", tol, "--out", str(out)],
+                      tmp_path)
         assert proc.returncode == 0, proc.stderr
         radii[tol] = np.loadtxt(out, delimiter=",", skiprows=1)[3]
     # the finer bisection continues the coarser one's bracket
     assert 0.0 <= radii["1e-17"] - radii["1e-3"] <= 1e-3
+
+
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import reachset
+loaded = {"import reachset": scipy_modules()}
+import reachset.cli
+loaded["import reachset.cli"] = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    code = reachset.cli.main(argv)
+    loaded[" ".join(argv)] = [code, scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_loaded(tmp_path, *argvs):
+    """{step: scipy modules} after the imports and each main(argv), in one fresh process."""
+    proc = _child(["-c", _SCIPY_PROBE, json.dumps(argvs)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
+    # scipy is imported inside the functions that call it: importing the
+    # package and the commands that never call it load no scipy module
+    gen = chloroform_gen.to_json_dict()
+    gen["r_eq"][0] = float("inf")
+    dump_json(gen, tmp_path / "inf.json")
+    preset = ["--preset", "chloroform"]
+    scipy_free = [
+        ["noe", *preset, "--saturate", "C", "--out", "noe.json"],
+        ["unitary-bound", *preset, "--target", "pps", "--out", "polytope.json"],
+        ["stlc", *preset, "--rays", "fibonacci:2", "--tol", "5e-2", "--out", "stlc.csv"],
+        ["bound", "--gen", "inf.json", "--out", "bound.json"],
+        ["simulate", "--gen", "inf.json", "--m", "3", "--out", "sim_inf.csv"],
+    ]
+    loaded = _scipy_loaded(tmp_path, *scipy_free)
+    assert loaded.pop("import reachset") == []
+    assert loaded.pop("import reachset.cli") == []
+    expected_codes = [0, 0, 0, 2, 2]
+    assert loaded == {" ".join(argv): [code, []]
+                      for argv, code in zip(scipy_free, expected_codes)}
+    # simulate takes expm from scipy.linalg and nothing from scipy.optimize
+    argv = ["simulate", *preset, "--m", "3", "--out", "sim.csv"]
+    code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
+    assert code == 0 and "scipy.linalg" in modules
+    assert not [m for m in modules if m.startswith("scipy.optimize")]
 
 
 def test_seed_only_where_read():
