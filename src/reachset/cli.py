@@ -291,6 +291,11 @@ def cmd_robustness(args, gen):
             rows.append([a, b, result.delta[i, j]])
     write_csv(args.out, ["delta_c", "delta_h", "delta"], rows)
     extra = {"max_delta": result.max_delta, "failed_cells": int(result.failed.sum())}
+    # numerical health of the solved cells (null when none was solved)
+    solved = ~result.failed
+    for key, values in (("max_spectral_radius", result.spectral_radius),
+                        ("max_cond", result.cond)):
+        extra[key] = float(values[solved].max()) if solved.any() else None
     return args.out, extra, f"max delta = {result.max_delta:.4f} -> {args.out}"
 
 

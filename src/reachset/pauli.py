@@ -181,29 +181,29 @@ def deviation_matrix(v):
 
 
 def unitary_rep(U, n=None):
-    """Represent a unitary as an orthogonal matrix on coherence vectors.
+    """Represent a unitary, or each of a stack, as an orthogonal coherence-space matrix.
 
     Parameters
     ----------
-    U : ndarray, shape (2^n, 2^n)
-        Unitary matrix (validated to 1e-10).
+    U : ndarray, shape (..., 2^n, 2^n)
+        Unitary matrix or stack of them (each validated to 1e-10).
     n : int, optional
         Qubit count; inferred when omitted.
 
     Returns
     -------
-    ndarray, shape (4^n - 1, 4^n - 1), read-only
+    ndarray, shape (..., 4^n - 1, 4^n - 1), read-only
         rep[k, j] = Tr(B_k U B_j U^dag) / 2^n for k, j >= 1, orthogonal:
         conjugation rho -> U rho U^dag becomes r -> rep @ r, preserving |r|.
     """
     U = np.asarray(U, dtype=complex)
     if n is None:
-        n = int(round(np.log2(U.shape[0])))
-    if U.shape != (2 ** n, 2 ** n):
+        n = int(round(np.log2(U.shape[-1])))
+    if U.shape[-2:] != (2 ** n, 2 ** n):
         raise ValidationError(f"expected a {2**n}x{2**n} matrix, got {U.shape}")
-    if not np.allclose(U.conj().T @ U, np.eye(2 ** n), atol=1e-10):
+    if not np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(2 ** n), atol=1e-10):
         raise ValidationError("matrix is not unitary")
     basis = build_basis(n)
-    conj = np.einsum("ab,jbc,dc->jad", U, basis.matrices, U.conj())
-    rep = np.einsum("kab,jba->kj", basis.matrices, conj).real / 2 ** n
-    return _readonly(rep[1:, 1:].copy())
+    conj = np.einsum("...ab,jbc,...dc->...jad", U, basis.matrices, U.conj())
+    rep = np.einsum("kab,...jba->...kj", basis.matrices, conj).real / 2 ** n
+    return _readonly(rep[..., 1:, 1:].copy())

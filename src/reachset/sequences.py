@@ -28,6 +28,10 @@ closed-form rotation cos(angle/2) I - i sin(angle/2) P, exact because its
 Pauli generator P squares to the identity.  The default decomposition wraps
 every rotation in a BB1 composite, which suppresses amplitude miscalibration
 to third order; a plain uncompensated variant is available for comparison.
+The robustness grid is swept as a stack: the pulse compiler, the gate
+representation and the period map broadcast over a block of error cells,
+whose fixed points come from one batched solve.  Every cell relaxes for the
+same time, so one relaxation propagator serves the whole block.
 """
 
 from dataclasses import dataclass
@@ -57,22 +61,27 @@ class RelaxStep:
 
 @dataclass(frozen=True)
 class GateStep:
-    """Instantaneous gate, stored as its orthogonal coherence-space action."""
+    """Instantaneous gate, stored as its orthogonal coherence-space action.
+
+    `rep` is one (d, d) matrix, or a (..., d, d) stack holding one variant
+    of the gate per cell of a sweep.
+    """
 
     rep: np.ndarray
     name: str = "gate"
 
     def __post_init__(self):
         rep = np.asarray(self.rep, dtype=float)
-        if rep.ndim != 2 or rep.shape[0] != rep.shape[1]:
+        if rep.ndim < 2 or rep.shape[-2] != rep.shape[-1]:
             raise ValidationError("gate representation must be square")
-        if not np.allclose(rep.T @ rep, np.eye(len(rep)), atol=1e-9):
+        gram = rep.swapaxes(-1, -2) @ rep
+        if not np.allclose(gram, np.eye(rep.shape[-1]), atol=1e-9):
             raise ValidationError(f"gate {self.name!r} is not orthogonal")
         object.__setattr__(self, "rep", _readonly(rep.copy()))
 
 
 def gate_step(unitary, name="gate"):
-    """GateStep from a Hilbert-space unitary."""
+    """GateStep from a Hilbert-space unitary or a stack of them."""
     return GateStep(rep=unitary_rep(unitary), name=name)
 
 
@@ -165,7 +174,12 @@ def bell_sequence(tau, repeat=1):
 
 
 def one_period_map(gen, seq):
-    """Compose one period into the affine map x -> M x + c."""
+    """Compose one period into the affine map x -> M x + c.
+
+    A gate step holding a stack of reps gives a stack of maps, M of shape
+    (..., d, d) and c of shape (..., d); each relaxation step costs one
+    propagator however many maps the stack holds.
+    """
     d = gen.dim
     M = np.eye(d)
     c = np.zeros(d)
@@ -173,33 +187,44 @@ def one_period_map(gen, seq):
         if isinstance(s, RelaxStep):
             E, b = relax_propagator(gen, s.tau)
             M = E @ M
-            c = E @ c + b
+            c = np.matvec(E, c) + b
         else:
-            if s.rep.shape[0] != d:
+            if s.rep.shape[-1] != d:
                 raise ValidationError("gate dimension does not match generator")
             M = s.rep @ M
-            c = s.rep @ c
+            c = np.matvec(s.rep, c)
+    return M, c
+
+
+def _one_period_map_of_one(gen, seq):
+    """one_period_map of a sequence whose gates are single reps, not stacks."""
+    M, c = one_period_map(gen, seq)
+    if M.ndim != 2:
+        raise ValidationError(
+            f"expected one sequence, got gate variants of stack shape {M.shape[:-2]}")
     return M, c
 
 
 def spectral_radius(M):
-    return float(np.abs(np.linalg.eigvals(M)).max())
+    """Largest eigenvalue modulus of M, or of each map in a stack."""
+    return np.abs(np.linalg.eigvals(M)).max(axis=-1)
 
 
 def _attracting_fixed_point(M, c):
-    """(x, rho) with (I - M) x = c and rho the spectral radius of M.
+    """Fixed points of x -> M x + c, one per map of a stack.
 
-    Raises NoUniqueFixedPoint unless rho < 1 and cond(I - M) <= 1e12.
+    Returns (x, rho, cond, ok): rho is the spectral radius of M, cond is
+    cond(I - M), and ok marks the maps with an attracting fixed point
+    (rho < 1 and cond <= 1e12).  Where ok, x solves (I - M) x = c; elsewhere
+    it is NaN.
     """
     sr = spectral_radius(M)
-    eye_minus = np.eye(len(M)) - M
+    eye_minus = np.eye(M.shape[-1]) - M
     cond = np.linalg.cond(eye_minus)
-    if not (sr < 1.0 and cond <= 1e12):
-        raise NoUniqueFixedPoint(
-            "one-period map has no attracting fixed point "
-            f"(spectral radius {sr:.6f}, cond(I - M) {cond:.3e})"
-        )
-    return np.linalg.solve(eye_minus, c), sr
+    ok = (sr < 1.0) & (cond <= 1e12)
+    x = np.full(c.shape, np.nan)
+    x[ok] = np.linalg.solve(eye_minus[ok], c[ok][..., None])[..., 0]
+    return x, sr, cond, ok
 
 
 @dataclass(frozen=True)
@@ -234,15 +259,22 @@ def fixed_point(gen, seq, target=None, kappa_tol=0.12):
     NoUniqueFixedPoint
         If the fixed point is not attracting: the one-period map's spectral
         radius is not below one or cond(I - M) exceeds 1e12.
+    ValidationError
+        If a gate of `seq` is a stack of variants (see robustness_sweep).
     """
-    x, sr = _attracting_fixed_point(*one_period_map(gen, seq))
+    x, sr, cond, ok = _attracting_fixed_point(*_one_period_map_of_one(gen, seq))
+    if not ok:
+        raise NoUniqueFixedPoint(
+            "one-period map has no attracting fixed point "
+            f"(spectral radius {sr:.6f}, cond(I - M) {cond:.3e})"
+        )
     x_star = CoherenceVector(n=gen.n, r=x)
     eta = theta = None
     if target is not None:
         eta = kappa_channel(x_star, target, tol=kappa_tol)
         theta = float(_angle(x_star.r, target))
     return FixedPointReport(
-        x_star=x_star, spectral_radius=sr, eta_eff=eta, theta=theta
+        x_star=x_star, spectral_radius=float(sr), eta_eff=eta, theta=theta
     )
 
 
@@ -291,7 +323,7 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
     """
     if record_every < 1:
         raise ValidationError("record_every must be >= 1")
-    M, c = one_period_map(gen, seq)
+    M, c = _one_period_map_of_one(gen, seq)
     x = start.r.copy()
     dt = seq.period_duration if seq.period_duration > 0 else 1.0
     times, rows = [], []
@@ -404,16 +436,19 @@ class CouplingDelay:
 
 
 def compile_pulses(pulses, delta_c=0.0, delta_h=0.0):
-    """Compose a pulse list into a 4x4 unitary.
+    """Compose a pulse list into a 4x4 unitary, or a stack of them.
 
     Rotation angles on the carbon channel scale by (1 + delta_c), on the
-    proton channel by (1 + delta_h); coupling delays are unaffected.  Every
-    generator P (ZZ, or Z or cos(phase) X + sin(phase) Y on one spin) squares
-    to the identity, so a pulse acts as U <- cos(angle/2) U - i sin(angle/2) P U.
-    A channel other than "C" or "H", or a scaled angle that overflows, raises
-    ValidationError.
+    proton channel by (1 + delta_h); coupling delays are unaffected.  Array
+    errors broadcast against each other and give one unitary per element,
+    shape (..., 4, 4).  Every generator P (ZZ, or Z or cos(phase) X +
+    sin(phase) Y on one spin) squares to the identity, so a pulse acts as
+    U <- cos(angle/2) U - i sin(angle/2) P U.  A channel other than "C" or
+    "H", or a scaled angle that overflows, raises ValidationError.
     """
-    U = np.eye(4, dtype=complex)
+    delta_c, delta_h = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
+                                           np.asarray(delta_h, dtype=float))
+    U = np.broadcast_to(np.eye(4, dtype=complex), delta_c.shape + (4, 4)).copy()
     with np.errstate(over="ignore", invalid="ignore"):  # an inf angle is caught below
         for p in pulses:
             if isinstance(p, CouplingDelay):
@@ -428,7 +463,8 @@ def compile_pulses(pulses, delta_c=0.0, delta_h=0.0):
                 else:
                     P = (np.cos(p.phase) * _PAULI[on.format("X")]
                          + np.sin(p.phase) * _PAULI[on.format("Y")])
-            U = np.cos(0.5 * angle) * U - 1j * np.sin(0.5 * angle) * (P @ U)
+            half = 0.5 * np.asarray(angle)[..., None, None]
+            U = np.cos(half) * U - 1j * np.sin(half) * (P @ U)
     if not np.isfinite(U).all():
         raise ValidationError("a pulse angle overflows: amplitude error too large")
     return U
@@ -484,8 +520,10 @@ def averaging_gate_pulses(compensated=True):
 def pps_pulse_sequence_builder(tau, compensated=True):
     """Factory of perturbed averaging sequences for robustness scans.
 
-    Returns builder(delta_c, delta_h) -> PeriodicSequence with the V gate
-    compiled from pulses at the given per-channel amplitude errors.
+    Returns builder(delta_c, delta_h) -> PeriodicSequence.  The builder
+    takes equal-shape arrays of per-channel amplitude errors (scalars
+    included) and compiles the V gate from pulses once per element, so the
+    sequence's gate step holds a stack of reps of that shape.
     """
     pulses = averaging_gate_pulses(compensated)
 
@@ -498,19 +536,27 @@ def pps_pulse_sequence_builder(tau, compensated=True):
     return build
 
 
+#: Sweep cells pushed through the period map and fixed-point solve at once;
+#: bounds the working memory whatever the grid size.
+SWEEP_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class RobustnessResult:
     """Relative fixed-point error over an amplitude-error grid.
 
     delta[i, j] corresponds to (delta_c[i], delta_h[j]); cells where the
     perturbed map loses its attracting fixed point hold NaN and are flagged
-    in `failed`.
+    in `failed`.  spectral_radius and cond hold, per cell, the perturbed
+    one-period map's spectral radius and cond(I - M), failed cells included.
     """
 
     delta_c: np.ndarray
     delta_h: np.ndarray
     delta: np.ndarray
     failed: np.ndarray
+    spectral_radius: np.ndarray
+    cond: np.ndarray
 
     @property
     def max_delta(self):
@@ -521,16 +567,22 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
                      reference=None):
     """Fixed-point sensitivity to per-channel control-amplitude errors.
 
+    The grid is swept as a stack: each block of SWEEP_CHUNK cells is one
+    builder call, one one-period map (one relaxation propagator) and one
+    batched fixed-point solve.
+
     Parameters
     ----------
     gen : AffineGenerator
     seq_builder : callable
-        (delta_c, delta_h) -> PeriodicSequence.
+        (delta_c, delta_h) -> PeriodicSequence, called with two equal-shape
+        1-D arrays of errors, one entry per cell; the sequence's gate step
+        holds the matching stack of reps (see pps_pulse_sequence_builder).
     delta_c_values, delta_h_values : array-like
         Grid of relative amplitude errors per channel.
     reference : CoherenceVector, optional
         State against which errors are measured; defaults to the fixed
-        point of seq_builder(0, 0).
+        point of seq_builder(0.0, 0.0).
 
     Returns
     -------
@@ -547,16 +599,19 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
     ref_norm = np.linalg.norm(ref)
     if ref_norm == 0.0:
         raise ValidationError("reference fixed point must be nonzero")
-    delta = np.full((len(dc), len(dh)), np.nan)
-    failed = np.zeros((len(dc), len(dh)), dtype=bool)
-    for i, a in enumerate(dc):
-        for j, b in enumerate(dh):
-            M, c = one_period_map(gen, seq_builder(a, b))
-            try:
-                x, _ = _attracting_fixed_point(M, c)
-            except NoUniqueFixedPoint:
-                failed[i, j] = True
-                continue
-            delta[i, j] = np.linalg.norm(x - ref) / ref_norm
-    return RobustnessResult(delta_c=dc, delta_h=dh, delta=delta, failed=failed)
-
+    cells_c, cells_h = (g.ravel() for g in np.meshgrid(dc, dh, indexing="ij"))
+    count = cells_c.size
+    x = np.empty((count, gen.dim))
+    rho, cond = np.empty(count), np.empty(count)
+    ok = np.empty(count, dtype=bool)
+    for lo in range(0, count, SWEEP_CHUNK):
+        chunk = slice(lo, lo + SWEEP_CHUNK)
+        M, c = one_period_map(gen, seq_builder(cells_c[chunk], cells_h[chunk]))
+        x[chunk], rho[chunk], cond[chunk], ok[chunk] = _attracting_fixed_point(M, c)
+    diff = x - ref
+    delta = np.sqrt(np.vecdot(diff, diff)) / ref_norm
+    shape = (len(dc), len(dh))
+    return RobustnessResult(
+        delta_c=dc, delta_h=dh, delta=delta.reshape(shape), failed=~ok.reshape(shape),
+        spectral_radius=rho.reshape(shape), cond=cond.reshape(shape),
+    )

@@ -45,7 +45,7 @@ from .errors import (
     SingularCombination,
     ValidationError,
 )
-from .pauli import build_basis, unitary_rep
+from .pauli import unitary_rep
 
 #: Products inside this band count as "on the hyperplane".
 DEGENERACY_TOL = 1e-12
@@ -83,17 +83,11 @@ def build_permutation_set(n):
     """
     if not 1 <= n <= 2:
         raise ValidationError("permutation control sets are built for n <= 2")
-    basis = build_basis(n)
     dim = 2 ** n
     perms = tuple(permutations(range(dim)))
-    reps_full = np.empty((len(perms), basis.dim, basis.dim))
-    P = np.zeros((dim, dim), dtype=complex)
-    for i, pm in enumerate(perms):
-        P[:] = 0.0
-        P[list(pm), range(dim)] = 1.0
-        reps_full[i] = unitary_rep(P, n=n)
-    reps_full.setflags(write=False)
-    return PermutationControlSet(n=n, perms=perms, reps_full=reps_full)
+    matrices = np.zeros((len(perms), dim, dim), dtype=complex)
+    matrices[np.arange(len(perms))[:, None], perms, np.arange(dim)] = 1.0
+    return PermutationControlSet(n=n, perms=perms, reps_full=unitary_rep(matrices, n=n))
 
 
 @dataclass(frozen=True)

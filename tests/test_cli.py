@@ -209,7 +209,8 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
                    "--init", str(tmp_path / "init.json"),
                    "--out", str(rates)) == 2
         assert not rates.exists()
-    for grid in ("-0.05:0.05:0", "nan:0.05:3"):
+    # an empty grid, a non-finite bound, and a cell whose BB1 angles overflow
+    for grid in ("-0.05:0.05:0", "nan:0.05:3", "0:1e308:2"):
         delta = tmp_path / "delta.csv"
         assert run("robustness", "--preset", "chloroform", f"--grid={grid}",
                    "--out", str(delta)) == 2
@@ -389,6 +390,10 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
             assert env["scipy"] == scipy.__version__  # this process imported it
             assert {v: env[v] for v in _THREAD_VARS} == {
                 v: os.environ.get(v) for v in _THREAD_VARS}
+            if command == "robustness":  # sweep health next to failed_cells
+                assert meta["failed_cells"] == 0
+                assert 0.0 < meta["max_spectral_radius"] < 1.0
+                assert 1.0 <= meta["max_cond"] <= 1e12
     # a numerical failure, too, leaves neither output nor sidecar
     failures = (
         (3, ["simulate", "--tau", "0", "--m", "3"]),

@@ -135,6 +135,24 @@ def test_unitary_rep_rejects_nonunitary():
         unitary_rep(np.diag([1.0, 2.0]))
 
 
+def test_unitary_rep_of_a_stack_matches_one_by_one(rng):
+    stack = np.array([[haar_unitary(rng, 4) for _ in range(3)] for _ in range(2)])
+    reps = unitary_rep(stack)
+    assert reps.shape == (2, 3, 15, 15)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(reps[i, j], unitary_rep(stack[i, j]))
+
+
+def test_unitary_rep_rejects_a_stack_with_one_nonunitary(rng):
+    stack = np.array([haar_unitary(rng, 4) for _ in range(5)])
+    unitary_rep(stack)
+    stack[3] = np.diag([1.0, 1.0, 1.0, 1.001])
+    with pytest.raises(ValidationError, match="not unitary"):
+        unitary_rep(stack)
+    with pytest.raises(ValidationError, match="4x4"):
+        unitary_rep(np.zeros((5, 4, 3)), n=2)
+
+
 def test_conjugation_matches_rep(rng):
     u = haar_unitary(rng, 4)
     rep = unitary_rep(u)

@@ -23,9 +23,12 @@ from reachset import (
     unitary_rep,
 )
 from reachset.chloroform import RateSet, assemble_generator
+from reachset.dynamics import relax_propagator
 from reachset.sequences import (
+    SWEEP_CHUNK,
     CouplingDelay,
     ZPulse,
+    _attracting_fixed_point,
     averaging_gate_pulses,
     averaging_permutation,
     bell_basis_change,
@@ -303,6 +306,141 @@ def test_robustness_sweep_plain_is_worse(chloroform_gen):
         chloroform_gen, pps_pulse_sequence_builder(1.5, False), grid, grid
     )
     assert plain.max_delta > 10 * compensated.max_delta
+
+
+# ---------------------------------------------------------------------------
+# stacked sweeps: every cell's bytes equal a one-cell computation
+
+
+def _off_nominal(shape, seed):
+    return np.random.default_rng(seed).uniform(-0.1, 0.1, size=(2, *shape))
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+def test_stacked_pulses_and_reps_match_one_cell(compensated):
+    pulses = averaging_gate_pulses(compensated)
+    dc, dh = _off_nominal((3, 4), 71)
+    U = compile_pulses(pulses, dc, dh)
+    rep = unitary_rep(U)
+    assert U.shape == (3, 4, 4, 4) and rep.shape == (3, 4, 15, 15)
+    for i, j in np.ndindex(3, 4):
+        one = compile_pulses(pulses, dc[i, j], dh[i, j])
+        assert np.array_equal(U[i, j], one)
+        assert np.array_equal(rep[i, j], unitary_rep(one))
+    # a scalar error broadcasts against an array
+    assert np.array_equal(compile_pulses(pulses, dc, 0.0),
+                          compile_pulses(pulses, dc, np.zeros_like(dh)))
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+def test_stacked_period_map_matches_one_cell(chloroform_gen, compensated):
+    build = pps_pulse_sequence_builder(1.5, compensated)
+    dc, dh = _off_nominal((7,), 72)
+    M, c = one_period_map(chloroform_gen, build(dc, dh))
+    assert M.shape == (7, 15, 15) and c.shape == (7, 15)
+    for k in range(7):
+        M1, c1 = one_period_map(chloroform_gen, build(dc[k], dh[k]))
+        assert np.array_equal(M[k], M1) and np.array_equal(c[k], c1)
+
+
+def _cell_by_cell(gen, build, dc, dh, reference):
+    """Reference: the sweep as a loop of one-cell builds, period maps and solves."""
+    E, b = relax_propagator(gen, 1.5)
+    eye = np.eye(gen.dim)
+    fields = ("delta", "spectral_radius", "cond")
+    out = {f: np.empty((len(dc), len(dh))) for f in fields}
+    for i, j in np.ndindex(len(dc), len(dh)):
+        relax, gate = build(dc[i], dh[j]).steps
+        assert relax.tau == 1.5
+        M = gate.rep @ (E @ eye)
+        c = gate.rep @ (E @ np.zeros(gen.dim) + b)
+        x = np.linalg.solve(eye - M, c)
+        out["delta"][i, j] = np.linalg.norm(x - reference.r) / np.linalg.norm(reference.r)
+        out["spectral_radius"][i, j] = np.abs(np.linalg.eigvals(M)).max()
+        out["cond"][i, j] = np.linalg.cond(eye - M)
+    return out
+
+
+def _assert_sweep_matches_one_cell(gen, build, dc, dh):
+    reference = fixed_point(gen, pps_sequence(1.5)).x_star
+    result = robustness_sweep(gen, build, dc, dh, reference)
+    assert not result.failed.any()
+    for field, want in _cell_by_cell(gen, build, dc, dh, reference).items():
+        assert np.array_equal(getattr(result, field), want), field
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+def test_robustness_sweep_matches_one_cell(chloroform_gen, compensated):
+    build = pps_pulse_sequence_builder(1.5, compensated)
+    _assert_sweep_matches_one_cell(
+        chloroform_gen, build, np.linspace(-0.08, 0.08, 5), np.linspace(-0.1, 0.06, 4))
+
+
+def _grid_shape(cells):
+    rows = max(r for r in range(1, int(cells ** 0.5) + 1) if cells % r == 0)
+    return rows, cells // rows
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [_grid_shape(SWEEP_CHUNK - 1), _grid_shape(SWEEP_CHUNK), _grid_shape(SWEEP_CHUNK + 1),
+     (1, 2 * SWEEP_CHUNK + 3)],
+    ids=["chunk-1", "chunk", "chunk+1", "1xN"],
+)
+def test_robustness_sweep_chunk_boundaries(chloroform_gen, shape):
+    build = pps_pulse_sequence_builder(1.5, compensated=False)
+    dc = np.linspace(-0.05, 0.04, shape[0])
+    dh = np.linspace(-0.03, 0.05, shape[1])
+    _assert_sweep_matches_one_cell(chloroform_gen, build, dc, dh)
+
+
+def test_robustness_sweep_one_propagator_per_chunk(chloroform_gen, monkeypatch):
+    import scipy.linalg
+
+    reference = fixed_point(chloroform_gen, pps_sequence(1.5)).x_star
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    grid = np.linspace(-0.05, 0.05, SWEEP_CHUNK + 1)
+    robustness_sweep(chloroform_gen, pps_pulse_sequence_builder(1.5), [0.0], grid,
+                     reference)
+    assert len(calls) == 2
+
+
+def test_attracting_fixed_point_flags_non_attracting_maps(chloroform_gen):
+    M_pps, c_pps = one_period_map(chloroform_gen, pps_sequence(1.5))
+    gate = unitary_rep(averaging_permutation())
+    # a bare gate and the identity (rho = 1); rho just below 1 with
+    # cond(I - M) about 5e13; rho = 1.5 with cond(I - M) = 1
+    near = np.diag([1.0 - 1e-14] + [0.5] * 14)
+    M = np.stack([M_pps, gate, M_pps, np.eye(15), near, -1.5 * np.eye(15)])
+    c = np.stack([c_pps, np.zeros(15), c_pps, np.ones(15), np.ones(15), np.ones(15)])
+    x, rho, cond, ok = _attracting_fixed_point(M, c)
+    assert ok.tolist() == [True, False, True, False, False, False]
+    assert np.isnan(x[~ok]).all()
+    assert rho[1] == pytest.approx(1.0) and cond[1] > 1e12
+    want = fixed_point(chloroform_gen, pps_sequence(1.5))
+    assert np.array_equal(x[0], want.x_star.r) and np.array_equal(x[2], want.x_star.r)
+    assert rho[0] == want.spectral_radius
+
+
+def test_stacks_rejected_at_the_boundary(chloroform_gen):
+    reps = np.stack([unitary_rep(averaging_permutation())] * 3)
+    GateStep(rep=reps)
+    bad = reps.copy()
+    bad[1] *= 1.01
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        GateStep(rep=bad)
+    # a sweep cell whose scaled BB1 angle overflows
+    with pytest.raises(ValidationError, match="overflows"):
+        robustness_sweep(chloroform_gen, pps_pulse_sequence_builder(1.5),
+                         [0.0, 1e308], [0.0])
+    # one-sequence functions take no stack of gate variants
+    stacked = pps_pulse_sequence_builder(1.5)(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValidationError, match="stack"):
+        fixed_point(chloroform_gen, stacked)
+    with pytest.raises(ValidationError, match="stack"):
+        simulate_sequence(chloroform_gen, stacked, thermal(chloroform_gen))
 
 
 def test_sequence_validation():

@@ -16,6 +16,7 @@ from reachset import (
     stlc_boundary_rays,
     stlc_test_3d,
     stlc_test_lp,
+    unitary_rep,
 )
 from reachset import parallel, under_approx
 from reachset.diagonal import projected_field_stack, stacked_directions
@@ -70,6 +71,16 @@ def test_diag_reps_preserve_norm(two_qubit_controls, rng):
     x = rng.normal(size=3)
     for m in _diag_reps(two_qubit_controls)[:8]:
         assert np.linalg.norm(m @ x) == pytest.approx(np.linalg.norm(x), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_permutation_reps_match_one_by_one(n):
+    # one stacked unitary_rep call gives the bytes of one call per matrix
+    controls = build_permutation_set(n)
+    for perm, rep in zip(controls.perms, controls.reps_full):
+        P = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        P[list(perm), range(2 ** n)] = 1.0
+        assert np.array_equal(rep, unitary_rep(P, n=n))
 
 
 def test_permutation_set_guard():
