@@ -33,6 +33,9 @@ from .errors import ReachsetError, ValidationError
 from .over_approx import ellipsoid_axis_intersections, max_purity_on_ellipsoid
 from .pauli import CoherenceVector, build_basis
 from .sequences import (
+    _fixed_point_of_map,
+    _one_period_map_of_one,
+    _simulate_map,
     bell_direction,
     bell_sequence,
     fixed_point,
@@ -129,7 +132,8 @@ def cmd_bound(args, gen):
         lagrange_mult=bound.lagrange_mult,
     )
     dump_json(payload, args.out)
-    return args.out, {}, f"radius_sq = {bound.radius_sq:.6f} -> {args.out}"
+    extra = {"oracle_rel_gap": bound.oracle_rel_gap}
+    return args.out, extra, f"radius_sq = {bound.radius_sq:.6f} -> {args.out}"
 
 
 def _parse_rays(spec_str):
@@ -220,10 +224,9 @@ def cmd_simulate(args, gen):
         seq = bell_sequence(args.tau, repeat=args.m)
         target = bell_direction()
     start = CoherenceVector(n=gen.n, r=gen.r_eq)
-    result = simulate_sequence(
-        gen, seq, start, record_every=args.record_every, target=target
-    )
-    report = fixed_point(gen, seq, target=target, kappa_tol=1.0)
+    M, c = _one_period_map_of_one(gen, seq)  # composed once for both
+    result = _simulate_map(M, c, seq, start, args.record_every, target)
+    report = _fixed_point_of_map(gen, M, c, target, 1.0)
     names = build_basis(gen.n).labels[1:]  # the column order of states
     labels = sorted(names)
     cols = [names.index(lab) for lab in labels]
@@ -311,7 +314,8 @@ def cmd_figure1(args, gen):
     rays = fibonacci_sphere(args.rays)
     origin = np.zeros(2 ** gen.n - 1)
     rows = [[*d, r, *p] for d, r, p in _trace_boundary(gen, rays, origin, args)]
-    sphere = _sphere_payload(gen, max_purity_on_ellipsoid(gen))
+    bound = max_purity_on_ellipsoid(gen)
+    sphere = _sphere_payload(gen, bound)
     coords = diagonal_vertex_coords(polytope_vertices(source))
     sim = simulate_sequence(gen, seq, source, target=pps_direction())
     # saturation path: carbon coordinates clamped to zero, the remaining
@@ -340,7 +344,8 @@ def cmd_figure1(args, gen):
     ):
         write_csv(os.path.join(args.out_dir, name), header, table)
     dump_json({"noe_steady_state": list(noe)}, os.path.join(args.out_dir, "noe.json"))
-    return os.path.join(args.out_dir, "figure1"), {}, f"figure data -> {args.out_dir}/"
+    extra = {"oracle_rel_gap": bound.oracle_rel_gap}
+    return os.path.join(args.out_dir, "figure1"), extra, f"figure data -> {args.out_dir}/"
 
 
 def build_parser():

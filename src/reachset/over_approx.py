@@ -14,7 +14,10 @@ rho^2 = r_eq.Rmat.r_eq / 4) and maximizes |c + M y|^2 over the unit sphere
 |y| = 1 with c = r_eq/2 and M = rho L^{-T}.  The stationary condition
 reduces to a one-dimensional secular equation in the Lagrange multiplier,
 solved by bracketed root finding; an independent projected-gradient
-ascent from ORACLE_STARTS fixed seeded starts certifies the result.
+ascent from ORACLE_STARTS fixed seeded starts certifies the result.  The
+starts ascend in lockstep, as one (ORACLE_STARTS, d) array with one
+stacked gradient per round, and each stops by its own rules, so a start's
+path does not depend on the others.
 """
 
 from dataclasses import dataclass
@@ -52,12 +55,16 @@ class PurityBound:
         grad(r.r) = mu grad(constraint) at the maximizer.
     solver_residual : float
         |constraint(argmax)|, absolute.
+    oracle_rel_gap : float
+        |oracle - radius_sq| / radius_sq, the certification oracle's
+        relative disagreement (at most CERTIFY_RTOL); 0 when r_eq = 0.
     """
 
     radius_sq: float
     argmax_r: CoherenceVector
     lagrange_mult: float
     solver_residual: float
+    oracle_rel_gap: float
 
 
 def _sphere_objective_data(gen):
@@ -123,44 +130,78 @@ def max_purity_multistart(gen, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
     """Projected-gradient certification oracle for the purity bound.
 
     Ascends |c + M y|^2 on the unit sphere from `n_starts` seeded random
-    directions with backtracking line search, and returns the best
-    (radius_sq, maximizer) found.  Independent of the secular-equation path.
+    directions with backtracking line search, all starts in lockstep, and
+    returns the best (radius_sq, maximizer) found.  Independent of the
+    secular-equation path.
+
+    Raises
+    ------
+    ValidationError
+        If `n_starts` is not a positive integer.
     """
+    if isinstance(n_starts, bool) or not (
+            isinstance(n_starts, (int, np.integer)) and n_starts >= 1):
+        raise ValidationError(f"n_starts must be a positive integer, got {n_starts!r}")
     c, M = _sphere_objective_data(gen)
-    G = M.T @ M
     rng = np.random.default_rng(seed)
-    dim = len(c)
-    best_val, best_r = -np.inf, None
-    lipschitz = 2.0 * np.linalg.eigvalsh(G)[-1] + 1e-300
-    for _ in range(n_starts):
-        y = rng.normal(size=dim)
-        y /= np.linalg.norm(y)
-        val = float(c @ c + 2 * (M.T @ c) @ y + y @ (G @ y))
-        step = 1.0 / lipschitz
-        for _ in range(ORACLE_MAX_ITER):
-            grad = 2.0 * (M.T @ c + G @ y)
-            tangent = grad - (grad @ y) * y
-            if np.linalg.norm(tangent) <= 1e-15 * max(1.0, abs(val)):
+    Y = rng.normal(size=(n_starts, len(c)))
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    val, Y, _ = _ascend(c, M, Y)
+    best = int(np.argmax(val))
+    return float(val[best]), c + M @ Y[best]
+
+
+def _ascend(c, M, Y):
+    """Projected-gradient ascent of |c + M y|^2 from each unit row of Y.
+
+    Every round takes one step for each start still climbing: a stacked
+    gradient and tangent, then backtracking from step 1/L (L = 2
+    lambda_max(M^T M)) by up to 60 halvings until the value improves.  A
+    start stops when its tangent norm is at most 1e-15 max(1, |value|),
+    when no halving improves it, or when its gain falls below
+    ORACLE_STEP_TOL max(1, |value|); starts never interact.
+
+    Returns (val, Y, rounds): the final values and unit points, and the
+    round in which each start stopped.
+    """
+    G = M.T @ M
+    b = M.T @ c
+    cc = float(c @ c)
+
+    def value(y):
+        return cc + 2.0 * (y @ b) + np.vecdot(y, y @ G)
+
+    Y = Y.copy()
+    val = value(Y)
+    rounds = np.full(len(Y), ORACLE_MAX_ITER)
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(G)[-1] + 1e-300)
+    live = np.arange(len(Y))
+    for k in range(ORACLE_MAX_ITER):
+        y, v = Y[live], val[live]
+        scale = np.maximum(1.0, np.abs(v))
+        grad = 2.0 * (b + y @ G)
+        tangent = grad - np.vecdot(grad, y)[:, None] * y
+        trying = np.flatnonzero(np.linalg.norm(tangent, axis=1) > 1e-15 * scale)
+        y_new, v_new = np.empty_like(y), np.full(len(live), -np.inf)
+        alpha = step  # every start still trying has been halved alike
+        for _ in range(60):
+            if not trying.size:
                 break
-            alpha = step
-            improved = False
-            for _ in range(60):
-                y_new = y + alpha * tangent
-                y_new /= np.linalg.norm(y_new)
-                val_new = float(
-                    c @ c + 2 * (M.T @ c) @ y_new + y_new @ (G @ y_new)
-                )
-                if val_new > val:
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved or (val_new - val) < ORACLE_STEP_TOL * max(1.0, abs(val)):
-                y, val = y_new, max(val, val_new)
-                break
-            y, val = y_new, val_new
-        if val > best_val:
-            best_val, best_r = val, c + M @ y
-    return best_val, best_r
+            trial = y[trying] + alpha * tangent[trying]
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            tv = value(trial)
+            up = tv > v[trying]
+            y_new[trying[up]], v_new[trying[up]] = trial[up], tv[up]
+            trying = trying[~up]
+            alpha *= 0.5
+        improved = v_new > v
+        Y[live[improved]], val[live[improved]] = y_new[improved], v_new[improved]
+        climbing = improved & (v_new - v >= ORACLE_STEP_TOL * scale)
+        rounds[live[~climbing]] = k
+        live = live[climbing]
+        if not live.size:
+            break
+    return val, Y, rounds
 
 
 def max_purity_on_ellipsoid(gen):
@@ -191,7 +232,7 @@ def max_purity_on_ellipsoid(gen):
         )
     if not np.any(gen.r_eq):
         zero = CoherenceVector(n=gen.n, r=np.zeros(gen.dim))
-        return PurityBound(0.0, zero, 0.0, 0.0)
+        return PurityBound(0.0, zero, 0.0, 0.0, 0.0)
 
     c, M = _sphere_objective_data(gen)
     r_opt = _max_norm_on_sphere(c, M)
@@ -203,7 +244,8 @@ def max_purity_on_ellipsoid(gen):
     residual = abs(float(r_opt @ (gen.Rmat @ (r_opt - gen.r_eq))))
 
     oracle_val, _ = max_purity_multistart(gen)
-    if abs(oracle_val - radius_sq) > CERTIFY_RTOL * max(radius_sq, 1e-30):
+    gap = abs(oracle_val - radius_sq)
+    if gap > CERTIFY_RTOL * max(radius_sq, 1e-30):
         raise ValidationError(
             f"secular solution {radius_sq!r} disagrees with projected-"
             f"gradient oracle {oracle_val!r} beyond relative {CERTIFY_RTOL}"
@@ -213,6 +255,7 @@ def max_purity_on_ellipsoid(gen):
         argmax_r=CoherenceVector(n=gen.n, r=r_opt),
         lagrange_mult=mu,
         solver_residual=residual,
+        oracle_rel_gap=gap / max(radius_sq, 1e-30),
     )
 
 

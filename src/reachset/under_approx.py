@@ -28,10 +28,10 @@ The boundary of the STLC set is traced by marching along rays from a
 verified interior point and bisecting the first sign change; the reported
 radius is the last radius at which the test succeeded, which keeps the
 trace a certified inner bound.  All rays of a fan are traced in lockstep:
-each round stacks every live ray's next point, a march point or a
-bisection midpoint, into one call of ``stlc_test_3d``, whose verdict on
+each round stacks every bisecting ray's midpoint and every marching ray's
+next few march points into one call of ``stlc_test_3d``, whose verdict on
 each set is bit for bit that of a call on the set alone, so the radii do
-not depend on which rays are traced together.
+not depend on which rays are traced together or how far ahead they look.
 """
 
 from dataclasses import dataclass
@@ -290,8 +290,11 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
     Each ray runs the march-and-bisect of a lone ray: radii step, 2 step,
     ... (by repeated addition) up to max_radius, then bisection of the
     first failing step until the bracket is tol or one ulp wide.  Every
-    round tests each live ray's next radius, a march point or a midpoint,
-    in one stacked cone test.
+    round makes one stacked cone test: each bisecting ray's midpoint, and
+    each marching ray's next k march radii, with k as large as keeps the
+    round within one CHUNK (at least 1).  A marching ray brackets its first
+    failing radius by the last passing one before it, as the lone march
+    would; the radii it tested beyond that go unused.
     """
     lo = np.zeros(len(dirs))
     hi = np.full(len(dirs), np.inf)  # inf while the ray is still marching
@@ -311,13 +314,26 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
         live = np.concatenate([marching, halving])
         if not live.size:
             return radius
-        points = origin + np.concatenate([t[marching], mid])[:, None] * dirs[live]
+        k = max(1, (CHUNK - len(halving)) // max(len(marching), 1))
+        ahead = np.empty((len(marching), k))
+        ahead[:, 0] = t[marching]
+        for j in range(1, k):
+            ahead[:, j] = ahead[:, j - 1] + step
+        rows, cols = np.nonzero(ahead <= max_radius)  # a prefix of each row
+        radii = np.concatenate([ahead[rows, cols], mid])
+        points = origin + radii[:, None] * dirs[np.concatenate([marching[rows], halving])]
         full = stlc_test_3d(stacked_directions(A, b, points)).is_full
-        stepped, full = full[:len(marching)], full[len(marching):]
-        passed, failed = marching[stepped], marching[~stepped]
-        lo[passed] = t[passed]
-        t[passed] += step
-        hi[failed] = t[failed]
+        verdicts = np.ones_like(ahead, dtype=bool)
+        verdicts[rows, cols] = full[:len(rows)]
+        full = full[len(rows):]
+        first = np.argmin(verdicts, axis=1)  # first failing radius, 0 if none
+        exits = ~verdicts[np.arange(len(marching)), first]
+        last = np.bincount(rows, minlength=len(marching)) - 1  # last radius tested
+        passed = np.where(exits, first - 1, last)
+        moved = passed >= 0
+        lo[marching[moved]] = ahead[moved, passed[moved]]
+        t[marching[~exits]] = ahead[~exits, last[~exits]] + step
+        hi[marching[exits]] = ahead[exits, first[exits]]
         lo[halving[full]] = mid[full]
         hi[halving[~full]] = mid[~full]
 
@@ -356,13 +372,18 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     -----
     The march steps outward by max(|origin|, 1)/20 up to the cutoff
     3 (|origin| + |r_eq|) + 1, which is reported for rays that never exit.
-    Rays are traced in lockstep: each round tests the next point of every
-    ray still marching or bisecting in one stacked cone test, evaluated
-    CHUNK points at a time so memory stays near 3.4 MB per chunk whatever
-    the fan size.  With workers > 1 the fan is split into contiguous parts,
-    one per process (at most the CPUs available), each traced in lockstep,
-    and the radii are joined in ray order; every ray's radius equals that
-    of tracing it alone.
+    Rays are traced in lockstep: each round tests, in one stacked cone
+    test, the midpoint of every ray still bisecting and the next k march
+    points of every ray still marching, with k the most that keeps the
+    round within one CHUNK of points, and at least 1 (k = 3 for 20
+    marching rays and none bisecting).  A marching ray takes its first
+    failing point and the last passing one before it as the bracket,
+    exactly as a lone march would.  Points are evaluated CHUNK at a time
+    so memory stays near 3.4 MB per chunk whatever the fan size.  With
+    workers > 1 the fan is split into contiguous parts, one per process
+    (at most the CPUs available), each traced in lockstep, and the radii
+    are joined in ray order; every ray's radius equals that of tracing it
+    alone.
     """
     if gen.n != 2:
         raise ValidationError(f"boundary tracing is implemented for n=2, got n={gen.n}")

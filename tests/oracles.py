@@ -1,15 +1,23 @@
 """Independent numerical oracles used only by the tests.
 
 Kept outside the library on purpose: the production propagator is the
-exact matrix-exponential solution, the unitary ray exit is a closed form
-and boundary rays are traced in lockstep, and these slower/brute-force
-routes exist to check them from a different direction.
+exact matrix-exponential solution, the unitary ray exit is a closed form,
+boundary rays are traced in lockstep and the sphere oracle runs its
+starts in lockstep, and these slower/brute-force routes exist to check
+them from a different direction.
 """
 
 import numpy as np
 
 from reachset import CoherenceVector, stlc_test_3d
 from reachset.diagonal import projected_field_stack, stacked_directions
+from reachset.over_approx import (
+    ORACLE_MAX_ITER,
+    ORACLE_SEED,
+    ORACLE_STARTS,
+    ORACLE_STEP_TOL,
+    _sphere_objective_data,
+)
 
 
 def rk4_evolve(gen, r0, t, n_steps):
@@ -122,3 +130,44 @@ def boundary_rays_one_by_one(gen, controls, ray_dirs, tol, origin):
     max_radius = 3.0 * (scale + float(np.linalg.norm(gen.r_eq))) + 1.0
     return np.array([first_exit(A, b, origin, d, step, max_radius, tol)
                      for d in np.asarray(ray_dirs, dtype=float)])
+
+
+def max_purity_multistart_serial(gen, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
+    """The purity-sphere oracle one start at a time: the ascent that the
+    lockstep max_purity_multistart replaced, with the same seeded starts,
+    step rule and stopping rules."""
+    c, M = _sphere_objective_data(gen)
+    G = M.T @ M
+    rng = np.random.default_rng(seed)
+    dim = len(c)
+    best_val, best_r = -np.inf, None
+    lipschitz = 2.0 * np.linalg.eigvalsh(G)[-1] + 1e-300
+    for _ in range(n_starts):
+        y = rng.normal(size=dim)
+        y /= np.linalg.norm(y)
+        val = float(c @ c + 2 * (M.T @ c) @ y + y @ (G @ y))
+        step = 1.0 / lipschitz
+        for _ in range(ORACLE_MAX_ITER):
+            grad = 2.0 * (M.T @ c + G @ y)
+            tangent = grad - (grad @ y) * y
+            if np.linalg.norm(tangent) <= 1e-15 * max(1.0, abs(val)):
+                break
+            alpha = step
+            improved = False
+            for _ in range(60):
+                y_new = y + alpha * tangent
+                y_new /= np.linalg.norm(y_new)
+                val_new = float(
+                    c @ c + 2 * (M.T @ c) @ y_new + y_new @ (G @ y_new)
+                )
+                if val_new > val:
+                    improved = True
+                    break
+                alpha *= 0.5
+            if not improved or (val_new - val) < ORACLE_STEP_TOL * max(1.0, abs(val)):
+                y, val = y_new, max(val, val_new)
+                break
+            y, val = y_new, val_new
+        if val > best_val:
+            best_val, best_r = val, c + M @ y
+    return best_val, best_r

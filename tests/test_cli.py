@@ -106,6 +106,19 @@ def test_simulate_command(tmp_path):
     assert meta["fixed_point_eta"] == pytest.approx(7.905, abs=0.01)
 
 
+def test_simulate_composes_the_period_map_once(tmp_path, monkeypatch):
+    # one relaxation step per period: one propagator for the trajectory
+    # and the fixed point together
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    assert run("simulate", "--preset", "chloroform", "--seq", "pps", "--tau", "1.5",
+               "--m", "3", "--out", str(tmp_path / "traj.csv")) == 0
+    assert len(calls) == 1
+
+
 def test_stlc_command(tmp_path):
     out = tmp_path / "stlc.csv"
     assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:8",
@@ -390,6 +403,8 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
             assert env["scipy"] == scipy.__version__  # this process imported it
             assert {v: env[v] for v in _THREAD_VARS} == {
                 v: os.environ.get(v) for v in _THREAD_VARS}
+            if command in ("bound", "figure1"):  # the sphere oracle's agreement
+                assert 0.0 <= meta["oracle_rel_gap"] <= 1e-6
             if command == "robustness":  # sweep health next to failed_cells
                 assert meta["failed_cells"] == 0
                 assert 0.0 < meta["max_spectral_radius"] < 1.0

@@ -4,12 +4,14 @@ import pytest
 from reachset import (
     AffineGenerator,
     CoherenceVector,
+    ValidationError,
     ellipsoid_axis_intersections,
     evolve,
     max_purity_multistart,
     max_purity_on_ellipsoid,
 )
-from reachset.over_approx import CERTIFY_RTOL
+from reachset.over_approx import CERTIFY_RTOL, _ascend, _sphere_objective_data
+from oracles import max_purity_multistart_serial
 
 
 def make_gen(R, r_eq):
@@ -70,17 +72,27 @@ def test_controlled_trajectories_never_exit(
         assert float(r @ r) <= limit
 
 
+def _random_problems(dim, rng):
+    """Five (R, r_eq) pairs: R symmetric positive definite with spread eigenvalues."""
+    for _ in range(5):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        eigs = np.exp(rng.uniform(-2.5, 1.5, size=dim))
+        R = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+        yield R, rng.normal(size=dim)
+
+
+def _duck(R, r_eq):
+    """A generator stand-in for any dimension (only Rmat / r_eq are consulted)."""
+    return type("Duck", (), {"Rmat": R, "r_eq": r_eq, "unital": False})()
+
+
 @pytest.mark.parametrize("dim", [3, 5, 8, 15])
 def test_solver_matches_multistart_oracle(dim, rng):
     from scipy.linalg import cholesky, solve_triangular
 
     from reachset.over_approx import _max_norm_on_sphere
 
-    for _ in range(5):
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        eigs = np.exp(rng.uniform(-2.5, 1.5, size=dim))
-        R = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
-        r_eq = rng.normal(size=dim)
+    for R, r_eq in _random_problems(dim, rng):
         if dim in (3, 15):
             n = 1 if dim == 3 else 2
             gen = AffineGenerator(
@@ -97,9 +109,51 @@ def test_solver_matches_multistart_oracle(dim, rng):
             M = np.sqrt(rho_sq) * solve_triangular(L.T, np.eye(dim), lower=False)
             r_opt = _max_norm_on_sphere(c, M)
             secular = float(r_opt @ r_opt)
-            duck = type("Duck", (), {"Rmat": R, "r_eq": r_eq, "unital": False})()
-            oracle, _ = max_purity_multistart(duck, n_starts=50, seed=7)
+            oracle, _ = max_purity_multistart(_duck(R, r_eq), n_starts=50, seed=7)
         assert abs(secular - oracle) <= CERTIFY_RTOL * max(secular, 1e-12)
+
+
+@pytest.mark.parametrize("n_starts", [1, 50])
+@pytest.mark.parametrize("dim", [3, 5, 8, 15])
+def test_lockstep_oracle_matches_serial_ascent(dim, n_starts, rng, chloroform_gen):
+    # the random generators of test_solver_matches_multistart_oracle, and the
+    # bundled model with the run-time seed
+    cases = [(_duck(R, r_eq), 7) for R, r_eq in _random_problems(dim, rng)]
+    if dim == 15:
+        cases.append((chloroform_gen, 0))
+    for gen, seed in cases:
+        lockstep, r = max_purity_multistart(gen, n_starts=n_starts, seed=seed)
+        serial, _ = max_purity_multistart_serial(gen, n_starts=n_starts, seed=seed)
+        assert abs(lockstep - serial) <= 1e-12 * abs(serial)
+        assert float(r @ r) == pytest.approx(lockstep, rel=1e-12)
+
+
+def test_oracle_start_at_the_maximizer_stops_in_round_zero(chloroform_gen, chloroform_bound):
+    c, M = _sphere_objective_data(chloroform_gen)
+    y_star = np.linalg.solve(M, chloroform_bound.argmax_r.r - c)
+    Y = np.random.default_rng(3).normal(size=(6, len(c)))
+    Y[2] = y_star
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    val, Y_end, rounds = _ascend(c, M, Y)
+    assert rounds[2] == 0
+    assert (np.delete(rounds, 2) > 0).all()  # the others keep climbing
+    assert val[2] == pytest.approx(chloroform_bound.radius_sq, rel=1e-14)
+    np.testing.assert_allclose(Y_end[2], Y[2], atol=1e-12)
+    assert np.delete(val, 2) == pytest.approx(chloroform_bound.radius_sq, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_starts", [0, -3, 2.0, 1.5, True, "50", None])
+def test_oracle_rejects_a_start_count_that_is_not_a_positive_integer(
+        chloroform_gen, n_starts):
+    with pytest.raises(ValidationError, match="n_starts"):
+        max_purity_multistart(chloroform_gen, n_starts=n_starts)
+    assert max_purity_multistart(chloroform_gen, n_starts=np.int64(2))[1].shape == (15,)
+
+
+def test_bound_records_the_oracle_gap(chloroform_bound):
+    assert 0.0 <= chloroform_bound.oracle_rel_gap <= CERTIFY_RTOL
+    zero = max_purity_on_ellipsoid(make_gen(np.eye(3), np.zeros(3)))
+    assert zero.oracle_rel_gap == 0.0
 
 
 def test_ellipsoid_axis_crossings(chloroform_gen):

@@ -516,6 +516,55 @@ def test_rays_without_exit_report_the_cutoff(chloroform_gen, two_qubit_controls)
     np.testing.assert_array_equal(lockstep, 0.3)
 
 
+def _lockstep_and_lone(gen, controls, rays, step, max_radius, tol):
+    A, b = projected_field_stack(gen, controls.reps_full)
+    lockstep = under_approx._trace_lockstep(A, b, np.zeros(3), rays, step, max_radius, tol)
+    reference = [first_exit(A, b, np.zeros(3), d, step, max_radius, tol) for d in rays]
+    np.testing.assert_array_equal(lockstep, reference)
+    return lockstep
+
+
+@pytest.mark.parametrize("max_radius", [2.25, 3.75])
+def test_look_ahead_stops_at_a_cutoff_between_its_radii(
+    chloroform_gen, two_qubit_controls, max_radius
+):
+    # 20 marching rays look 3 radii ahead: 0.5, 1, 1.5 | 2, 2.5, 3 | 3.5, 4, 4.5,
+    # so each cutoff falls inside a round; the first exits lie near 3.45-4.07
+    radii = _lockstep_and_lone(chloroform_gen, two_qubit_controls,
+                               fibonacci_sphere(20), 0.5, max_radius, 1e-3)
+    if max_radius == 2.25:
+        np.testing.assert_array_equal(radii, 2.25)
+    else:
+        assert (radii == 3.75).any() and (radii < 3.5).any()
+
+
+def test_look_ahead_ray_that_fails_its_first_march_point(
+    chloroform_gen, two_qubit_controls
+):
+    # a march step beyond every exit: each ray brackets [0, step] at once
+    radii = _lockstep_and_lone(chloroform_gen, two_qubit_controls,
+                               fibonacci_sphere(4), 5.0, 13.0, 1e-3)
+    assert (radii > 3.0).all() and (radii < 5.0).all()
+
+
+def test_look_ahead_call_holds_march_points_and_midpoints(
+    chloroform_gen, two_qubit_controls, monkeypatch
+):
+    stacks = []
+    stacked = under_approx.stacked_directions
+    monkeypatch.setattr(under_approx, "stacked_directions",
+                        lambda A, b, x: stacks.append(np.array(x, ndmin=2)) or stacked(A, b, x))
+    step = 0.05
+    _lockstep_and_lone(chloroform_gen, two_qubit_controls, fibonacci_sphere(20),
+                       step, 13.0, 1e-2)
+    assert len(stacks[0]) == 3 * 20  # 20 marching rays, 3 radii each
+    assert all(len(points) <= under_approx.CHUNK for points in stacks)
+    # march radii are multiples of the step, bisection midpoints are not
+    multiples = [np.linalg.norm(points, axis=1) / step for points in stacks]
+    on_grid = [np.abs(m - np.round(m)) < 1e-6 for m in multiples]
+    assert any(g.any() and not g.all() for g in on_grid)
+
+
 
 def test_fibonacci_sphere_properties():
     dirs = fibonacci_sphere(50)
