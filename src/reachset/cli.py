@@ -12,8 +12,8 @@ Subcommands wrap the library modules one-to-one:
   figure1        CSV/JSON bundle with all bounds and trajectories
 
 Every command writes a `<out>.meta.json` sidecar (version, configuration,
-timing, environment).  Exit codes: 0 success, 2 invalid input, 3 numerical
-failure.
+timing, environment).  Exit codes: 0 success, 2 invalid input (an input
+too large to fit in memory included), 3 numerical failure.
 `main` is the one runner: each `cmd_*` only computes and writes its primary
 outputs, then returns (sidecar base path, extra sidecar keys, message).
 """
@@ -468,6 +468,9 @@ def main(argv=None):
         _sidecar(args, base, time.perf_counter() - t0, extra)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large: the run does not fit in memory", file=sys.stderr)
         return 2
     except ReachsetError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

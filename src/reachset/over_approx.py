@@ -13,11 +13,11 @@ Cholesky factor Rmat = L L^T, centers the constraint (center r_eq/2, level
 rho^2 = r_eq.Rmat.r_eq / 4) and maximizes |c + M y|^2 over the unit sphere
 |y| = 1 with c = r_eq/2 and M = rho L^{-T}.  The stationary condition
 reduces to a one-dimensional secular equation in the Lagrange multiplier,
-solved by bracketed root finding; an independent projected-gradient
-ascent from ORACLE_STARTS fixed seeded starts certifies the result.  The
-starts ascend in lockstep, as one (ORACLE_STARTS, d) array with one
-stacked gradient per round, and each stops by its own rules, so a start's
-path does not depend on the others.
+solved by bracketed root finding.  An independent projected-gradient
+ascent on the same (c, M), from ORACLE_STARTS fixed starts drawn with
+ORACLE_SEED, certifies the result.  The starts ascend in lockstep, as one
+(ORACLE_STARTS, d) array with one stacked gradient per round, and each
+stops by its own rules, so a start's path does not depend on the others.
 """
 
 from dataclasses import dataclass
@@ -126,25 +126,15 @@ def _max_norm_on_sphere(c, M):
     return c + M @ y
 
 
-def max_purity_multistart(gen, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
-    """Projected-gradient certification oracle for the purity bound.
+def max_purity_multistart(c, M):
+    """Projected-gradient certification oracle: max |c + M y|^2 over |y| = 1.
 
-    Ascends |c + M y|^2 on the unit sphere from `n_starts` seeded random
-    directions with backtracking line search, all starts in lockstep, and
-    returns the best (radius_sq, maximizer) found.  Independent of the
+    Ascends from ORACLE_STARTS random unit directions drawn with
+    ORACLE_SEED, all in lockstep with backtracking line search, and returns
+    the best (value, maximizer c + M y) found.  Independent of the
     secular-equation path.
-
-    Raises
-    ------
-    ValidationError
-        If `n_starts` is not a positive integer.
     """
-    if isinstance(n_starts, bool) or not (
-            isinstance(n_starts, (int, np.integer)) and n_starts >= 1):
-        raise ValidationError(f"n_starts must be a positive integer, got {n_starts!r}")
-    c, M = _sphere_objective_data(gen)
-    rng = np.random.default_rng(seed)
-    Y = rng.normal(size=(n_starts, len(c)))
+    Y = np.random.default_rng(ORACLE_SEED).normal(size=(ORACLE_STARTS, len(c)))
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
     val, Y, _ = _ascend(c, M, Y)
     best = int(np.argmax(val))
@@ -243,7 +233,7 @@ def max_purity_on_ellipsoid(gen):
     mu = float((2.0 * r_opt) @ gc / (gc @ gc))
     residual = abs(float(r_opt @ (gen.Rmat @ (r_opt - gen.r_eq))))
 
-    oracle_val, _ = max_purity_multistart(gen)
+    oracle_val, _ = max_purity_multistart(c, M)
     gap = abs(oracle_val - radius_sq)
     if gap > CERTIFY_RTOL * max(radius_sq, 1e-30):
         raise ValidationError(

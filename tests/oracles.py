@@ -16,7 +16,6 @@ from reachset.over_approx import (
     ORACLE_SEED,
     ORACLE_STARTS,
     ORACLE_STEP_TOL,
-    _sphere_objective_data,
 )
 
 
@@ -132,11 +131,10 @@ def boundary_rays_one_by_one(gen, controls, ray_dirs, tol, origin):
                      for d in np.asarray(ray_dirs, dtype=float)])
 
 
-def max_purity_multistart_serial(gen, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
+def max_purity_multistart_serial(c, M, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):
     """The purity-sphere oracle one start at a time: the ascent that the
     lockstep max_purity_multistart replaced, with the same seeded starts,
-    step rule and stopping rules."""
-    c, M = _sphere_objective_data(gen)
+    step rule and stopping rules, on the problem max |c + M y|^2, |y| = 1."""
     G = M.T @ M
     rng = np.random.default_rng(seed)
     dim = len(c)

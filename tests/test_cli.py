@@ -450,6 +450,21 @@ def test_nonfinite_propagator_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_input_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a grid of 10^6 points per axis once asked numpy for terabytes and
+    # ended in a raw MemoryError traceback; the sweep is patched to fail
+    # the same way without allocating
+    def sweep(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(reachset.cli, "robustness_sweep", sweep)
+    out = tmp_path / "out.csv"
+    assert run("robustness", "--preset", "chloroform", "--grid=0:0.01:1000000",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: input too large")
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
 def test_stlc_tol_below_ulp_ends(tmp_path):
     # a tol below the radius' ulp once bisected forever; the child process
     # and its timeout make a hang fail the test instead of stalling the suite

@@ -4,13 +4,20 @@ import pytest
 from reachset import (
     AffineGenerator,
     CoherenceVector,
-    ValidationError,
     ellipsoid_axis_intersections,
     evolve,
     max_purity_multistart,
     max_purity_on_ellipsoid,
 )
-from reachset.over_approx import CERTIFY_RTOL, _ascend, _sphere_objective_data
+from reachset import over_approx
+from reachset.over_approx import (
+    CERTIFY_RTOL,
+    ORACLE_SEED,
+    ORACLE_STARTS,
+    _ascend,
+    _max_norm_on_sphere,
+    _sphere_objective_data,
+)
 from oracles import max_purity_multistart_serial
 
 
@@ -81,51 +88,60 @@ def _random_problems(dim, rng):
         yield R, rng.normal(size=dim)
 
 
-def _duck(R, r_eq):
-    """A generator stand-in for any dimension (only Rmat / r_eq are consulted)."""
-    return type("Duck", (), {"Rmat": R, "r_eq": r_eq, "unital": False})()
+def _objective(R, r_eq):
+    """(c, M) of the problem (R, r_eq) in any dimension; only Rmat and r_eq
+    are read, so a stand-in generator serves non-qubit dimensions."""
+    return _sphere_objective_data(type("Duck", (), {"Rmat": R, "r_eq": r_eq})())
 
 
 @pytest.mark.parametrize("dim", [3, 5, 8, 15])
 def test_solver_matches_multistart_oracle(dim, rng):
-    from scipy.linalg import cholesky, solve_triangular
-
-    from reachset.over_approx import _max_norm_on_sphere
-
     for R, r_eq in _random_problems(dim, rng):
-        if dim in (3, 15):
-            n = 1 if dim == 3 else 2
-            gen = AffineGenerator(
-                n=n, Hmat=np.zeros((dim, dim)), Rmat=R, r_eq=r_eq
-            )
-            secular = max_purity_on_ellipsoid(gen).radius_sq
-            oracle, _ = max_purity_multistart(gen, n_starts=50, seed=7)
-        else:
-            # non-qubit dimensions exercise the solver core through a duck
-            # generator (only Rmat / r_eq are consulted)
-            c = r_eq / 2
-            rho_sq = float(r_eq @ R @ r_eq) / 4
-            L = cholesky(R, lower=True)
-            M = np.sqrt(rho_sq) * solve_triangular(L.T, np.eye(dim), lower=False)
-            r_opt = _max_norm_on_sphere(c, M)
-            secular = float(r_opt @ r_opt)
-            oracle, _ = max_purity_multistart(_duck(R, r_eq), n_starts=50, seed=7)
+        c, M = _objective(R, r_eq)
+        r_opt = _max_norm_on_sphere(c, M)
+        secular = float(r_opt @ r_opt)
+        oracle, _ = max_purity_multistart(c, M)
         assert abs(secular - oracle) <= CERTIFY_RTOL * max(secular, 1e-12)
+        if dim in (3, 15):
+            gen = AffineGenerator(
+                n=1 if dim == 3 else 2, Hmat=np.zeros((dim, dim)), Rmat=R, r_eq=r_eq
+            )
+            assert max_purity_on_ellipsoid(gen).radius_sq == secular
 
 
 @pytest.mark.parametrize("n_starts", [1, 50])
 @pytest.mark.parametrize("dim", [3, 5, 8, 15])
 def test_lockstep_oracle_matches_serial_ascent(dim, n_starts, rng, chloroform_gen):
-    # the random generators of test_solver_matches_multistart_oracle, and the
+    # the random problems of test_solver_matches_multistart_oracle, and the
     # bundled model with the run-time seed
-    cases = [(_duck(R, r_eq), 7) for R, r_eq in _random_problems(dim, rng)]
+    cases = [(*_objective(R, r_eq), 7) for R, r_eq in _random_problems(dim, rng)]
     if dim == 15:
-        cases.append((chloroform_gen, 0))
-    for gen, seed in cases:
-        lockstep, r = max_purity_multistart(gen, n_starts=n_starts, seed=seed)
-        serial, _ = max_purity_multistart_serial(gen, n_starts=n_starts, seed=seed)
+        cases.append((*_sphere_objective_data(chloroform_gen), ORACLE_SEED))
+    for c, M, seed in cases:
+        Y = np.random.default_rng(seed).normal(size=(n_starts, len(c)))
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        val, Y, _ = _ascend(c, M, Y)
+        lockstep, r = float(val.max()), c + M @ Y[np.argmax(val)]
+        serial, _ = max_purity_multistart_serial(c, M, n_starts=n_starts, seed=seed)
         assert abs(lockstep - serial) <= 1e-12 * abs(serial)
         assert float(r @ r) == pytest.approx(lockstep, rel=1e-12)
+        if (n_starts, seed) == (ORACLE_STARTS, ORACLE_SEED):
+            # the run-time oracle is this ascent from its fixed starts
+            assert max_purity_multistart(c, M)[0] == lockstep
+
+
+def test_oracle_halves_steps_that_overshoot(rng):
+    # with c large against M the trial step 1/L overshoots on the sphere, so
+    # the backtracking has to halve it; a start that could not halve would
+    # stop short of the maximum
+    for _ in range(40):
+        dim = int(rng.integers(3, 9))
+        M = rng.normal(size=(dim, dim))
+        c = 10.0 * rng.normal(size=dim)
+        r_opt = _max_norm_on_sphere(c, M)
+        secular = float(r_opt @ r_opt)
+        oracle, _ = max_purity_multistart(c, M)
+        assert abs(oracle - secular) <= CERTIFY_RTOL * secular
 
 
 def test_oracle_start_at_the_maximizer_stops_in_round_zero(chloroform_gen, chloroform_bound):
@@ -142,12 +158,16 @@ def test_oracle_start_at_the_maximizer_stops_in_round_zero(chloroform_gen, chlor
     assert np.delete(val, 2) == pytest.approx(chloroform_bound.radius_sq, rel=1e-12)
 
 
-@pytest.mark.parametrize("n_starts", [0, -3, 2.0, 1.5, True, "50", None])
-def test_oracle_rejects_a_start_count_that_is_not_a_positive_integer(
-        chloroform_gen, n_starts):
-    with pytest.raises(ValidationError, match="n_starts"):
-        max_purity_multistart(chloroform_gen, n_starts=n_starts)
-    assert max_purity_multistart(chloroform_gen, n_starts=np.int64(2))[1].shape == (15,)
+def test_bound_builds_the_objective_once(chloroform_gen, chloroform_bound, monkeypatch):
+    # the secular solve and the oracle share one (c, M)
+    calls = []
+    build = over_approx._sphere_objective_data
+    monkeypatch.setattr(over_approx, "_sphere_objective_data",
+                        lambda gen: calls.append(1) or build(gen))
+    bound = max_purity_on_ellipsoid(chloroform_gen)
+    assert len(calls) == 1
+    assert bound.radius_sq == chloroform_bound.radius_sq
+    assert bound.oracle_rel_gap == chloroform_bound.oracle_rel_gap
 
 
 def test_bound_records_the_oracle_gap(chloroform_bound):

@@ -385,6 +385,28 @@ def test_pps_ray_bracketed_by_unitary_and_sphere(
     assert unitary_exit <= radius <= np.sqrt(chloroform_bound.radius_sq)
 
 
+def test_bounds_nest_across_a_fan(chloroform_gen, two_qubit_controls, chloroform_bound):
+    # unitary <= STLC <= sphere on a 60-ray fan and the 24 vertex directions.
+    # The vertices are the signed permutations of x_eq, a certified boundary
+    # point (acceptance 06), so the polytope touches the STLC boundary at
+    # each of them: the traced radius lies within tol below the vertex
+    from reachset import diagonal_vertex_coords, polytope_ray_exit, polytope_vertices
+
+    tol = 1e-3
+    source = CoherenceVector(n=2, r=chloroform_gen.r_eq)
+    coords = diagonal_vertex_coords(polytope_vertices(source))
+    norms = np.linalg.norm(coords, axis=1)
+    assert len(coords) == 24
+    rays = np.vstack([fibonacci_sphere(60), coords / norms[:, None]])
+    radii = stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=tol,
+                               origin=np.zeros(3))
+    unitary = np.array([polytope_ray_exit(coords, d) for d in rays])
+    assert np.all(unitary <= radii + tol)
+    assert np.all(radii ** 2 <= chloroform_bound.radius_sq)
+    at_vertex = radii[60:]
+    assert np.all(norms - tol <= at_vertex) and np.all(at_vertex <= norms)
+
+
 def test_ray_validation(chloroform_gen, two_qubit_controls):
     for bad in (
         np.array([[1.0, 1.0, 0.0]]),  # not unit norm

@@ -8,6 +8,7 @@ from reachset import (
     ResidualTooLarge,
     ValidationError,
     build_basis,
+    diag_slots,
     diagonal_vertex_coords,
     embed,
     kappa_channel,
@@ -18,6 +19,7 @@ from reachset import (
     unitary_rep,
 )
 from reachset.sequences import pps_direction
+from reachset.unitary_bound import deviation_spectrum
 
 from conftest import haar_unitary
 from oracles import lp_ray_exit
@@ -219,16 +221,55 @@ def test_ray_exit_matches_lp_oracle(rng):
             polytope_ray_exit(coords, direction)
     mixed = coords.copy()
     mixed[0] *= 2  # one row's spectrum is not a permutation of the others'
-    # the exit is read off the spectrum, so a subset or a repeat of the
+    for vertices in (mixed, coords[:, :2], np.ones(3)):
+        with pytest.raises(ValidationError):
+            polytope_ray_exit(vertices, np.ones(3))
+    # the exit is read off row 0's spectrum, so a subset or a repeat of the
     # distinct permutations (4!/(2! 2!) = 6 for the spectrum (c, -c, -c, c))
-    # would pass for the whole polytope
+    # gives the whole polytope's exit
     r = np.zeros(15)
     r[basis.index("ZZ")] = 0.3
     degenerate = diagonal_vertex_coords(polytope_vertices(CoherenceVector(n=2, r=r)))
-    for vertices in (mixed, coords[:, :2], np.ones(3), coords[:1], coords[[0, 0, 0]],
-                     coords[:23], np.vstack([coords[:23], coords[:1]]),
-                     np.vstack([coords, coords[:1]]), degenerate[:5],
-                     degenerate[[0, 1, 2, 3, 4, 4]]):
-        with pytest.raises(ValidationError):
-            polytope_ray_exit(vertices, np.ones(3))
+    d = rng.normal(size=3)
+    for full, parts in ((coords, (coords[:1], coords[[0, 0, 0]], coords[:23],
+                                  np.vstack([coords[:23], coords[:1]]),
+                                  np.vstack([coords, coords[:1]]))),
+                        (degenerate, (degenerate[:5], degenerate[[0, 1, 2, 3, 4, 4]]))):
+        for part in parts:
+            assert polytope_ray_exit(part, d) == polytope_ray_exit(full, d)
 
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ray_exit_reads_one_row(n, rng):
+    # one state stands for its whole polytope: row 0 alone gives the same
+    # bits, and any other single row (up to 500 of the 8! for n = 3) agrees
+    # to a few ulp
+    ulp = np.finfo(float).eps
+    for _ in range(3):
+        state = CoherenceVector(n=n, r=rng.normal(size=4 ** n - 1))
+        coords = diagonal_vertex_coords(polytope_vertices(state))
+        d = rng.normal(size=2 ** n - 1)
+        t = polytope_ray_exit(coords, d)
+        assert polytope_ray_exit(coords[:1], d) == t
+        for row in coords[::max(1, len(coords) // 500)]:
+            assert abs(polytope_ray_exit(row[None], d) - t) <= 8 * ulp * abs(t)
+
+
+def test_ray_exit_needs_no_vertex_list(rng):
+    # four qubits have 16! vertex orderings; one row still gives the exit,
+    # and t * d lands on the majorization boundary of the source spectrum
+    lam = rng.normal(size=16)
+    lam -= lam.mean()
+    x = diagonal_vertex_coords(lam[None])
+    slots = list(diag_slots(4))
+    partial = np.cumsum(np.sort(lam)[::-1])
+    for _ in range(5):
+        d = rng.normal(size=15)
+        t = polytope_ray_exit(x, d)
+        r = np.zeros(255)
+        r[slots] = t * d
+        gap = np.cumsum(deviation_spectrum(CoherenceVector(n=4, r=r))) - partial
+        assert gap.max() <= 1e-12 * np.abs(lam).max()  # inside: majorized
+        assert gap[:-1].max() >= -1e-12 * np.abs(lam).max()  # on the boundary
+    with pytest.raises(ValidationError):
+        polytope_ray_exit(np.vstack([x, 2 * x]), d)
