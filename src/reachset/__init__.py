@@ -41,6 +41,7 @@ from .dynamics import (
     purity_rate,
 )
 from .errors import (
+    CertificationFailed,
     ContractivityViolation,
     FixedPointUndefined,
     NoUniqueFixedPoint,

@@ -310,12 +310,13 @@ def cmd_figure1(args, gen):
     source = CoherenceVector(n=gen.n, r=gen.r_eq)
 
     # everything is computed before the first write, so a failed run
-    # leaves no output directory
+    # leaves no output directory; the sphere comes first, as it rejects an
+    # r_eq too large or small to trace
+    bound = max_purity_on_ellipsoid(gen)
+    sphere = _sphere_payload(gen, bound)
     rays = fibonacci_sphere(args.rays)
     origin = np.zeros(2 ** gen.n - 1)
     rows = [[*d, r, *p] for d, r, p in _trace_boundary(gen, rays, origin, args)]
-    bound = max_purity_on_ellipsoid(gen)
-    sphere = _sphere_payload(gen, bound)
     coords = diagonal_vertex_coords(polytope_vertices(source))
     sim = simulate_sequence(gen, seq, source, target=pps_direction())
     # saturation path: carbon coordinates clamped to zero, the remaining

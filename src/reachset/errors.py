@@ -37,6 +37,10 @@ class RankDeficient(ReachsetError):
     """Trajectory data cannot identify the requested rate parameters."""
 
 
+class CertificationFailed(ReachsetError):
+    """An independent oracle disagrees with a solver's result."""
+
+
 class NoUniqueFixedPoint(ReachsetError):
     """The one-period map has no attracting fixed point (rho >= 1 or I - M singular)."""
 

@@ -13,7 +13,10 @@ Cholesky factor Rmat = L L^T, centers the constraint (center r_eq/2, level
 rho^2 = r_eq.Rmat.r_eq / 4) and maximizes |c + M y|^2 over the unit sphere
 |y| = 1 with c = r_eq/2 and M = rho L^{-T}.  The stationary condition
 reduces to a one-dimensional secular equation in the Lagrange multiplier,
-solved by bracketed root finding.  An independent projected-gradient
+solved by Newton's method in its gap above the top eigenvalue of M^T M,
+whose iterates rise monotonically to the root.  The problem is homogeneous
+in r_eq, so it is solved for r_eq scaled by a power of two and the results
+are scaled back exactly.  An independent projected-gradient
 ascent on the same (c, M), from ORACLE_STARTS fixed starts drawn with
 ORACLE_SEED, certifies the result.  The starts ascend in lockstep, as one
 (ORACLE_STARTS, d) array with one stacked gradient per round, and each
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import diag_slots
-from .errors import ContractivityViolation, ValidationError
+from .errors import CertificationFailed, ContractivityViolation, ValidationError
 from .pauli import CoherenceVector
 
 #: Relative agreement demanded between solver and certification oracle.
@@ -67,63 +70,44 @@ class PurityBound:
     oracle_rel_gap: float
 
 
-def _sphere_objective_data(gen):
+def _sphere_objective_data(R, r_eq):
     """Transform the QP into max |c + M y|^2 over the unit sphere."""
-    from scipy.linalg import cholesky, solve_triangular
-
-    R = gen.Rmat
-    c = gen.r_eq / 2.0
-    rho_sq = float(gen.r_eq @ (R @ gen.r_eq)) / 4.0
-    L = cholesky(R, lower=True)
-    Minv_t = solve_triangular(L.T, np.eye(len(c)), lower=False)
-    M = np.sqrt(rho_sq) * Minv_t
-    return c, M
+    rho_sq = float(r_eq @ (R @ r_eq)) / 4.0
+    return r_eq / 2.0, np.sqrt(rho_sq) * np.linalg.inv(np.linalg.cholesky(R).T)
 
 
 def _max_norm_on_sphere(c, M):
-    """The maximizer c + M y of |c + M y|^2 over |y| = 1, via the secular equation.
+    """The maximizer c + M y of |c + M y|^2 over |y| = 1, by monotone Newton.
 
-    Works in the eigenbasis of G = M^T M: with btilde the transformed
-    linear term, the maximizer satisfies y_i = btilde_i / (lam - g_i) with
-    lam >= g_max and sum_i btilde_i^2 / (lam - g_i)^2 = 1.  The degenerate
-    case (no linear component along the top eigenspace) admits a boundary
-    solution at lam = g_max.
+    In the eigenbasis of G = M^T M (eigenvalues g, the top set within 1e-12
+    of g_max) the maximizer is y_i = bt_i / (delta + d_i), with bt = V^T M^T c
+    (assumed nonzero), d_i = g_max - g_i (0 on the top set) and delta >= 0
+    the root of f(delta) = 1/|y(delta)| - 1 (Moré & Sorensen 1983); y_i = 0
+    where bt_i = 0.  f is concave and increasing and |y| >= 1 at
+    delta = |bt_top|, so Newton's iterates from there rise monotonically to
+    the root, and the first that does not rise ends the iteration.  In the
+    hard case (bt_top = 0 and |y(0)| <= 1) delta stays 0 and a top
+    eigenvector takes up the norm that y(0) leaves.
     """
-    G = M.T @ M
-    b = M.T @ c
-    g, V = np.linalg.eigh(G)
-    bt = V.T @ b
-    gmax = g[-1]
-    scale = max(gmax, 1e-300)
-    top = g >= gmax - 1e-12 * scale
-    b_top = np.linalg.norm(bt[top])
-
-    def phi(lam):
-        return float(np.sum((bt / (lam - g)) ** 2)) - 1.0
-
-    hard_probe = gmax + max(1e-14 * scale, 1e-300)
-    if b_top <= 1e-14 * max(np.linalg.norm(bt), 1.0) or phi(hard_probe) <= 0.0:
-        # boundary case: pseudo-solve off the top eigenspace, spend the
-        # remaining norm on the top eigenvector
-        yt = np.where(top, 0.0, bt / np.where(top, 1.0, gmax - g))
-        t_sq = 1.0 - float(yt @ yt)
-        if t_sq < 0.0:
-            t_sq = 0.0
-        k = np.argmax(top)
-        yt[k] = np.sqrt(t_sq)
-    else:
-        from scipy.optimize import brentq
-
-        lo = gmax + max(b_top * (1 - 1e-12), 1e-14 * scale)
-        hi = gmax + np.linalg.norm(bt) + 1e-12 * scale
-        while phi(hi) > 0.0:
-            hi = gmax + 2 * (hi - gmax)
-        if phi(lo) < 0.0:
-            lo = hard_probe
-        lam = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        yt = bt / (lam - g)
-    y = V @ yt
-    return c + M @ y
+    g, V = np.linalg.eigh(M.T @ M)
+    bt = V.T @ (M.T @ c)
+    top = g >= g[-1] - 1e-12 * max(g[-1], 1e-300)
+    d = np.where(top, 0.0, g[-1] - g)
+    live = bt != 0.0
+    delta = np.linalg.norm(bt[top])
+    while True:
+        w = delta + d[live]
+        y = bt[live] / w
+        yy = y @ y
+        rise = delta + (np.sqrt(yy) - 1.0) * yy / (y @ (y / w))
+        if not rise > delta:
+            break
+        delta = rise
+    yt = np.zeros_like(bt)
+    yt[live] = y
+    if delta == 0.0:
+        yt[np.argmax(top)] = np.sqrt(max(1.0 - yt @ yt, 0.0))
+    return c + M @ (V @ yt)
 
 
 def max_purity_multistart(c, M):
@@ -198,7 +182,9 @@ def max_purity_on_ellipsoid(gen):
     """Smallest origin-centered sphere no controlled trajectory can leave.
 
     The secular-equation solution is cross-checked against the multi-start
-    projected-gradient oracle to relative CERTIFY_RTOL.
+    projected-gradient oracle to relative CERTIFY_RTOL.  Both run on r_eq
+    scaled by 2^-k so that its largest entry lies in [0.5, 1); radius_sq,
+    the maximizer and the residual are scaled back by 2^2k, 2^k and 2^2k.
 
     Parameters
     ----------
@@ -214,6 +200,8 @@ def max_purity_on_ellipsoid(gen):
     ContractivityViolation
         If the generator is unital/PSD.
     ValidationError
+        If r_eq's scale puts radius_sq outside the normal float range.
+    CertificationFailed
         If the oracle disagrees with the secular solution.
     """
     if gen.unital:
@@ -224,28 +212,39 @@ def max_purity_on_ellipsoid(gen):
         zero = CoherenceVector(n=gen.n, r=np.zeros(gen.dim))
         return PurityBound(0.0, zero, 0.0, 0.0, 0.0)
 
-    c, M = _sphere_objective_data(gen)
+    # the problem is homogeneous in r_eq: solve it for r_eq / 2^k, whose
+    # largest entry lies in [0.5, 1), and scale the results back exactly
+    k = int(np.frexp(np.abs(gen.r_eq).max())[1])
+    r_eq = np.ldexp(gen.r_eq, -k)
+    c, M = _sphere_objective_data(gen.Rmat, r_eq)
     r_opt = _max_norm_on_sphere(c, M)
-    radius_sq = float(r_opt @ r_opt)
+    val = float(r_opt @ r_opt)
+    with np.errstate(over="ignore"):
+        radius_sq = float(np.ldexp(val, 2 * k))
+    if not np.finfo(float).tiny <= radius_sq < np.inf:
+        raise ValidationError(f"r_eq's scale puts radius_sq = {val!r} * 2^{2 * k} "
+                              "outside the normal float range")
 
-    # multiplier in the original coordinates: 2 r = mu * R (2 r - r_eq)
-    gc = gen.Rmat @ (2.0 * r_opt - gen.r_eq)
-    mu = float((2.0 * r_opt) @ gc / (gc @ gc))
-    residual = abs(float(r_opt @ (gen.Rmat @ (r_opt - gen.r_eq))))
+    # multiplier, unchanged by the scaling: 2 r = mu * R (2 r - r_eq); gc is
+    # divided by a power of two once so that gc.gc cannot overflow
+    gc = gen.Rmat @ (2.0 * r_opt - r_eq)
+    u = np.ldexp(gc, -np.frexp(np.abs(gc).max())[1])
+    mu = float((2.0 * r_opt) @ u / (gc @ u))
+    residual = abs(float(r_opt @ (gen.Rmat @ (r_opt - r_eq))))
 
     oracle_val, _ = max_purity_multistart(c, M)
-    gap = abs(oracle_val - radius_sq)
-    if gap > CERTIFY_RTOL * max(radius_sq, 1e-30):
-        raise ValidationError(
-            f"secular solution {radius_sq!r} disagrees with projected-"
-            f"gradient oracle {oracle_val!r} beyond relative {CERTIFY_RTOL}"
+    gap = abs(oracle_val - val) / val
+    if gap > CERTIFY_RTOL:
+        raise CertificationFailed(
+            f"secular solution {val!r} disagrees with projected-gradient "
+            f"oracle {oracle_val!r} beyond relative {CERTIFY_RTOL}"
         )
     return PurityBound(
         radius_sq=radius_sq,
-        argmax_r=CoherenceVector(n=gen.n, r=r_opt),
+        argmax_r=CoherenceVector(n=gen.n, r=np.ldexp(r_opt, k)),
         lagrange_mult=mu,
-        solver_residual=residual,
-        oracle_rel_gap=gap / max(radius_sq, 1e-30),
+        solver_residual=float(np.ldexp(residual, 2 * k)),
+        oracle_rel_gap=gap,
     )
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import reachset
 from reachset.cli import build_parser, main
 from reachset.chloroform import CHLOROFORM, synthesize_trajectories
+from reachset.over_approx import _sphere_objective_data
 from reachset.serialize import (
     dump_json,
     load_json,
@@ -450,6 +451,59 @@ def test_nonfinite_propagator_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sphere_certification_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # an oracle 1e-3 off the secular solution is a numerical failure, not
+    # bad input: exit 3 and no output
+    oracle = reachset.over_approx.max_purity_multistart
+
+    def off_oracle(c, M):
+        val, r = oracle(c, M)
+        return val * (1.0 + 1e-3), r
+
+    monkeypatch.setattr(reachset.over_approx, "max_purity_multistart", off_oracle)
+    out = tmp_path / "bound.json"
+    assert run("bound", "--preset", "chloroform", "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: secular solution")
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e200])
+def test_sphere_rejects_r_eq_outside_float_range(tmp_path, capsys, chloroform_gen,
+                                                  scale):
+    # radius_sq scales as |r_eq|^2: at these scales it underflows or
+    # overflows, which once wrote a NaN multiplier or ended in a LinAlgError
+    gen = chloroform_gen.to_json_dict()
+    gen["r_eq"] = [scale * x for x in gen["r_eq"]]
+    path = tmp_path / "gen.json"
+    dump_json(gen, path)
+    bound, fig = tmp_path / "bound.json", tmp_path / "fig"
+    for argv in (["bound", "--out", str(bound)],
+                 ["figure1", "--rays", "2", "--tol", "5e-2", "--m", "3",
+                  "--out-dir", str(fig)]):
+        assert run(*argv, "--gen", str(path)) == 2, argv
+        assert "outside the normal float range" in capsys.readouterr().err
+    assert not bound.exists() and not Path(f"{bound}.meta.json").exists()
+    assert not fig.exists()
+
+
+@pytest.mark.parametrize("tilt", [1e-10, 1e-12])
+def test_bound_near_the_hard_case(tmp_path, tilt):
+    # the slowest relaxation mode tilted just off r_eq's complement: the
+    # linear term along the top eigenspace all but vanishes
+    s, co = np.sin(tilt), np.cos(tilt)
+    q = np.array([[co, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, co]])
+    R = (q * [0.1, 1.0, 2.0]) @ q.T
+    R = 0.5 * (R + R.T)
+    r_eq = np.array([0.0, 0.0, 1.0])
+    path = tmp_path / "gen.json"
+    dump_json({"n": 1, "H": np.zeros((3, 3)).tolist(), "R": R.tolist(),
+               "r_eq": r_eq.tolist()}, path)
+    out = tmp_path / "bound.json"
+    assert run("bound", "--gen", str(path), "--out", str(out)) == 0
+    oracle, _ = reachset.max_purity_multistart(*_sphere_objective_data(R, r_eq))
+    assert load_json(out)["radius_sq"] == pytest.approx(oracle, abs=1e-12)
+
+
 def test_input_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
     # a grid of 10^6 points per axis once asked numpy for terabytes and
     # ended in a raw MemoryError traceback; the sweep is patched to fail
@@ -506,7 +560,8 @@ def _scipy_loaded(tmp_path, *argvs):
 
 def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
     # scipy is imported inside the functions that call it: importing the
-    # package and the commands that never call it load no scipy module
+    # package and the commands that never call it, bound included, load no
+    # scipy module
     gen = chloroform_gen.to_json_dict()
     gen["r_eq"][0] = float("inf")
     dump_json(gen, tmp_path / "inf.json")
@@ -515,20 +570,24 @@ def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
         ["noe", *preset, "--saturate", "C", "--out", "noe.json"],
         ["unitary-bound", *preset, "--target", "pps", "--out", "polytope.json"],
         ["stlc", *preset, "--rays", "fibonacci:2", "--tol", "5e-2", "--out", "stlc.csv"],
-        ["bound", "--gen", "inf.json", "--out", "bound.json"],
+        ["bound", *preset, "--out", "bound.json"],
+        ["bound", "--gen", "inf.json", "--out", "bound_inf.json"],
         ["simulate", "--gen", "inf.json", "--m", "3", "--out", "sim_inf.csv"],
     ]
     loaded = _scipy_loaded(tmp_path, *scipy_free)
     assert loaded.pop("import reachset") == []
     assert loaded.pop("import reachset.cli") == []
-    expected_codes = [0, 0, 0, 2, 2]
+    expected_codes = [0, 0, 0, 0, 2, 2]
     assert loaded == {" ".join(argv): [code, []]
                       for argv, code in zip(scipy_free, expected_codes)}
-    # simulate takes expm from scipy.linalg and nothing from scipy.optimize
-    argv = ["simulate", *preset, "--m", "3", "--out", "sim.csv"]
-    code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
-    assert code == 0 and "scipy.linalg" in modules
-    assert not [m for m in modules if m.startswith("scipy.optimize")]
+    # simulate and figure1 take expm from scipy.linalg and nothing from
+    # scipy.optimize
+    for argv in (["simulate", *preset, "--m", "3", "--out", "sim.csv"],
+                 ["figure1", *preset, "--rays", "2", "--tol", "5e-2", "--m", "3",
+                  "--out-dir", "fig"]):
+        code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
+        assert code == 0 and "scipy.linalg" in modules
+        assert not [m for m in modules if m.startswith("scipy.optimize")]
 
 
 def test_seed_only_where_read():

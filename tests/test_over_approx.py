@@ -88,23 +88,40 @@ def _random_problems(dim, rng):
         yield R, rng.normal(size=dim)
 
 
-def _objective(R, r_eq):
-    """(c, M) of the problem (R, r_eq) in any dimension; only Rmat and r_eq
-    are read, so a stand-in generator serves non-qubit dimensions."""
-    return _sphere_objective_data(type("Duck", (), {"Rmat": R, "r_eq": r_eq})())
+def _hard_problems(case):
+    """(c, M) near the hard case, where c has (almost) no component along
+    the top eigenspace of M^T M."""
+    M = np.diag([3.0, 1.0, 0.5])
+    if case == "hard":  # the boundary solution: y(0) lies inside the sphere
+        yield np.array([0.0, 0.2, 0.1]), M
+    elif case == "near_hard":
+        for k in range(5, 16):
+            yield np.array([10.0 ** -k, 0.2, 0.1]), M
+    else:  # a degenerate top eigenspace, rotated so that eigh splits it
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+        M = (q * [2.0, 2.0, 1.0]) @ q.T
+        for c in (q @ [0.3, -0.4, 0.1], q @ [1e-9, 0.0, 0.1], q @ [0.0, 0.0, 0.1]):
+            yield c, M
 
 
-@pytest.mark.parametrize("dim", [3, 5, 8, 15])
-def test_solver_matches_multistart_oracle(dim, rng):
-    for R, r_eq in _random_problems(dim, rng):
-        c, M = _objective(R, r_eq)
+@pytest.mark.parametrize("case", [3, 5, 8, 15, "hard", "near_hard", "degenerate"])
+def test_solver_matches_multistart_oracle(case, rng):
+    if isinstance(case, str):
+        problems = [(c, M, None, None) for c, M in _hard_problems(case)]
+    else:
+        problems = [(*_sphere_objective_data(R, r_eq), R, r_eq)
+                    for R, r_eq in _random_problems(case, rng)]
+    for c, M, R, r_eq in problems:
         r_opt = _max_norm_on_sphere(c, M)
         secular = float(r_opt @ r_opt)
         oracle, _ = max_purity_multistart(c, M)
-        assert abs(secular - oracle) <= CERTIFY_RTOL * max(secular, 1e-12)
-        if dim in (3, 15):
+        # never below a point the ascent reached, and certified
+        assert oracle - 1e-14 * secular <= secular <= oracle + CERTIFY_RTOL * secular
+        y = np.linalg.solve(M, r_opt - c)
+        assert abs(y @ y - 1.0) <= 1e-14
+        if case in (3, 15):
             gen = AffineGenerator(
-                n=1 if dim == 3 else 2, Hmat=np.zeros((dim, dim)), Rmat=R, r_eq=r_eq
+                n=1 if case == 3 else 2, Hmat=np.zeros((case, case)), Rmat=R, r_eq=r_eq
             )
             assert max_purity_on_ellipsoid(gen).radius_sq == secular
 
@@ -114,9 +131,10 @@ def test_solver_matches_multistart_oracle(dim, rng):
 def test_lockstep_oracle_matches_serial_ascent(dim, n_starts, rng, chloroform_gen):
     # the random problems of test_solver_matches_multistart_oracle, and the
     # bundled model with the run-time seed
-    cases = [(*_objective(R, r_eq), 7) for R, r_eq in _random_problems(dim, rng)]
+    cases = [(*_sphere_objective_data(R, r_eq), 7) for R, r_eq in _random_problems(dim, rng)]
     if dim == 15:
-        cases.append((*_sphere_objective_data(chloroform_gen), ORACLE_SEED))
+        cases.append((*_sphere_objective_data(chloroform_gen.Rmat, chloroform_gen.r_eq),
+                      ORACLE_SEED))
     for c, M, seed in cases:
         Y = np.random.default_rng(seed).normal(size=(n_starts, len(c)))
         Y /= np.linalg.norm(Y, axis=1, keepdims=True)
@@ -145,7 +163,7 @@ def test_oracle_halves_steps_that_overshoot(rng):
 
 
 def test_oracle_start_at_the_maximizer_stops_in_round_zero(chloroform_gen, chloroform_bound):
-    c, M = _sphere_objective_data(chloroform_gen)
+    c, M = _sphere_objective_data(chloroform_gen.Rmat, chloroform_gen.r_eq)
     y_star = np.linalg.solve(M, chloroform_bound.argmax_r.r - c)
     Y = np.random.default_rng(3).normal(size=(6, len(c)))
     Y[2] = y_star
@@ -163,7 +181,7 @@ def test_bound_builds_the_objective_once(chloroform_gen, chloroform_bound, monke
     calls = []
     build = over_approx._sphere_objective_data
     monkeypatch.setattr(over_approx, "_sphere_objective_data",
-                        lambda gen: calls.append(1) or build(gen))
+                        lambda R, r_eq: calls.append(1) or build(R, r_eq))
     bound = max_purity_on_ellipsoid(chloroform_gen)
     assert len(calls) == 1
     assert bound.radius_sq == chloroform_bound.radius_sq
@@ -174,6 +192,22 @@ def test_bound_records_the_oracle_gap(chloroform_bound):
     assert 0.0 <= chloroform_bound.oracle_rel_gap <= CERTIFY_RTOL
     zero = max_purity_on_ellipsoid(make_gen(np.eye(3), np.zeros(3)))
     assert zero.oracle_rel_gap == 0.0
+
+
+@pytest.mark.parametrize("k_r_eq, k_R", [(-500, 0), (-8, 0), (8, 0), (500, 0),
+                                          (0, -30), (0, 1000)])
+def test_bound_scales_exactly(chloroform_gen, chloroform_bound, k_r_eq, k_R):
+    # radius_sq scales as |r_eq|^2 and not with R, the multiplier as 1/R and
+    # not with r_eq.  Solved unscaled, r_eq * 2^-500 lost M^T M to underflow
+    # and missed radius_sq by 1%, and R * 2^1000 overflowed the multiplier
+    gen = AffineGenerator(n=2, Hmat=chloroform_gen.Hmat,
+                          Rmat=np.ldexp(chloroform_gen.Rmat, k_R),
+                          r_eq=np.ldexp(chloroform_gen.r_eq, k_r_eq))
+    bound = max_purity_on_ellipsoid(gen)
+    assert bound.radius_sq == np.ldexp(chloroform_bound.radius_sq, 2 * k_r_eq)
+    assert np.array_equal(bound.argmax_r.r,
+                          np.ldexp(chloroform_bound.argmax_r.r, k_r_eq))
+    assert bound.lagrange_mult == np.ldexp(chloroform_bound.lagrange_mult, -k_R)
 
 
 def test_ellipsoid_axis_crossings(chloroform_gen):

@@ -2,10 +2,12 @@
 
     python3 tools/cli_matrix.py OUT_DIR
 
-Seventeen invocations cover every subcommand on deterministic inputs: the
-bundled generator written as JSON, noisy population trajectories from seed
-401 and a fixed 7-row ray CSV.  Each invocation runs as its own process
-against the ``src/`` tree next to this script and writes into OUT_DIR.
+Eighteen invocations cover every subcommand on deterministic inputs: the
+bundled generator written as JSON, a one-qubit generator on which the purity
+sphere takes its hard-case (boundary) solution, noisy population
+trajectories from seed 401 and a fixed 7-row ray CSV.  Each invocation runs
+as its own process against the ``src/`` tree next to this script and writes
+into OUT_DIR.
 One ``<sha256>  <path>`` line is printed per primary output, sorted by path;
 the ``.meta.json`` sidecars carry timings and are left out.  Two checkouts
 compare by running the script in each and diffing the two listings.
@@ -42,6 +44,10 @@ PRESET = ["--preset", "chloroform"]
 
 def write_inputs(d):
     dump_json(rs.assemble_generator().to_json_dict(), d / "gen.json")
+    # r_eq is orthogonal to the slowest relaxation mode
+    hard = rs.AffineGenerator(n=1, Hmat=np.zeros((3, 3)), Rmat=np.diag([0.1, 1.0, 2.0]),
+                              r_eq=np.array([0.0, 0.0, 1.0]))
+    dump_json(hard.to_json_dict(), d / "hard.json")
     (d / "rays.csv").write_text(RAYS_CSV)
     times = np.linspace(0.0, 40.0, 30)
     starts = [np.array([-1.0, 4.0, 0.0]), np.array([1.0, -4.0, 0.0]),
@@ -66,6 +72,8 @@ def matrix(d, traj_paths):
         (["bound", *PRESET, "--out", "bound.json"], ["bound.json"]),
         (["bound", "--gen", "gen.json", "--out", "bound_gen.json"],
          ["bound_gen.json"]),
+        (["bound", "--gen", "hard.json", "--out", "bound_hard.json"],
+         ["bound_hard.json"]),
         (["stlc", *PRESET, "--out", "stlc.csv"], ["stlc.csv"]),
         (["stlc", *PRESET, "--workers", "2", "--rays", "fibonacci:40",
           "--out", "stlc_w2.csv"], ["stlc_w2.csv"]),
