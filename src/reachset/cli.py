@@ -16,11 +16,24 @@ timing, environment).  Exit codes: 0 success, 2 invalid input (an input
 too large to fit in memory included), 3 numerical failure.
 `main` is the one runner: each `cmd_*` only computes and writes its primary
 outputs, then returns (sidecar base path, extra sidecar keys, message).
+
+Threads: the CLI runs OpenBLAS with one thread unless the caller sets
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.  The matrices
+are at most 15x15, so a second thread costs CPU time and gains no wall time.
+OpenBLAS reads the variable once, when numpy loads, so the default is set
+only if this module is imported before numpy; importing the library itself
+never changes threads.
 """
 
-import argparse
 import os
 import sys
+
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse
 import time
 
 import numpy as np

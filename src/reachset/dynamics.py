@@ -89,7 +89,7 @@ class AffineGenerator:
                 raise ContractivityViolation(
                     f"Rmat has a negative eigenvalue ({eigs[0]:.3e})"
                 )
-        elif eigs[0] <= 1e-12 * scale:
+        elif eigs[0] <= 1e-12 * eigs[-1]:  # relative, so any scaling of R passes
             raise ContractivityViolation(
                 f"Rmat is not positive definite (min eigenvalue {eigs[0]:.3e}); "
                 "pass unital=True only for unital special cases"
@@ -216,7 +216,7 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
             raise ContractivityViolation("drive v is not in the range of Rmat")
     else:
         eigs = np.linalg.eigvalsh(Rmat)
-        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        if eigs[0] <= 1e-12 * eigs[-1]:
             raise ContractivityViolation(
                 f"relaxation matrix is not positive definite "
                 f"(min eigenvalue {eigs[0]:.3e})"

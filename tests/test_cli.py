@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import platform
@@ -24,17 +25,29 @@ from reachset.serialize import (
 )
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
 def run(*argv):
     return main(list(argv))
 
 
-def _child(argv, cwd, timeout=60):
-    """Run `python argv...` in a fresh interpreter that imports this reachset."""
+def _child(argv, cwd, timeout=60, env_update=None):
+    """Run `python argv...` in a fresh interpreter that imports this reachset.
+
+    `env_update` sets variables in the child's environment; a value of None
+    removes the variable.
+    """
     src = os.path.dirname(os.path.dirname(reachset.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     )
+    for var, value in (env_update or {}).items():
+        if value is None:
+            env.pop(var, None)
+        else:
+            env[var] = value
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=timeout)
 
@@ -541,7 +554,8 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import reachset
-loaded = {"import reachset": scipy_modules()}
+loaded = {"import reachset": scipy_modules(),
+          "numpy after import reachset": "numpy" in sys.modules}
 import reachset.cli
 loaded["import reachset.cli"] = scipy_modules()
 for argv in json.loads(sys.argv[1]):
@@ -561,7 +575,7 @@ def _scipy_loaded(tmp_path, *argvs):
 def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
     # scipy is imported inside the functions that call it: importing the
     # package and the commands that never call it, bound included, load no
-    # scipy module
+    # scipy module; importing the package loads no numpy either
     gen = chloroform_gen.to_json_dict()
     gen["r_eq"][0] = float("inf")
     dump_json(gen, tmp_path / "inf.json")
@@ -575,6 +589,7 @@ def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
         ["simulate", "--gen", "inf.json", "--m", "3", "--out", "sim_inf.csv"],
     ]
     loaded = _scipy_loaded(tmp_path, *scipy_free)
+    assert loaded.pop("numpy after import reachset") is False
     assert loaded.pop("import reachset") == []
     assert loaded.pop("import reachset.cli") == []
     expected_codes = [0, 0, 0, 0, 2, 2]
@@ -588,6 +603,75 @@ def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
         code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
         assert code == 0 and "scipy.linalg" in modules
         assert not [m for m in modules if m.startswith("scipy.optimize")]
+
+
+def test_package_names_resolve_lazily(monkeypatch):
+    # each public name is its home submodule's attribute, looked up anew
+    # every time, so a patched submodule attribute is what reachset.X gives
+    for name in reachset.__all__:
+        home = importlib.import_module(f"reachset.{reachset._HOME[name]}")
+        assert getattr(reachset, name) is getattr(home, name)
+    assert set(reachset.__all__) <= set(dir(reachset))
+    star = {}
+    exec("from reachset import *", star)
+    assert all(star[name] is getattr(reachset, name) for name in reachset.__all__)
+    patched = object()
+    monkeypatch.setattr(reachset.over_approx, "max_purity_on_ellipsoid", patched)
+    assert reachset.max_purity_on_ellipsoid is patched
+    assert "max_purity_on_ellipsoid" not in vars(reachset)
+    with pytest.raises(AttributeError):
+        reachset.no_such_name
+
+
+_BLAS_PROBE = """
+import json, sys
+import reachset.cli
+code = reachset.cli.main(json.loads(sys.argv[1]))
+sys.path.insert(0, sys.argv[2])
+from run import openblas_threads
+print(json.dumps([code, openblas_threads()]))
+"""
+
+
+@pytest.mark.parametrize("env_update, recorded", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+], ids=["unset", "openblas", "omp"])
+def test_cli_defaults_to_one_blas_thread(tmp_path, env_update, recorded):
+    # a fresh CLI process runs one OpenBLAS thread unless the caller chose
+    unset = dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    out = tmp_path / "noe.json"
+    argv = ["noe", "--preset", "chloroform", "--out", str(out)]
+    proc = _child(["-c", _BLAS_PROBE, json.dumps(argv), str(BENCH)], tmp_path,
+                  env_update={**unset, **env_update})
+    assert proc.returncode == 0, proc.stderr
+    code, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    env = load_json(f"{out}.meta.json")["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == recorded
+    if not env_update:
+        assert threads == 1
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    commands = {
+        "bound.json": ["bound"],
+        "sim.csv": ["simulate", "--m", "20"],
+        "robustness.csv": ["robustness", "--grid=-0.05:0.05:3"],
+    }
+    outputs = {}
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        d.mkdir()
+        for name, argv in commands.items():
+            proc = _child(["-m", "reachset.cli", *argv, "--preset", "chloroform",
+                           "--out", name], d,
+                          env_update={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {name: (d / name).read_bytes() for name in commands}
+    assert outputs["1"] == outputs["2"]
 
 
 def test_seed_only_where_read():

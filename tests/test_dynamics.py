@@ -64,6 +64,25 @@ def test_amplitude_damping_bloch_form():
     np.testing.assert_allclose(m[1:, 0] / 2, gen.v, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-60, 2.0 ** -200],
+                         ids=["1e-12", "1e-60", "2^-200"])
+def test_positive_definite_check_is_relative(chloroform_gen, scale):
+    # slow relaxation in any unit is accepted: the check compares the
+    # smallest eigenvalue with the largest, not with an absolute floor
+    R = chloroform_gen.Rmat * scale
+    gen = AffineGenerator(n=2, Hmat=chloroform_gen.Hmat, Rmat=R,
+                          r_eq=chloroform_gen.r_eq)
+    assert np.array_equal(gen.Rmat, R)
+    sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    diss = lindblad_dissipator([np.sqrt(0.7 * scale) * sigma_minus])
+    gen = lindblad_to_bloch(np.zeros((2, 2)), diss)
+    np.testing.assert_allclose(gen.r_eq, [0.0, 0.0, 0.5], atol=1e-12)
+    asym = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0.0]])
+    for bad in (np.zeros((3, 3)), -np.eye(3)):
+        with pytest.raises(ContractivityViolation):
+            AffineGenerator(n=1, Hmat=asym, Rmat=bad * scale, r_eq=np.zeros(3))
+
+
 def test_dissipator_preserves_trace_on_random_states(rng):
     gamma = 0.3
     sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -195,11 +195,12 @@ def test_bound_records_the_oracle_gap(chloroform_bound):
 
 
 @pytest.mark.parametrize("k_r_eq, k_R", [(-500, 0), (-8, 0), (8, 0), (500, 0),
-                                          (0, -30), (0, 1000)])
+                                          (0, -200), (0, -30), (0, 1000)])
 def test_bound_scales_exactly(chloroform_gen, chloroform_bound, k_r_eq, k_R):
     # radius_sq scales as |r_eq|^2 and not with R, the multiplier as 1/R and
     # not with r_eq.  Solved unscaled, r_eq * 2^-500 lost M^T M to underflow
-    # and missed radius_sq by 1%, and R * 2^1000 overflowed the multiplier
+    # and missed radius_sq by 1%, and R * 2^1000 overflowed the multiplier;
+    # R * 2^-200 was refused as not positive definite
     gen = AffineGenerator(n=2, Hmat=chloroform_gen.Hmat,
                           Rmat=np.ldexp(chloroform_gen.Rmat, k_R),
                           r_eq=np.ldexp(chloroform_gen.r_eq, k_r_eq))

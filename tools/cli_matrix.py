@@ -10,7 +10,10 @@ as its own process against the ``src/`` tree next to this script and writes
 into OUT_DIR.
 One ``<sha256>  <path>`` line is printed per primary output, sorted by path;
 the ``.meta.json`` sidecars carry timings and are left out.  Two checkouts
-compare by running the script in each and diffing the two listings.
+compare by running the script in each and diffing the two listings, and
+only under the same thread variables (``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``): with none set the CLI runs one
+OpenBLAS thread, and a checkout older than that default runs one per core.
 
 Exit status is 1 if any invocation fails, else 0.
 """
