@@ -18,11 +18,12 @@ magnitude and applies the contraction convention
 
     dx/dt = -R_block (x - x_eq),
 
-which reproduces the equilibrium (eps_C, eps_H, 0) of the population block
-exactly; the consistency residual is asserted at assembly.  The
-antisymmetric +-pi*J entries of the one-quantum blocks are not relaxation:
-they belong to the coherent part and must agree with the ZZ coupling
-Hamiltonian, which is likewise asserted.
+whose fixed point is the equilibrium (eps_C, eps_H, 0) of the population
+block: the assembled r_eq is that state, and the drive R r_eq is derived
+from it.  The antisymmetric +-pi*J entries of the one-quantum blocks are
+not relaxation: they belong to the coherent part and equal the projection
+of the ZZ coupling Hamiltonian.  The tests assert both invariants, for
+several couplings J and polarization units; assembly does not recheck them.
 
 All rates are in 1/s with polarizations in eps-units (thermal carbon
 polarization = 1, proton = 4 by the gyromagnetic ratio).  The physical
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import AffineGenerator, affine_trajectory, lindblad_to_bloch
+from .dynamics import AffineGenerator, affine_trajectory
 from .errors import RankDeficient, ValidationError, json_fields
 from .pauli import build_basis
 from .pauli import _readonly
@@ -173,20 +174,26 @@ def block_matrices(rs, block):
     raise ValidationError(f"unknown block {block!r}")
 
 
-def coupling_hamiltonian(rs):
-    """The rotating-frame coupling (pi J / 2) ZZ as a 4x4 matrix, rad/s."""
-    basis = build_basis(2)
-    return np.pi * rs.J / 2.0 * basis.matrices[basis.labels.index("ZZ")]
+def _block_fixed_point(rs, block):
+    if block == "population":
+        return np.array([rs.eps_C, rs.eps_H, 0.0])
+    return np.zeros(len(BLOCKS[block]))
 
 
 def assemble_generator(rates=CHLOROFORM):
     """Build the full 15-dimensional affine generator from a rate set.
 
+    Each secular block supplies its relaxation matrix, its coherent +-pi J
+    entries and its fixed point, the thermal state (eps_C, eps_H, 0) for
+    the population block and zero elsewhere.  The tests assert that the
+    coherent entries equal the projected ZZ coupling for any J, and that
+    the drive R r_eq holds the population block at the thermal state in
+    any polarization unit.
+
     Raises
     ------
     ValidationError
-        If a diagonal rate is nonpositive, or the antisymmetric block
-        entries disagree with the ZZ coupling.
+        If a diagonal rate is nonpositive.
     ContractivityViolation
         If the assembled relaxation matrix is not positive definite.
     """
@@ -199,32 +206,12 @@ def assemble_generator(rates=CHLOROFORM):
     d = basis.dim
     R = np.zeros((d, d))
     H = np.zeros((d, d))
-    for block, labels in BLOCKS.items():
-        sym, antisym = block_matrices(rates, block)
-        idx = [basis.index(lab) for lab in labels]
-        R[np.ix_(idx, idx)] = sym
-        H[np.ix_(idx, idx)] += antisym
-
     r_eq = np.zeros(d)
-    r_eq[basis.index("ZI")] = rates.eps_C
-    r_eq[basis.index("IZ")] = rates.eps_H
-
-    # the +-pi J entries must be exactly the coherent part of the coupling
-    coherent = lindblad_to_bloch(coupling_hamiltonian(rates), None, unital=True)
-    if np.abs(H - coherent.Hmat).max() > 1e-9 * max(1.0, np.abs(H).max()):
-        raise ValidationError(
-            "antisymmetric block entries disagree with the ZZ coupling"
-        )
-
-    gen = AffineGenerator(n=2, Hmat=H, Rmat=R, r_eq=r_eq)
-    # population equilibrium consistency: R_pop (eps_C, eps_H, 0) reproduces
-    # the drive, i.e. the steady state of the block is the thermal state
-    pop_idx = [basis.index(lab) for lab in BLOCKS["population"]]
-    x_eq = r_eq[pop_idx]
-    resid = np.abs(R[np.ix_(pop_idx, pop_idx)] @ x_eq - gen.v[pop_idx]).max()
-    if resid > 1e-9:
-        raise ValidationError("population block equilibrium is inconsistent")
-    return gen
+    for block, labels in BLOCKS.items():
+        idx = [basis.index(lab) for lab in labels]
+        R[np.ix_(idx, idx)], H[np.ix_(idx, idx)] = block_matrices(rates, block)
+        r_eq[idx] = _block_fixed_point(rates, block)
+    return AffineGenerator(n=2, Hmat=H, Rmat=R, r_eq=r_eq)
 
 
 @dataclass(frozen=True)
@@ -254,12 +241,6 @@ class TrajectorySample:
             obs[lab] = _readonly(vals.copy())
         object.__setattr__(self, "times", _readonly(t.copy()))
         object.__setattr__(self, "observables", obs)
-
-
-def _block_fixed_point(rs, block):
-    if block == "population":
-        return np.array([rs.eps_C, rs.eps_H, 0.0])
-    return np.zeros(len(BLOCKS[block]))
 
 
 def simulate_block(rates, block, x0, times):

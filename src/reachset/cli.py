@@ -28,9 +28,10 @@ never changes threads.
 import os
 import sys
 
-if "numpy" not in sys.modules and not any(
-        var in os.environ
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+#: The variables OpenBLAS reads its thread count from.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
@@ -94,8 +95,7 @@ def _environment():
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": getattr(scipy, "__version__", None),
-        **{var: os.environ.get(var)
-           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        **{var: os.environ.get(var) for var in (*_THREAD_VARS, "MKL_NUM_THREADS")},
     }
 
 
@@ -185,7 +185,6 @@ def _trace_boundary(gen, rays, origin, args):
         rays,
         tol=args.tol,
         origin=origin,
-        workers=args.workers,
     )
     kept = []
     for d, r in zip(rays, radii):
@@ -394,7 +393,7 @@ def build_parser():
             p.add_argument("--out", default=out_default)
 
     def tracing(p):
-        """Bisection tolerance, region filter and workers of a boundary trace."""
+        """Bisection tolerance and region filter of a boundary trace."""
         p.add_argument("--tol", type=float, default=1e-3)
         p.add_argument(
             "--region",
@@ -402,7 +401,6 @@ def build_parser():
             default="all",
             help="wedge keeps only boundary points with 0 <= x3 <= x1 <= x2",
         )
-        p.add_argument("--workers", type=int, default=1)
 
     p = command("bound", "purity-sphere outer bound")
     common(p, "bound.json")

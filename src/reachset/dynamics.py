@@ -21,7 +21,7 @@ under the generator is dp/dt = -2^{n+1} r.Rmat.(r - r_eq); the antisymmetric
 part never contributes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import json_fields
 from .pauli import CoherenceVector, build_basis, _readonly
 
 _SYM_TOL = 1e-10
-_EQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,35 +47,33 @@ class AffineGenerator:
         Symmetric relaxation matrix, 1/s.  Positive definite unless the
         generator was constructed with ``unital=True``.
     r_eq : ndarray
-        Relaxation fixed point, Rmat @ r_eq = v.
-    v : ndarray
-        Inhomogeneous drive, 1/s.  Stored redundantly; consistency with
-        r_eq is asserted at construction.
+        Relaxation fixed point.
     unital : bool
-        Permits a positive semidefinite Rmat (r_eq típically 0).  Reachability
+        Permits a positive semidefinite Rmat (r_eq typically 0).  Reachability
         analyses require the strict SPD case and reject unital generators.
+
+    These are the generator's only data.  The drive ``v``, like ``drift``
+    and ``fixed_point``, is derived from them on first use, so it cannot
+    disagree with r_eq.
     """
 
     n: int
     Hmat: np.ndarray
     Rmat: np.ndarray
     r_eq: np.ndarray
-    v: np.ndarray = None
-    unital: bool = field(default=False)
+    unital: bool = False
 
     def __post_init__(self):
         d = 4 ** self.n - 1
         H = np.asarray(self.Hmat, dtype=float)
         R = np.asarray(self.Rmat, dtype=float)
         r_eq = np.asarray(self.r_eq, dtype=float)
-        v = None if self.v is None else np.asarray(self.v, dtype=float)
         if H.shape != (d, d) or R.shape != (d, d) or r_eq.shape != (d,):
             raise ValidationError(
                 f"generator for n={self.n} needs {d}x{d} matrices and a "
                 f"length-{d} equilibrium vector"
             )
-        arrays = (H, R, r_eq) if v is None else (H, R, r_eq, v)
-        if not all(np.isfinite(a).all() for a in arrays):
+        if not all(np.isfinite(a).all() for a in (H, R, r_eq)):
             raise ValidationError("generator entries must be finite")
         if np.abs(H + H.T).max() > _SYM_TOL * max(1.0, np.abs(H).max()):
             raise ValidationError("Hmat is not antisymmetric")
@@ -94,18 +91,18 @@ class AffineGenerator:
                 f"Rmat is not positive definite (min eigenvalue {eigs[0]:.3e}); "
                 "pass unital=True only for unital special cases"
             )
-        if v is None:
-            v = R @ r_eq
-        elif np.abs(R @ r_eq - v).max() > _EQ_TOL * max(1.0, np.abs(v).max()):
-            raise ValidationError("Rmat @ r_eq does not reproduce v")
         object.__setattr__(self, "Hmat", _readonly(H.copy()))
         object.__setattr__(self, "Rmat", _readonly(R.copy()))
         object.__setattr__(self, "r_eq", _readonly(r_eq.copy()))
-        object.__setattr__(self, "v", _readonly(v.copy()))
 
     @property
     def dim(self):
         return 4 ** self.n - 1
+
+    @cached_property
+    def v(self):
+        """Inhomogeneous drive Rmat @ r_eq, 1/s."""
+        return _readonly(self.Rmat @ self.r_eq)
 
     @cached_property
     def drift(self):
@@ -139,14 +136,13 @@ class AffineGenerator:
         }
 
     @classmethod
-    def from_json_dict(cls, d, unital=False):
+    def from_json_dict(cls, d):
         n, H, R, r_eq = json_fields(d, "generator", "n", "H", "R", "r_eq")
         return cls(
             n=int(n),
             Hmat=np.asarray(H, dtype=float),
             Rmat=np.asarray(R, dtype=float),
             r_eq=np.asarray(r_eq, dtype=float),
-            unital=unital,
         )
 
 
@@ -222,7 +218,7 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
                 f"(min eigenvalue {eigs[0]:.3e})"
             )
         r_eq = np.linalg.solve(Rmat, v)
-    return AffineGenerator(n=n, Hmat=Hmat, Rmat=Rmat, r_eq=r_eq, v=v, unital=unital)
+    return AffineGenerator(n=n, Hmat=Hmat, Rmat=Rmat, r_eq=r_eq, unital=unital)
 
 
 def relax_propagator(gen, t):

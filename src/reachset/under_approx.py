@@ -129,6 +129,12 @@ def stlc_test_3d(directions):
         the leading shape and ``witness`` a (..., 3) array that is NaN
         where the cone is full; each entry equals the one-set call on its
         set, bit for bit.
+
+    Raises
+    ------
+    ValidationError
+        If a direction is not finite, or the directions are so large that
+        a plane normal or a triple product overflows.
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim < 2 or v.shape[-1] != 3 or v.shape[-2] < 1:
@@ -163,11 +169,21 @@ def _cone_verdicts(v):
     i, j = np.triu_indices(v.shape[1], k=1)  # each unordered plane once
     w = v.transpose(2, 0, 1)
     (a0, a1, a2), (b0, b1, b2) = w[:, :, i], w[:, :, j]  # np.cross, term by term
-    crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-    cross_norms = np.linalg.norm(crosses, axis=1)  # (N, pairs)
-    norms = np.linalg.norm(v, axis=-1)
-    prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
-    top, bottom = prods.max(axis=1), prods.min(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                           axis=1)
+        cross_norms = np.linalg.norm(crosses, axis=1)  # (N, pairs)
+        norms = np.linalg.norm(v, axis=-1)
+        prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
+        top, bottom = prods.max(axis=1), prods.min(axis=1)
+    # a NaN plane never separates and an inf one always does, so either
+    # verdict would be unsound; the per-plane reductions carry any overflow
+    if not (np.isfinite(cross_norms).all() and np.isfinite(top).all()
+            and np.isfinite(bottom).all()):
+        raise ValidationError(
+            "directions too large for the cone test: a plane normal or a triple "
+            "product overflows"
+        )
     band = 4 * DEGENERACY_TOL * np.maximum(
         cross_norms * norms.max(axis=-1, keepdims=True), 1e-300)
     valid = cross_norms > 1e-12 * (norms[:, i] * norms[:, j])

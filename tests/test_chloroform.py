@@ -20,7 +20,6 @@ from reachset.chloroform import (
     BLOCK_RATES,
     TrajectorySample,
     block_matrices,
-    coupling_hamiltonian,
 )
 
 
@@ -34,23 +33,36 @@ def test_default_rates_are_the_fits():
     assert (CHLOROFORM.eps_C, CHLOROFORM.eps_H) == (1.0, 4.0)
 
 
-def test_equilibrium_vector(chloroform_gen):
+def test_equilibrium_vector():
+    # the thermal state (eps_C, eps_H, 0) is the fixed point in any unit
     basis = build_basis(2)
-    expected = np.zeros(15)
-    expected[basis.index("ZI")] = 1.0
-    expected[basis.index("IZ")] = 4.0
-    np.testing.assert_allclose(chloroform_gen.r_eq, expected)
-    # population drive is consistent with the thermal steady state:
-    # r1*eps_C + r4*eps_H balances the ZI drive exactly, and so on
     pop = [basis.index(lab) for lab in BLOCKS["population"]]
-    resid = chloroform_gen.Rmat[np.ix_(pop, pop)] @ expected[pop] \
-        - chloroform_gen.v[pop]
-    assert np.abs(resid).max() < 1e-9
+    for eps in (1.0, 1e20):
+        gen = assemble_generator(RateSet(eps_C=eps, eps_H=4.0 * eps))
+        expected = np.zeros(15)
+        expected[basis.index("ZI")] = eps
+        expected[basis.index("IZ")] = 4.0 * eps
+        np.testing.assert_array_equal(gen.r_eq, expected)
+        # r1*eps_C + r4*eps_H balances the ZI drive, and so on, to rounding
+        resid = gen.Rmat[np.ix_(pop, pop)] @ expected[pop] - gen.v[pop]
+        assert np.abs(resid).max() <= 1e-14 * np.abs(gen.v).max()
+        np.testing.assert_allclose(gen.fixed_point, expected, rtol=0,
+                                   atol=1e-12 * 4.0 * eps)
 
 
-def test_coupling_terms_match_hamiltonian(chloroform_gen):
-    direct = lindblad_to_bloch(coupling_hamiltonian(CHLOROFORM), None, unital=True)
-    np.testing.assert_allclose(chloroform_gen.Hmat, direct.Hmat, atol=1e-12)
+def _coupling_hamiltonian(J):
+    """The rotating-frame coupling (pi J / 2) ZZ as a 4x4 matrix, rad/s."""
+    basis = build_basis(2)
+    return np.pi * J / 2.0 * basis.matrices[basis.labels.index("ZZ")]
+
+
+def test_coupling_terms_match_hamiltonian():
+    # the +-pi J block entries are the projected ZZ coupling, for any J
+    for J in (214.5, 0.0, -37.25, 1e-3, 1e6):
+        gen = assemble_generator(RateSet(J=J))
+        direct = lindblad_to_bloch(_coupling_hamiltonian(J), None, unital=True)
+        np.testing.assert_allclose(gen.Hmat, direct.Hmat, rtol=0,
+                                   atol=1e-12 * np.pi * abs(J), err_msg=f"J={J}")
 
 
 def test_zero_cross_rates_block_diagonal():

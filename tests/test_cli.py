@@ -52,7 +52,8 @@ def _child(argv, cwd, timeout=60, env_update=None):
                           capture_output=True, text=True, timeout=timeout)
 
 
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS")
 
 
 def test_bound_preset(tmp_path):
@@ -83,9 +84,13 @@ def test_bound_from_generator_file(tmp_path, chloroform_gen):
 
 
 def test_bound_epsilon_scaling(tmp_path):
+    # polarizations are in units of eps, so radius_sq scales as eps^2
     out = tmp_path / "bound.json"
-    run("bound", "--preset", "chloroform", "--epsilon", "2.0", "--out", str(out))
-    assert load_json(out)["radius_sq"] == pytest.approx(4 * 18.673, abs=0.05)
+    for eps in ("2.0", "1e20"):
+        assert run("bound", "--preset", "chloroform", "--epsilon", eps,
+                   "--out", str(out)) == 0, eps
+        assert load_json(out)["radius_sq"] == pytest.approx(
+            float(eps) ** 2 * 18.673231648061478, rel=1e-14), eps
 
 
 def test_noe_command(tmp_path):
@@ -248,16 +253,12 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
         assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:1",
                    "--tol", tol, "--out", str(stlc)) == 2
         assert not stlc.exists()
-    # a worker count below one
-    for workers in ("0", "-3"):
-        stlc = tmp_path / "workers.csv"
-        assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:1",
-                   "--workers", workers, "--out", str(stlc)) == 2
-        assert not stlc.exists()
+    # tracing is serial: there is no worker count to set
+    for command in ("stlc", "figure1"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--workers", "2"])
     fig = tmp_path / "fig"
     assert run("figure1", "--preset", "chloroform", "--tol", "nan",
-               "--out-dir", str(fig)) == 2
-    assert run("figure1", "--preset", "chloroform", "--rays", "2", "--workers", "0",
                "--out-dir", str(fig)) == 2
     # a NOE trajectory of non-finite or negative length
     for duration in ("nan", "inf", "-1"):
@@ -499,6 +500,23 @@ def test_sphere_rejects_r_eq_outside_float_range(tmp_path, capsys, chloroform_ge
     assert not fig.exists()
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
+def test_stlc_rejects_overflowing_cone_tests(tmp_path, capsys, chloroform_gen, scale):
+    # with R this large the triple products overflow; a NaN plane never
+    # separates, which once traced every ray to the cutoff with exit 0
+    gen = chloroform_gen.to_json_dict()
+    gen["R"] = [[scale * x for x in row] for row in gen["R"]]
+    path = tmp_path / "gen.json"
+    dump_json(gen, path)
+    out = tmp_path / "stlc.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("stlc", "--gen", str(path), "--rays", "fibonacci:4",
+                   "--out", str(out)) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
 @pytest.mark.parametrize("tilt", [1e-10, 1e-12])
 def test_bound_near_the_hard_case(tmp_path, tilt):
     # the slowest relaxation mode tilted just off r_eq's complement: the
@@ -636,8 +654,9 @@ print(json.dumps([code, openblas_threads()]))
 @pytest.mark.parametrize("env_update, recorded", [
     ({}, "1"),
     ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, None),
     ({"OMP_NUM_THREADS": "2"}, None),
-], ids=["unset", "openblas", "omp"])
+], ids=["unset", "openblas", "goto", "omp"])
 def test_cli_defaults_to_one_blas_thread(tmp_path, env_update, recorded):
     # a fresh CLI process runs one OpenBLAS thread unless the caller chose
     unset = dict.fromkeys(
@@ -651,6 +670,8 @@ def test_cli_defaults_to_one_blas_thread(tmp_path, env_update, recorded):
     assert code == 0
     env = load_json(f"{out}.meta.json")["environment"]
     assert env["OPENBLAS_NUM_THREADS"] == recorded
+    for var, value in env_update.items():  # the caller's choice is on record
+        assert env[var] == value
     if not env_update:
         assert threads == 1
 

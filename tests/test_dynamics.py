@@ -207,10 +207,14 @@ def test_generator_validation():
         AffineGenerator(n=1, Hmat=asym, Rmat=bad_r, r_eq=np.zeros(3))
     with pytest.raises(ContractivityViolation):
         AffineGenerator(n=1, Hmat=asym, Rmat=-eye, r_eq=np.zeros(3))
-    with pytest.raises(ValidationError):
+    # the drive is derived from Rmat and r_eq, never passed
+    with pytest.raises(TypeError):
         AffineGenerator(
             n=1, Hmat=asym, Rmat=eye, r_eq=np.zeros(3), v=np.ones(3)
         )
+    gen = AffineGenerator(n=1, Hmat=asym, Rmat=2.0 * eye, r_eq=np.array([1.0, 0.5, 3.0]))
+    assert gen.v.tobytes() == (gen.Rmat @ gen.r_eq).tobytes()
+    assert not gen.v.flags.writeable
 
 
 def test_generator_json_round_trip(chloroform_gen):

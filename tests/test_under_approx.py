@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,29 @@ def test_stacked_cone_test_chunk_sizes_and_shapes(rng):
     for bad in (np.empty((24,)), np.empty((24, 2)), np.empty((4, 0, 3))):
         with pytest.raises(ValidationError):
             stlc_test_3d(bad)
+
+
+def test_cone_test_rejects_overflow(chloroform_gen, two_qubit_controls, rng):
+    # the cone is scale-free, but a product that overflows gives no verdict:
+    # a NaN plane never separates and an inf one always does
+    sets = rng.normal(size=(3, 24, 3))
+    for scale in (1e105, 1e160, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows"):
+                stlc_test_3d(scale * sets)
+    rays = fibonacci_sphere(4)
+
+    def radii(scale):
+        gen = AffineGenerator(n=2, Hmat=chloroform_gen.Hmat,
+                              Rmat=scale * chloroform_gen.Rmat, r_eq=chloroform_gen.r_eq)
+        return stlc_boundary_rays(gen, two_qubit_controls, rays, tol=1e-2,
+                                  origin=np.zeros(3))
+
+    np.testing.assert_array_equal(radii(1e77), radii(1.0))
+    for scale in (1e100, 1e200):
+        with pytest.raises(ValidationError, match="overflows"):
+            radii(scale)
 
 
 # ---------------------------------------------------------------------------

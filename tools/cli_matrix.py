@@ -2,7 +2,7 @@
 
     python3 tools/cli_matrix.py OUT_DIR
 
-Eighteen invocations cover every subcommand on deterministic inputs: the
+Seventeen invocations cover every subcommand on deterministic inputs: the
 bundled generator written as JSON, a one-qubit generator on which the purity
 sphere takes its hard-case (boundary) solution, noisy population
 trajectories from seed 401 and a fixed 7-row ray CSV.  Each invocation runs
@@ -78,8 +78,6 @@ def matrix(d, traj_paths):
         (["bound", "--gen", "hard.json", "--out", "bound_hard.json"],
          ["bound_hard.json"]),
         (["stlc", *PRESET, "--out", "stlc.csv"], ["stlc.csv"]),
-        (["stlc", *PRESET, "--workers", "2", "--rays", "fibonacci:40",
-          "--out", "stlc_w2.csv"], ["stlc_w2.csv"]),
         (["stlc", *PRESET, "--rays", "rays.csv", "--tol", "1e-5",
           "--out", "stlc_csv.csv"], ["stlc_csv.csv"]),
         (["stlc", *PRESET, "--rays", "fibonacci:300", "--tol", "1e-2",
