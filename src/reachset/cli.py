@@ -168,7 +168,10 @@ def _parse_rays(spec_str):
             dirs = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError as exc:  # a non-number or a ragged row
             raise ValidationError(f"ray CSV {spec_str}: {exc}") from exc
-        with np.errstate(all="ignore"):  # zero, tiny or huge rows fail the norm check
+        # a power-of-two rescale keeps each finite nonzero row's norm in
+        # range; zero and non-finite rows fail the unit-norm check
+        dirs = np.ldexp(dirs, -np.frexp(np.abs(dirs).max(axis=1, keepdims=True))[1])
+        with np.errstate(all="ignore"):
             return dirs / np.linalg.norm(dirs, axis=1)[:, None]
     raise ValidationError(f"rays must be fibonacci:N or a CSV file: {spec_str}")
 
@@ -216,7 +219,8 @@ def cmd_unitary_bound(args, gen):
     vertices = polytope_vertices(source)
     coords = diagonal_vertex_coords(vertices)
     target_diag = target.r[list(diag_slots(gen.n))]
-    norm = np.linalg.norm(target_diag)
+    target_diag = np.ldexp(target_diag, -np.frexp(np.abs(target_diag).max())[1])
+    norm = np.linalg.norm(target_diag)  # exact scaling: cannot over- or underflow
     ray_exit = polytope_ray_exit(coords, target_diag / norm) if norm > 0 else None
     payload = {
         "kappa_max": kappa,

@@ -30,6 +30,7 @@ from .errors import ContractivityViolation, FixedPointUndefined, ValidationError
 from .errors import json_fields
 from .pauli import CoherenceVector, build_basis, _readonly
 
+#: Largest asymmetry of Hmat and Rmat, relative to their largest entry.
 _SYM_TOL = 1e-10
 
 
@@ -75,14 +76,13 @@ class AffineGenerator:
             )
         if not all(np.isfinite(a).all() for a in (H, R, r_eq)):
             raise ValidationError("generator entries must be finite")
-        if np.abs(H + H.T).max() > _SYM_TOL * max(1.0, np.abs(H).max()):
+        if np.abs(H + H.T).max() > _SYM_TOL * np.abs(H).max():
             raise ValidationError("Hmat is not antisymmetric")
-        if np.abs(R - R.T).max() > _SYM_TOL * max(1.0, np.abs(R).max()):
+        if np.abs(R - R.T).max() > _SYM_TOL * np.abs(R).max():
             raise ValidationError("Rmat is not symmetric")
         eigs = np.linalg.eigvalsh(R)
-        scale = max(1.0, abs(eigs[-1]))
         if self.unital:
-            if eigs[0] < -1e-10 * scale:
+            if eigs[0] < -1e-10 * abs(eigs[-1]):
                 raise ContractivityViolation(
                     f"Rmat has a negative eigenvalue ({eigs[0]:.3e})"
                 )
@@ -202,13 +202,13 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
             images[j] = img
         Rfull = -np.einsum("kab,jba->kj", basis.matrices, images).real / dim
         Rmat = 0.5 * (Rfull[1:, 1:] + Rfull[1:, 1:].T)
-        if np.abs(Rfull[1:, 1:] - Rmat).max() > 1e-9 * max(1.0, np.abs(Rmat).max()):
+        if np.abs(Rfull[1:, 1:] - Rmat).max() > 1e-9 * np.abs(Rmat).max():
             raise ValidationError("relaxation part is not symmetric")
         v = np.einsum("kab,ba->k", basis.matrices[1:], images[0]).real / 4 ** n
 
     if unital or not np.any(v):
         r_eq, *_ = np.linalg.lstsq(Rmat, v, rcond=None)
-        if np.abs(Rmat @ r_eq - v).max() > 1e-9 * max(1.0, np.abs(v).max()):
+        if np.abs(Rmat @ r_eq - v).max() > 1e-9 * np.abs(v).max():
             raise ContractivityViolation("drive v is not in the range of Rmat")
     else:
         eigs = np.linalg.eigvalsh(Rmat)

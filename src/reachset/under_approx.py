@@ -133,8 +133,8 @@ def stlc_test_3d(directions):
     Raises
     ------
     ValidationError
-        If a direction is not finite, or the directions are so large that
-        a plane normal or a triple product overflows.
+        If the directions are not a finite (..., K, 3) array with K >= 1;
+        any finite set, however large or small, gets a verdict.
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim < 2 or v.shape[-1] != 3 or v.shape[-2] < 1:
@@ -156,34 +156,31 @@ def stlc_test_3d(directions):
 def _cone_verdicts(v):
     """Verdicts and witnesses of the triple-product test on (N, K, 3) sets.
 
-    A set whose directions do not span R^3 gets the rank witness.  Otherwise
-    the cone is not full iff some valid plane (v_i x v_j, |v_i x v_j| above
-    1e-12 |v_i| |v_j|) has every product c_k = (v_i x v_j) . v_k on one side
-    of the band +-DEGENERACY_TOL |v_i x v_j| |v_k|, and the first such plane
-    in triu order gives the witness.  Two sound prefilters keep the exact
-    work small: a plane with products beyond four times the widest band on
-    both sides cannot separate, and a set with some |c_k| above twice
-    |V|_F^2 times the rank tolerance has rank 3 (by Cauchy-Binet, every
-    3x3 minor is at most s1^2 s3), so only the other sets take the SVD.
+    Each set is first scaled by the power of two that brings its largest
+    |entry| into [1/2, 1): exact (an entry below 2^-1021 times the largest
+    may round, deep inside every band), safe from overflow, and unseen by
+    the thresholds below, which are all homogeneous; so a set and an exact
+    2^k multiple of it get the same bits.  A set whose directions do not
+    span R^3 gets the rank witness.  Otherwise the cone is not full iff
+    some valid plane (v_i x v_j, |v_i x v_j| above 1e-12 |v_i| |v_j|) has
+    every product c_k = (v_i x v_j) . v_k on one side of the band
+    +-DEGENERACY_TOL |v_i x v_j| |v_k|, and the first such plane in triu
+    order gives the witness.  Two sound prefilters keep the exact work
+    small: a plane with products beyond four times the widest band on both
+    sides cannot separate, and a set with some |c_k| above twice |V|_F^2
+    times the rank tolerance 1e-12 has rank 3 (by Cauchy-Binet, every 3x3
+    minor is at most s1^2 s3), so only the other sets take the SVD.
     """
+    _, e = np.frexp(np.abs(v).max(axis=(1, 2)))
+    v = np.ldexp(v, -e[:, None, None])  # exact: every |entry| now below 1
     i, j = np.triu_indices(v.shape[1], k=1)  # each unordered plane once
     w = v.transpose(2, 0, 1)
     (a0, a1, a2), (b0, b1, b2) = w[:, :, i], w[:, :, j]  # np.cross, term by term
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                           axis=1)
-        cross_norms = np.linalg.norm(crosses, axis=1)  # (N, pairs)
-        norms = np.linalg.norm(v, axis=-1)
-        prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
-        top, bottom = prods.max(axis=1), prods.min(axis=1)
-    # a NaN plane never separates and an inf one always does, so either
-    # verdict would be unsound; the per-plane reductions carry any overflow
-    if not (np.isfinite(cross_norms).all() and np.isfinite(top).all()
-            and np.isfinite(bottom).all()):
-        raise ValidationError(
-            "directions too large for the cone test: a plane normal or a triple "
-            "product overflows"
-        )
+    crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+    cross_norms = np.linalg.norm(crosses, axis=1)  # (N, pairs)
+    norms = np.linalg.norm(v, axis=-1)
+    prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
+    top, bottom = prods.max(axis=1), prods.min(axis=1)
     band = 4 * DEGENERACY_TOL * np.maximum(
         cross_norms * norms.max(axis=-1, keepdims=True), 1e-300)
     valid = cross_norms > 1e-12 * (norms[:, i] * norms[:, j])
@@ -203,12 +200,12 @@ def _cone_verdicts(v):
     normal = crosses[rows, :, pairs] / cross_norms[rows, pairs][:, None]
     witness[rows] = np.where(below[:, None], normal, -normal)
 
-    rank_tol = 1e-12 * np.maximum(1.0, np.abs(v).max(axis=(1, 2)))
+    rank_tol = 1e-12
     widest = np.maximum(top.max(axis=1, initial=0.0), -bottom.min(axis=1, initial=0.0))
     frobenius_sq = (v * v).sum(axis=(1, 2))
     unsure = np.flatnonzero(~(widest > 2.0 * frobenius_sq * rank_tol))
     if unsure.size:
-        deficient = unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol[unsure]) < 3]
+        deficient = unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol) < 3]
         full[deficient] = False
         for r in deficient:
             witness[r] = _rank_witness(v[r])

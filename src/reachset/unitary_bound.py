@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagonal import diag_slots
 from .errors import ResidualTooLarge, ValidationError
-from .pauli import build_basis, deviation_matrix, _readonly
+from .pauli import CoherenceVector, build_basis, deviation_matrix, _readonly
 
 
 def deviation_spectrum(v):
@@ -43,19 +43,29 @@ def kappa_unitary_max(rho, sigma):
 
         kappa_max = <lambda_sorted(rho), lambda_sorted(sigma)> / Tr(sigma_dev^2).
 
+    It is solved for sigma / 2^k, largest entry in [0.5, 1), and scaled
+    back exactly: kappa_max is homogeneous of degree -1 in sigma.
+
     Raises
     ------
     ValidationError
-        If sigma has no deviation part.
+        If sigma has no deviation part, or its scale puts kappa_max outside
+        the normal float range.
     """
     if rho.n != sigma.n:
         raise ValidationError("states have different qubit counts")
-    s_norm_sq = 2 ** sigma.n * float(sigma.r @ sigma.r)
+    k = int(np.frexp(np.abs(sigma.r).max())[1])
+    unit = CoherenceVector(n=sigma.n, r=np.ldexp(sigma.r, -k))
+    s_norm_sq = 2 ** sigma.n * float(unit.r @ unit.r)
     if s_norm_sq <= 0.0:
         raise ValidationError("target direction must be nonzero")
-    lam_rho = deviation_spectrum(rho)
-    lam_sig = deviation_spectrum(sigma)
-    return float(lam_rho @ lam_sig) / s_norm_sq
+    val = float(deviation_spectrum(rho) @ deviation_spectrum(unit)) / s_norm_sq
+    with np.errstate(over="ignore"):
+        kappa = float(np.ldexp(val, -k))
+    if val and not np.finfo(float).tiny <= abs(kappa) < np.inf:
+        raise ValidationError(f"target's scale puts kappa_max = {val!r} * 2^{-k} "
+                              "outside the normal float range")
+    return kappa
 
 
 def kappa_unitary(rho, sigma, unitary_rep_matrix):

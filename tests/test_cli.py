@@ -17,6 +17,8 @@ import reachset
 from reachset.cli import build_parser, main
 from reachset.chloroform import CHLOROFORM, synthesize_trajectories
 from reachset.over_approx import _sphere_objective_data
+from reachset.pauli import CoherenceVector
+from reachset.sequences import pps_direction
 from reachset.serialize import (
     dump_json,
     load_json,
@@ -500,21 +502,62 @@ def test_sphere_rejects_r_eq_outside_float_range(tmp_path, capsys, chloroform_ge
     assert not fig.exists()
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
-def test_stlc_rejects_overflowing_cone_tests(tmp_path, capsys, chloroform_gen, scale):
-    # with R this large the triple products overflow; a NaN plane never
-    # separates, which once traced every ray to the cutoff with exit 0
-    gen = chloroform_gen.to_json_dict()
-    gen["R"] = [[scale * x for x in row] for row in gen["R"]]
-    path = tmp_path / "gen.json"
-    dump_json(gen, path)
-    out = tmp_path / "stlc.csv"
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e200, 1e-60, 2.0 ** -200],
+                         ids=["1e100", "1e160", "1e200", "1e-60", "2^-200"])
+def test_stlc_bytes_scale_free_in_R(tmp_path, chloroform_gen, scale):
+    # scaling R leaves the STLC set alone; R * 1e100 and above once exited 2
+    # (the cone test's products overflowed), R * 1e-60 and R * 2^-200 exit 3
+    # (the absolute rank floor failed the origin)
+    outs = []
+    for s in (1.0, scale):
+        gen = chloroform_gen.to_json_dict()
+        gen["R"] = [[s * x for x in row] for row in gen["R"]]
+        path, out = tmp_path / f"gen{len(outs)}.json", tmp_path / f"stlc{len(outs)}.csv"
+        dump_json(gen, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("stlc", "--gen", str(path), "--rays", "fibonacci:4",
+                       "--out", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+
+
+def test_stlc_ray_csv_rows_of_any_scale(tmp_path, capsys):
+    # a row's norm once over- or underflowed, refusing 1e200,0,0 and
+    # 0,1e-200,0 as not unit; a zero or non-finite row still has no direction
+    csvs = {"unit": "1,0,0\n0,1,0\n", "scaled": "1e200,0,0\n0,1e-200,0\n"}
+    outs = {}
+    for name, text in csvs.items():
+        rays, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+        rays.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("stlc", "--preset", "chloroform", "--rays", str(rays),
+                       "--tol", "5e-2", "--out", str(out)) == 0
+        outs[name] = out.read_bytes()
+    assert outs["scaled"] == outs["unit"]
+    for bad in ("0,0,0", "inf,0,0", "1e200,nan,0"):
+        rays = tmp_path / "bad.csv"
+        rays.write_text(f"1,0,0\n{bad}\n")
+        assert run("stlc", "--preset", "chloroform", "--rays", str(rays),
+                   "--out", str(tmp_path / "bad.out.csv")) == 2
+        assert "unit norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_unitary_bound_target_of_any_scale(tmp_path, scale):
+    # a target scaled by 1e200 once overflowed its norm (RuntimeWarnings,
+    # exit 2), and one scaled by 1e-200 was refused as zero
+    target = CoherenceVector(n=2, r=scale * pps_direction().r)
+    path, out = tmp_path / "t.json", tmp_path / "poly.json"
+    dump_json(target.to_json_dict(), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("stlc", "--gen", str(path), "--rays", "fibonacci:4",
-                   "--out", str(out)) == 2
-    assert "overflows" in capsys.readouterr().err
-    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+        assert run("unitary-bound", "--preset", "chloroform", "--target", str(path),
+                   "--out", str(out)) == 0
+    payload = load_json(out)
+    assert payload["kappa_max"] == pytest.approx(20 / 3 / scale, rel=1e-14)
+    assert payload["ray_exit_radius"] == pytest.approx(5 / np.sqrt(3), rel=1e-14)
 
 
 @pytest.mark.parametrize("tilt", [1e-10, 1e-12])

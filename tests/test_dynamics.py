@@ -83,6 +83,45 @@ def test_positive_definite_check_is_relative(chloroform_gen, scale):
             AffineGenerator(n=1, Hmat=asym, Rmat=bad * scale, r_eq=np.zeros(3))
 
 
+def _linear_dissipator(M, drive):
+    """One-qubit D(X) = sum_k (drive_k Tr X / 2 - (M r_X)_k) B_k: Rmat = M, v = drive/2."""
+    B = build_basis(1).matrices
+    def diss(X):
+        r = np.einsum("kab,ba->k", B[1:], X) / 2  # coherence vector of X
+        return np.tensordot(np.trace(X) / 2 * drive - M @ r, B[1:], axes=1)
+    return diss
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_generator_checks_are_relative(scale):
+    # each check compares with the matrices' own size: a relative asymmetry
+    # of 1e-3 was once accepted at 1e-20 and refused at 1
+    asym = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0.0]])
+    tilt = np.zeros((3, 3))
+    tilt[0, 1] = 1e-3
+    with pytest.raises(ValidationError, match="antisymmetric"):
+        AffineGenerator(n=1, Hmat=scale * (asym + tilt), Rmat=np.eye(3), r_eq=np.zeros(3))
+    with pytest.raises(ValidationError, match="not symmetric"):
+        AffineGenerator(n=1, Hmat=asym, Rmat=scale * (np.eye(3) + tilt), r_eq=np.zeros(3))
+    with pytest.raises(ContractivityViolation, match="negative eigenvalue"):
+        AffineGenerator(n=1, Hmat=asym, Rmat=scale * np.diag([1.0, 1.0, -1e-3]),
+                        r_eq=np.zeros(3), unital=True)
+    no_drive = np.zeros(3)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        lindblad_to_bloch(np.zeros((2, 2)),
+                          _linear_dissipator(scale * (np.eye(3) + tilt), no_drive))
+    singular = scale * np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(ContractivityViolation, match="range"):
+        lindblad_to_bloch(np.zeros((2, 2)),
+                          _linear_dissipator(singular, scale * np.array([0.0, 0.0, 1.0])),
+                          unital=True)
+    # a drive inside the range passes at every scale
+    gen = lindblad_to_bloch(np.zeros((2, 2)),
+                            _linear_dissipator(singular, scale * np.array([1.0, 0.0, 0.0])),
+                            unital=True)
+    np.testing.assert_allclose(gen.r_eq, [0.5, 0.0, 0.0], rtol=1e-12)
+
+
 def test_dissipator_preserves_trace_on_random_states(rng):
     gamma = 0.3
     sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

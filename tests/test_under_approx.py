@@ -250,27 +250,62 @@ def test_stacked_cone_test_chunk_sizes_and_shapes(rng):
             stlc_test_3d(bad)
 
 
-def test_cone_test_rejects_overflow(chloroform_gen, two_qubit_controls, rng):
-    # the cone is scale-free, but a product that overflows gives no verdict:
-    # a NaN plane never separates and an inf one always does
-    sets = rng.normal(size=(3, 24, 3))
-    for scale in (1e105, 1e160, 1e300):
+#: Scales of R across the exponent range, powers of two and not.
+R_SCALES = [2.0 ** -1000, 2.0 ** -200, 1e-60, 2.0 ** -8, 2.0 ** 8, 2.0 ** 40, 1e77,
+            1e100, 1e160, 1e200, 2.0 ** 900, 1e300]
+
+
+def test_cone_test_is_scale_free(chloroform_gen, two_qubit_controls, rng):
+    # each set is rescaled by a power of two before any product is taken,
+    # so 2^k times a set gets its verdicts and witnesses bit for bit, with
+    # no overflow at 2^900 and no lost rank at 2^-900
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
+    points = rng.normal(size=(100, 3)) * rng.uniform(0.5, 5.0, size=(100, 1))
+    sets = np.concatenate([stacked_directions(A, b, points), rng.normal(size=(30, 24, 3))])
+    sets[100::3, :, 1] = np.abs(sets[100::3, :, 1])  # not full through a plane
+    sets[101, :, 2] = 0.0  # not full through the rank
+    base = stlc_test_3d(sets)
+    assert base.is_full.any() and not base.is_full.all()
+    for k in (-900, 900):
+        scaled_sets = np.ldexp(sets, k)
+        assert np.array_equal(np.ldexp(scaled_sets, -k), sets)  # the scaling is exact
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="overflows"):
-                stlc_test_3d(scale * sets)
-    rays = fibonacci_sphere(4)
+            scaled = stlc_test_3d(scaled_sets)
+        assert scaled.is_full.tobytes() == base.is_full.tobytes()
+        assert scaled.witness.tobytes() == base.witness.tobytes()
+
+
+@pytest.mark.parametrize("dirs", [
+    [[1e200, 0, 0], [-1e200, 0, 0]],  # every plane vanishes: 0 * inf once
+    [[1e200, 0, 0], [-1e200, 0, 0], [0, 1, 0], [0, -1, 0]],  # |v_i x v_j|^2 overflowed
+], ids=["rank", "plane"])
+def test_cone_test_answers_huge_directions(dirs):
+    # both sets once printed RuntimeWarnings or were refused as overflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = stlc_test_3d(dirs)
+    assert not verdict.is_full
+    assert np.linalg.norm(verdict.witness) == pytest.approx(1.0)
+    assert (np.asarray(dirs) @ verdict.witness <= 0).all()
+
+
+def test_traced_radii_scale_free_in_R(chloroform_gen, two_qubit_controls):
+    # scaling R scales every field and leaves the STLC set alone; at R * 1e100
+    # and above the products once overflowed, and at R * 1e-60 the absolute
+    # rank floor once failed the origin
+    rays = fibonacci_sphere(20)
 
     def radii(scale):
         gen = AffineGenerator(n=2, Hmat=chloroform_gen.Hmat,
                               Rmat=scale * chloroform_gen.Rmat, r_eq=chloroform_gen.r_eq)
-        return stlc_boundary_rays(gen, two_qubit_controls, rays, tol=1e-2,
-                                  origin=np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return stlc_boundary_rays(gen, two_qubit_controls, rays, origin=np.zeros(3))
 
-    np.testing.assert_array_equal(radii(1e77), radii(1.0))
-    for scale in (1e100, 1e200):
-        with pytest.raises(ValidationError, match="overflows"):
-            radii(scale)
+    base = radii(1.0)
+    for scale in R_SCALES:
+        assert radii(scale).tobytes() == base.tobytes(), scale
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,19 @@ def test_kappa_rejects_zero_target():
         kappa_unitary_max(thermal_state(), CoherenceVector(n=2, r=np.zeros(15)))
 
 
+def test_kappa_is_scale_free_in_the_target():
+    # kappa is solved for sigma / 2^k and scaled back exactly: a target of
+    # 1e200 once overflowed its norm, one of 1e-200 was refused as zero
+    for scale in (1e-200, 1e200):
+        sigma = CoherenceVector(n=2, r=scale * pps_direction().r)
+        assert kappa_unitary_max(thermal_state(), sigma) == pytest.approx(
+            20.0 / 3.0 / scale, rel=1e-14)
+    for scale in (1.5e308, 5e-309):  # kappa = 5/(3 scale) leaves the normal range
+        sigma = CoherenceVector(n=2, r=np.where(pps_direction().r > 0, scale, 0.0))
+        with pytest.raises(ValidationError, match="normal float range"):
+            kappa_unitary_max(thermal_state(), sigma)
+
+
 def test_thermal_to_pps_bound_is_twenty_thirds():
     kappa = kappa_unitary_max(thermal_state(), pps_direction())
     assert abs(kappa - 20.0 / 3.0) < 1e-9
