@@ -155,7 +155,7 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
         Hermitian system-plus-control Hamiltonian (rad/s).
     dissipator : callable or None
         Action of the relaxation superoperator on a matrix.  Must
-        annihilate traces and preserve Hermiticity (spot-checked on basis
+        annihilate traces and preserve Hermiticity (checked on the basis
         operators).  ``None`` means no relaxation.
     n : int, optional
         Qubit count; inferred from the Hamiltonian when omitted.
@@ -169,7 +169,9 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
     Notes
     -----
     Matrix elements are Hmat_kj = Tr(-i B_k [H, B_j])/2^n,
-    Rmat_kj = -Tr(B_k D(B_j))/2^n and v_k = Tr(B_k D(I))/4^n.
+    Rmat_kj = -Tr(B_k D(B_j))/2^n and v_k = Tr(B_k D(I))/4^n.  Every check
+    compares with the size of the matrices it inspects, so a Hamiltonian or
+    dissipator in any unit passes or fails alike.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     if n is None:
@@ -178,12 +180,13 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
     dim = 2 ** n
     if hamiltonian.shape != (dim, dim):
         raise ValidationError(f"Hamiltonian must be {dim}x{dim}")
-    if not np.allclose(hamiltonian, hamiltonian.conj().T, atol=1e-10):
+    h_scale = np.abs(hamiltonian).max()
+    if np.abs(hamiltonian - hamiltonian.conj().T).max() > _SYM_TOL * h_scale:
         raise ValidationError("Hamiltonian is not Hermitian")
 
     comm = hamiltonian @ basis.matrices - basis.matrices @ hamiltonian
     Hfull = np.einsum("kab,jba->kj", basis.matrices, -1j * comm) / dim
-    if np.abs(Hfull.imag).max() > 1e-10:
+    if np.abs(Hfull.imag).max() > 1e-10 * h_scale:
         raise ValidationError("coherent part has imaginary matrix elements")
     Hmat = Hfull.real[1:, 1:]
 
@@ -194,12 +197,12 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
     else:
         images = np.empty_like(basis.matrices)
         for j in range(4 ** n):
-            img = np.asarray(dissipator(basis.matrices[j]), dtype=complex)
-            if abs(np.trace(img)) > 1e-9:
-                raise ValidationError("dissipator does not annihilate traces")
-            if not np.allclose(img, img.conj().T, atol=1e-9):
-                raise ValidationError("dissipator does not preserve Hermiticity")
-            images[j] = img
+            images[j] = dissipator(basis.matrices[j])
+        d_scale = np.abs(images).max()
+        if np.abs(np.trace(images, axis1=1, axis2=2)).max() > 1e-9 * d_scale:
+            raise ValidationError("dissipator does not annihilate traces")
+        if np.abs(images - images.conj().transpose(0, 2, 1)).max() > 1e-9 * d_scale:
+            raise ValidationError("dissipator does not preserve Hermiticity")
         Rfull = -np.einsum("kab,jba->kj", basis.matrices, images).real / dim
         Rmat = 0.5 * (Rfull[1:, 1:] + Rfull[1:, 1:].T)
         if np.abs(Rfull[1:, 1:] - Rmat).max() > 1e-9 * np.abs(Rmat).max():

@@ -35,7 +35,8 @@ not depend on which rays are traced together or how far ahead they look.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import (
     SingularCombination,
     ValidationError,
 )
-from .pauli import unitary_rep
+from .pauli import _readonly, unitary_rep
 
 #: Products inside this band count as "on the hyperplane".
 DEGENERACY_TOL = 1e-12
@@ -165,20 +166,98 @@ def _cone_verdicts(v):
     some valid plane (v_i x v_j, |v_i x v_j| above 1e-12 |v_i| |v_j|) has
     every product c_k = (v_i x v_j) . v_k on one side of the band
     +-DEGENERACY_TOL |v_i x v_j| |v_k|, and the first such plane in triu
-    order gives the witness.  Two sound prefilters keep the exact work
-    small: a plane with products beyond four times the widest band on both
-    sides cannot separate, and a set with some |c_k| above twice |V|_F^2
-    times the rank tolerance 1e-12 has rank 3 (by Cauchy-Binet, every 3x3
-    minor is at most s1^2 s3), so only the other sets take the SVD.
+    order gives the witness.
+
+    Three sound prefilters keep the exact work small.  First, a set is
+    full, with no plane swept, when a tetrahedron of its six axis-extreme
+    fields (the argmax and argmin of each coordinate) holds the origin at
+    depth at least delta = 1e-8 max|v_k|: its four signed volumes, the
+    barycentric weights by Cramer's rule, share a strict sign, and each
+    facet (a, b, c) lies at distance |det(a, b, c)| / |a x b + b x c + c x a|
+    >= delta, with that normal above 1e-6 (|a||b| + |b||c| + |c||a|) and
+    each vertex at least delta from the origin.  Then each volume exceeds
+    1e-14 |a||b||c|, ten times its rounding, so the computed signs are
+    exact and the computed depth is within 12% of the exact one.  The ball
+    of radius 0.88 delta lies in the hull of the set's fields, so for every
+    n, each computed plane normal included, max_k n . v_k >= 0.88 delta |n|
+    and min_k n . v_k <= -0.88 delta |n|: 2000 times the widest band, and
+    far beyond matmul rounding near 1e-15 |n| |v_k|.  Every valid plane
+    thus passes the next prefilter, and the smallest singular value, at
+    least 0.88 delta, is far above the rank tolerance, so the sweep would
+    answer "full" with a NaN witness too.  Second, a plane with products
+    beyond four times the widest band on both sides cannot separate, and
+    third, a set with some |c_k| above twice |V|_F^2 times the rank
+    tolerance 1e-12 has rank 3 (by Cauchy-Binet, every 3x3 minor is at
+    most s1^2 s3), so only the other sets take the SVD.
     """
     _, e = np.frexp(np.abs(v).max(axis=(1, 2)))
     v = np.ldexp(v, -e[:, None, None])  # exact: every |entry| now below 1
-    i, j = np.triu_indices(v.shape[1], k=1)  # each unordered plane once
+    w = v.transpose(2, 0, 1)
+    norms = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])  # (N, K)
+    full = np.ones(len(v), dtype=bool)
+    witness = np.full((len(v), 3), np.nan)
+    rest = np.flatnonzero(~_deep_tetrahedron(v, norms))
+    if rest.size:
+        full[rest], witness[rest] = _sweep(v[rest], norms[rest])
+    return full, witness
+
+
+#: Six fields span 15 tetrahedra (a, b, c, d), built from 20 vertex
+#: triples (x, y, z) and 15 pairs.  Per triple: its pairs (x, y), (y, z) and
+#: (x, z).  Per tetrahedron: its facets (b, c, d), (a, c, d), (a, b, d) and
+#: (a, b, c), whose volumes det(v_x, v_y, v_z) times _FACET_SIGNS are the
+#: barycentric weights of the origin up to one common factor.
+_PAIRS = list(combinations(range(6), 2))
+_TRIPLES = list(combinations(range(6), 3))
+_TETRAHEDRA = list(combinations(range(6), 4))
+_TRIPLE_PAIRS = np.array([[_PAIRS.index(q) for q in ((x, y), (y, z), (x, z))]
+                          for x, y, z in _TRIPLES])
+_FACETS = np.array([[_TRIPLES.index(t[:k] + t[k + 1:]) for k in range(4)]
+                    for t in _TETRAHEDRA])
+_FACET_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+_PAIRS, _TRIPLES, _TETRAHEDRA = (np.array(a) for a in (_PAIRS, _TRIPLES, _TETRAHEDRA))
+
+
+def _deep_tetrahedron(v, norms):
+    """Sets whose axis-extreme fields hold the origin deep inside a
+    tetrahedron (the first prefilter of ``_cone_verdicts``), from
+    power-of-two-scaled (N, K, 3) sets and their (N, K) field norms."""
+    ext = np.concatenate([v.argmax(axis=1), v.argmin(axis=1)], axis=1)  # (N, 6)
+    rows = np.arange(len(v))[:, None]
+    p, r = v[rows, ext].transpose(2, 0, 1), norms[rows, ext]
+    (a0, a1, a2), (b0, b1, b2) = p[:, :, _PAIRS[:, 0]], p[:, :, _PAIRS[:, 1]]
+    crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    x, y, z = _TRIPLES.T
+    xy, yz, xz = _TRIPLE_PAIRS.T
+    det = (crosses[:, :, xy] * p[:, :, z]).sum(axis=0)  # (N, 20)
+    n0, n1, n2 = crosses[:, :, xy] + crosses[:, :, yz] - crosses[:, :, xz]
+    normal_norms = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    depth = 1e-8 * norms.max(axis=1, keepdims=True)
+    facet_ok = ((normal_norms >= 1e-6 * (r[:, x] * r[:, y] + r[:, y] * r[:, z]
+                                         + r[:, z] * r[:, x]))
+                & (np.abs(det) >= depth * normal_norms))
+    weights = det[:, _FACETS] * _FACET_SIGNS  # (N, 15, 4)
+    deep = (((weights > 0).all(axis=2) | (weights < 0).all(axis=2))
+            & facet_ok[:, _FACETS].all(axis=2)
+            & (r >= depth)[:, _TETRAHEDRA].all(axis=2))
+    return deep.any(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _planes(k):
+    """Read-only index arrays (i, j), i < j, of the planes v_i x v_j."""
+    return tuple(_readonly(a) for a in np.triu_indices(k, k=1))
+
+
+def _sweep(v, norms):
+    """The plane sweep and rank fallback of ``_cone_verdicts`` on scaled
+    (N, K, 3) sets with their (N, K) field norms."""
+    i, j = _planes(v.shape[1])  # each unordered plane once
     w = v.transpose(2, 0, 1)
     (a0, a1, a2), (b0, b1, b2) = w[:, :, i], w[:, :, j]  # np.cross, term by term
-    crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-    cross_norms = np.linalg.norm(crosses, axis=1)  # (N, pairs)
-    norms = np.linalg.norm(v, axis=-1)
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    crosses = np.stack([c0, c1, c2], axis=1)
+    cross_norms = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)  # (N, pairs)
     prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
     top, bottom = prods.max(axis=1), prods.min(axis=1)
     band = 4 * DEGENERACY_TOL * np.maximum(

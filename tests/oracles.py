@@ -3,8 +3,9 @@
 Kept outside the library on purpose: the production propagator is the
 exact matrix-exponential solution, the unitary ray exit is a closed form,
 boundary rays are traced in lockstep and the sphere oracle runs its
-starts in lockstep, and these slower/brute-force routes exist to check
-them from a different direction.
+starts in lockstep, the cone test certifies deep sets before its plane
+sweep, and these slower/brute-force routes exist to check them from a
+different direction.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from reachset.over_approx import (
     ORACLE_STARTS,
     ORACLE_STEP_TOL,
 )
+from reachset.under_approx import DEGENERACY_TOL, _rank_witness
 
 
 def rk4_evolve(gen, r0, t, n_steps):
@@ -129,6 +131,55 @@ def boundary_rays_one_by_one(gen, controls, ray_dirs, tol, origin):
     max_radius = 3.0 * (scale + float(np.linalg.norm(gen.r_eq))) + 1.0
     return np.array([first_exit(A, b, origin, d, step, max_radius, tol)
                      for d in np.asarray(ray_dirs, dtype=float)])
+
+
+def cone_verdicts_sweep(v):
+    """The triple-product cone test with every set swept, on (N, K, 3) sets.
+
+    The library's ``_cone_verdicts`` before its tetrahedron certificate:
+    the power-of-two rescale, every plane's products, the two prefilters
+    and the rank fallback, kept as the reference that the certificate must
+    match bit for bit.
+    """
+    _, e = np.frexp(np.abs(v).max(axis=(1, 2)))
+    v = np.ldexp(v, -e[:, None, None])  # exact: every |entry| now below 1
+    i, j = np.triu_indices(v.shape[1], k=1)  # each unordered plane once
+    w = v.transpose(2, 0, 1)
+    (a0, a1, a2), (b0, b1, b2) = w[:, :, i], w[:, :, j]  # np.cross, term by term
+    crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+    cross_norms = np.linalg.norm(crosses, axis=1)  # (N, pairs)
+    norms = np.linalg.norm(v, axis=-1)
+    prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
+    top, bottom = prods.max(axis=1), prods.min(axis=1)
+    band = 4 * DEGENERACY_TOL * np.maximum(
+        cross_norms * norms.max(axis=-1, keepdims=True), 1e-300)
+    valid = cross_norms > 1e-12 * (norms[:, i] * norms[:, j])
+    rows, pairs = np.nonzero(valid & ~((top > band) & (bottom < -band)))
+    c = prods[rows, :, pairs]
+    scale = np.maximum(cross_norms[rows, pairs][:, None] * norms[rows], 1e-300)
+    below = (c <= DEGENERACY_TOL * scale).all(axis=1)
+    above = (c >= -DEGENERACY_TOL * scale).all(axis=1)
+    hit = below | above
+    rows, pairs, below = rows[hit], pairs[hit], below[hit]
+    _, first = np.unique(rows, return_index=True)  # rows ascend, pairs within rows
+    rows, pairs, below = rows[first], pairs[first], below[first]
+
+    full = np.ones(len(v), dtype=bool)
+    full[rows] = False
+    witness = np.full((len(v), 3), np.nan)
+    normal = crosses[rows, :, pairs] / cross_norms[rows, pairs][:, None]
+    witness[rows] = np.where(below[:, None], normal, -normal)
+
+    rank_tol = 1e-12
+    widest = np.maximum(top.max(axis=1, initial=0.0), -bottom.min(axis=1, initial=0.0))
+    frobenius_sq = (v * v).sum(axis=(1, 2))
+    unsure = np.flatnonzero(~(widest > 2.0 * frobenius_sq * rank_tol))
+    if unsure.size:
+        deficient = unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol) < 3]
+        full[deficient] = False
+        for r in deficient:
+            witness[r] = _rank_witness(v[r])
+    return full, witness
 
 
 def max_purity_multistart_serial(c, M, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):

@@ -122,6 +122,36 @@ def test_generator_checks_are_relative(scale):
     np.testing.assert_allclose(gen.r_eq, [0.5, 0.0, 0.0], rtol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e6, 1e8, 1e10, 1e100])
+def test_lindblad_checks_are_relative(scale):
+    # a random Hamiltonian and random Hermitian jump operators, whose
+    # rounding grows with their size: absolute tolerances once refused the
+    # dissipator at 1e6 (traces) and the coherent part from 1e8 on
+    # (imaginary elements), and accepted a non-Hermitian Hamiltonian at 1e-20
+    rng = np.random.default_rng(1)
+    M = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    H, *jumps = (M + M.conj().transpose(0, 2, 1)) / 2
+    diss = lindblad_dissipator(jumps)
+    base = lindblad_to_bloch(H, diss, unital=True)
+    gen = lindblad_to_bloch(scale * H, lindblad_dissipator([np.sqrt(scale) * L for L in jumps]),
+                            unital=True)
+    np.testing.assert_allclose(gen.Hmat, scale * base.Hmat, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(gen.Rmat, scale * base.Rmat, rtol=0, atol=1e-13 * scale)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        lindblad_to_bloch(scale * (H + 1e-3j * np.eye(4)), None, unital=True)
+
+    def leaky(X):  # adds a trace of 1e-3 Tr X times the scale
+        return scale * (diss(X) + 1e-3 * np.trace(X) * np.eye(4) / 4)
+
+    def skewed(X):  # adds a traceless anti-Hermitian part
+        return scale * (diss(X) + 1e-3j * (X - np.trace(X) * np.eye(4) / 4))
+
+    with pytest.raises(ValidationError, match="annihilate traces"):
+        lindblad_to_bloch(np.zeros((4, 4)), leaky, unital=True)
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        lindblad_to_bloch(np.zeros((4, 4)), skewed, unital=True)
+
+
 def test_dissipator_preserves_trace_on_random_states(rng):
     gamma = 0.3
     sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

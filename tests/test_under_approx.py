@@ -22,7 +22,7 @@ from reachset import (
 )
 from reachset import parallel, under_approx
 from reachset.diagonal import projected_field_stack, stacked_directions
-from oracles import boundary_rays_one_by_one, first_exit
+from oracles import boundary_rays_one_by_one, cone_verdicts_sweep, first_exit
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,118 @@ def test_traced_radii_scale_free_in_R(chloroform_gen, two_qubit_controls):
     base = radii(1.0)
     for scale in R_SCALES:
         assert radii(scale).tobytes() == base.tobytes(), scale
+
+
+# ---------------------------------------------------------------------------
+# the tetrahedron certificate: sets it answers skip the plane sweep, and every
+# verdict and witness stays that of the sweep alone
+
+
+def _assert_matches_the_sweep(sets):
+    sets = np.asarray(sets, dtype=float).reshape(-1, *np.shape(sets)[-2:])
+    got = stlc_test_3d(sets)
+    full, witness = cone_verdicts_sweep(sets)
+    assert got.is_full.tobytes() == full.tobytes()
+    assert got.witness.tobytes() == witness.tobytes()
+    return full
+
+
+def _count_certified(monkeypatch):
+    """Patch the certificate to append (sets answered, sets tested) per call."""
+    counts = []
+    certify = under_approx._deep_tetrahedron
+
+    def counting(v, norms):
+        deep = certify(v, norms)
+        counts.append((int(deep.sum()), deep.size))
+        return deep
+
+    monkeypatch.setattr(under_approx, "_deep_tetrahedron", counting)
+    return counts
+
+
+def _traced_fan(gen, controls, monkeypatch):
+    """Radii of a fibonacci_sphere(20) fan traced from the origin, and the
+    direction stacks of its cone tests in call order."""
+    stacks = []
+
+    def recording(directions):
+        stacks.append(np.array(directions))
+        return stlc_test_3d(directions)
+
+    with monkeypatch.context() as m:
+        m.setattr(under_approx, "stlc_test_3d", recording)
+        radii = stlc_boundary_rays(gen, controls, fibonacci_sphere(20), origin=np.zeros(3))
+    return radii, stacks
+
+
+def test_cone_test_matches_the_sweep_on_random_stacks(rng, monkeypatch):
+    counts = _count_certified(monkeypatch)
+    deep = rng.normal(size=(64, 24, 3))
+    # +-y, +-z and (-t, 0.6, 0.8) in or just across the plane x = 0, the
+    # rest beyond it: full at a depth near t once t leaves the band
+    shallow = rng.normal(size=(64, 24, 3))
+    shallow[..., 0] = np.abs(shallow[..., 0]) + 0.05
+    shallow[:, :5] = [[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [0, 0.6, 0.8]]
+    shallow[:, 4, 0] = -np.logspace(-14, -3, 64)
+    half = rng.normal(size=(32, 24, 3))
+    half[..., 1] = np.abs(half[..., 1])  # not full: y = 0 separates
+    planar = rng.normal(size=(8, 24, 3))
+    planar[..., 2] = 0.0
+    line = rng.normal(size=(8, 24, 1)) * rng.normal(size=(8, 1, 3))
+    # +-x, +-y, fields above the xy plane and one within a few bands of it
+    band = np.repeat(np.vstack([np.eye(3)[:2], -np.eye(3)[:2],
+                                np.column_stack([rng.uniform(-1, 1, (19, 2)),
+                                                 rng.uniform(0.1, 1, 19)]),
+                                [[0.5, 0.5, 0.0]]])[None], 17, axis=0)
+    band[:, -1, 2] = np.linspace(-8, 8, 17) * 1e-12 * np.sqrt(0.5)
+    sets = np.concatenate([deep, shallow, half, planar, np.zeros((2, 24, 3)), line, band])
+    full = _assert_matches_the_sweep(sets)
+    assert full[64:128].any() and not full[64:128].all()
+    for few in (1, 3, 5):  # fewer than six fields: the extremes repeat
+        _assert_matches_the_sweep(rng.normal(size=(16, few, 3)))
+    answered = sum(a for a, _ in counts)
+    assert 0 < answered < full.sum()
+
+
+def test_cone_test_matches_the_sweep_on_traced_stacks(chloroform_gen, two_qubit_controls,
+                                                      monkeypatch):
+    _, stacks = _traced_fan(chloroform_gen, two_qubit_controls, monkeypatch)
+    for directions in stacks:
+        _assert_matches_the_sweep(directions)
+
+
+def test_certificate_answers_most_traced_sets(chloroform_gen, two_qubit_controls,
+                                              monkeypatch):
+    with monkeypatch.context() as m:
+        counts = _count_certified(m)
+        radii, stacks = _traced_fan(chloroform_gen, two_qubit_controls, m)
+    answered, tested = np.sum(counts, axis=0)
+    assert tested == sum(len(s) if s.ndim == 3 else 1 for s in stacks)
+    assert answered > tested / 2
+    # the saving is inside each call: the sweep alone makes the same calls
+    with monkeypatch.context() as m:
+        m.setattr(under_approx, "_cone_verdicts", cone_verdicts_sweep)
+        swept_radii, swept_stacks = _traced_fan(chloroform_gen, two_qubit_controls, m)
+    assert len(stacks) == len(swept_stacks)
+    assert radii.tobytes() == swept_radii.tobytes()
+
+
+def test_certificate_leaves_a_tetrahedron_inside_the_band_to_the_sweep():
+    # the axis-extreme tetrahedron (e3, -e1, -e2, low) holds the origin, but
+    # only about 1e-13 deep: the xy plane separates within the band, so the
+    # test answers "not full", and the certificate, which needs a depth of
+    # 1e-8 max|v_k|, must not answer it
+    low = np.array([0.5, 0.5, -1e-13])
+    dirs = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], [[0.0, 0.0, 1.0]], low])
+    facet = dirs[[2, 3, 5]]
+    normal = np.cross(facet[1] - facet[0], facet[2] - facet[0])
+    depth = abs(np.linalg.det(facet)) / np.linalg.norm(normal)
+    assert 1e-14 < depth < 1e-12
+    verdict = stlc_test_3d(dirs)
+    assert not verdict.is_full
+    np.testing.assert_array_equal(verdict.witness, [-0.0, -0.0, -1.0])
+    _assert_matches_the_sweep(dirs)
 
 
 # ---------------------------------------------------------------------------
