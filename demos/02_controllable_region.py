@@ -16,7 +16,6 @@ from reachset import (
     build_permutation_set,
     diag_slots,
     fibonacci_sphere,
-    hypersurface_point,
     stlc_boundary_rays,
     stlc_test_3d,
     stlc_test_lp,
@@ -41,12 +40,10 @@ print("  (it is the steady state of doing nothing, i.e. a stalling point;"
       " points just inside pass:",
       stlc_test_3d(stacked_directions(A, b, 0.999 * x_eq)).is_full, ")")
 
-# every constant-control steady state is such a stalling point; they are
-# the vertices of the boundary hypersurface family
+# every constant-control steady state is such a stalling point
 print("\nconstant-control steady states (all on one sphere):")
 for k in (0, 5, 17):
-    x = hypersurface_point(gen, controls, [k, (k + 1) % 24, (k + 2) % 24],
-                           [1.0, 0.0, 0.0])
+    x = np.linalg.solve(A[k], b[k])  # where control k's field -A x + b vanishes
     print(f"  control {k:2d}: {np.round(x, 4)}  |x| = {np.linalg.norm(x):.4f}")
 
 # trace the boundary along a small ray fan from the origin

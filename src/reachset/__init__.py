@@ -29,16 +29,12 @@ _EXPORTS = {
         "BLOCKS", "CHLOROFORM", "RateSet", "TrajectorySample", "assemble_generator",
         "fit_rates", "simulate_block", "synthesize_trajectories",
     ),
-    "diagonal": (
-        "DiagonalVector", "diag_labels", "diag_slots", "embed", "project",
-    ),
-    "dynamics": (
-        "AffineGenerator", "evolve", "lindblad_to_bloch", "purity", "purity_rate",
-    ),
+    "diagonal": ("DiagonalVector", "diag_labels", "diag_slots"),
+    "dynamics": ("AffineGenerator", "lindblad_to_bloch", "purity", "purity_rate"),
     "errors": (
         "CertificationFailed", "ContractivityViolation", "FixedPointUndefined",
         "NoUniqueFixedPoint", "OriginNotControllable", "RankDeficient", "ReachsetError",
-        "ResidualTooLarge", "SingularCombination", "ValidationError",
+        "ResidualTooLarge", "ValidationError",
     ),
     "over_approx": (
         "PurityBound", "ellipsoid_axis_intersections", "max_purity_multistart",
@@ -58,11 +54,10 @@ _EXPORTS = {
     ),
     "under_approx": (
         "ConeVerdict", "PermutationControlSet", "build_permutation_set",
-        "fibonacci_sphere", "hypersurface_point", "stlc_boundary_rays", "stlc_test_3d",
-        "stlc_test_lp",
+        "fibonacci_sphere", "stlc_boundary_rays", "stlc_test_3d", "stlc_test_lp",
     ),
     "unitary_bound": (
-        "diagonal_vertex_coords", "kappa_channel", "kappa_unitary", "kappa_unitary_max",
+        "diagonal_vertex_coords", "kappa_channel", "kappa_unitary_max",
         "polytope_ray_exit", "polytope_vertices",
     ),
 }

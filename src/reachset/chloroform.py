@@ -316,13 +316,15 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     RankDeficient
         If the data carry fewer residuals than free parameters.
     ValidationError
-        If n_starts < 1, or the rates at a start overflow on the data's
-        time span.
+        If n_starts < 1, the seed is not a non-negative integer, or the
+        rates at a start overflow on the data's time span.
     """
     if block not in BLOCKS:
         raise ValidationError(f"unknown block {block!r}")
     if n_starts < 1:
         raise ValidationError(f"a fit needs n_starts >= 1, got {n_starts}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if init_guess is None:
         init_guess = CHLOROFORM
     labels = BLOCKS[block]

@@ -47,9 +47,6 @@ from .errors import ReachsetError, ValidationError
 from .over_approx import ellipsoid_axis_intersections, max_purity_on_ellipsoid
 from .pauli import CoherenceVector, build_basis
 from .sequences import (
-    _fixed_point_of_map,
-    _one_period_map_of_one,
-    _simulate_map,
     bell_direction,
     bell_sequence,
     fixed_point,
@@ -240,9 +237,8 @@ def cmd_simulate(args, gen):
         seq = bell_sequence(args.tau, repeat=args.m)
         target = bell_direction()
     start = CoherenceVector(n=gen.n, r=gen.r_eq)
-    M, c = _one_period_map_of_one(gen, seq)  # composed once for both
-    result = _simulate_map(M, c, seq, start, args.record_every, target)
-    report = _fixed_point_of_map(gen, M, c, target, 1.0)
+    result = simulate_sequence(gen, seq, start, args.record_every, target)
+    report = fixed_point(gen, seq, target, kappa_tol=1.0)
     names = build_basis(gen.n).labels[1:]  # the column order of states
     labels = sorted(names)
     cols = [names.index(lab) for lab in labels]

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import CoherenceVector, build_basis, _readonly
+from .pauli import build_basis, _readonly
 
 
 @lru_cache(maxsize=None)
@@ -63,18 +63,6 @@ class DiagonalVector:
                 f"{2 ** self.n - 1}, got shape {x.shape}"
             )
         object.__setattr__(self, "x", _readonly(x.copy()))
-
-
-def embed(dv):
-    """Place diagonal coordinates into a full coherence vector (zeros elsewhere)."""
-    r = np.zeros(4 ** dv.n - 1)
-    r[list(diag_slots(dv.n))] = dv.x
-    return CoherenceVector(n=dv.n, r=r)
-
-
-def project(v):
-    """Restrict a coherence vector to its diagonal coordinates."""
-    return DiagonalVector(n=v.n, x=v.r[list(diag_slots(v.n))])
 
 
 def projected_field_stack(gen, reps):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ContractivityViolation, FixedPointUndefined, ValidationError
 from .errors import json_fields
-from .pauli import CoherenceVector, build_basis, _readonly
+from .pauli import build_basis, _readonly
 
 #: Largest asymmetry of Hmat and Rmat, relative to their largest entry.
 _SYM_TOL = 1e-10
@@ -264,26 +264,6 @@ def affine_trajectory(A, x_fix, x0, times):
     for i, t in enumerate(times):
         out[i] = expm(A * t) @ (x0 - x_fix) + x_fix
     return out
-
-
-def evolve(gen, r0, t):
-    """Propagate a state exactly for time t under the free dynamics.
-
-    Parameters
-    ----------
-    gen : AffineGenerator
-    r0 : CoherenceVector
-    t : float
-        Seconds, t >= 0.
-
-    Returns
-    -------
-    CoherenceVector
-    """
-    if r0.n != gen.n:
-        raise ValidationError("state and generator qubit counts differ")
-    E, c = relax_propagator(gen, t)
-    return CoherenceVector(n=gen.n, r=E @ r0.r + c)
 
 
 def purity(v):

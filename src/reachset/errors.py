@@ -21,10 +21,6 @@ class FixedPointUndefined(ReachsetError):
     """The free dynamics has no unique fixed point (singular drift matrix)."""
 
 
-class SingularCombination(ReachsetError):
-    """A simplex-weighted combination of control generators is singular."""
-
-
 class OriginNotControllable(ReachsetError):
     """The base point of a boundary ray scan is not locally controllable."""
 

@@ -262,12 +262,7 @@ def fixed_point(gen, seq, target=None, kappa_tol=0.12):
     ValidationError
         If a gate of `seq` is a stack of variants (see robustness_sweep).
     """
-    return _fixed_point_of_map(gen, *_one_period_map_of_one(gen, seq), target, kappa_tol)
-
-
-def _fixed_point_of_map(gen, M, c, target, kappa_tol):
-    """fixed_point of the composed one-period map x -> M x + c."""
-    x, sr, cond, ok = _attracting_fixed_point(M, c)
+    x, sr, cond, ok = _attracting_fixed_point(*_one_period_map_of_one(gen, seq))
     if not ok:
         raise NoUniqueFixedPoint(
             "one-period map has no attracting fixed point "
@@ -326,13 +321,9 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
         Recorded periods at times m * period_duration (m * 1 for a period
         without relaxation).
     """
-    return _simulate_map(*_one_period_map_of_one(gen, seq), seq, start, record_every, target)
-
-
-def _simulate_map(M, c, seq, start, record_every, target):
-    """simulate_sequence with the one-period map x -> M x + c of `seq` given."""
     if record_every < 1:
         raise ValidationError("record_every must be >= 1")
+    M, c = _one_period_map_of_one(gen, seq)
     x = start.r.copy()
     dt = seq.period_duration if seq.period_duration > 0 else 1.0
     times, rows = [], []

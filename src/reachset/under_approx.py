@@ -41,11 +41,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .diagonal import diag_slots, projected_field_stack, stacked_directions
-from .errors import (
-    OriginNotControllable,
-    SingularCombination,
-    ValidationError,
-)
+from .errors import OriginNotControllable, ValidationError
 from .pauli import _readonly, unitary_rep
 
 #: Products inside this band count as "on the hyperplane".
@@ -326,13 +322,23 @@ def stlc_test_lp(directions):
 
     The cone equals the full space iff each of the 2m targets +-e_i admits
     a nonnegative conical combination; otherwise a Farkas dual provides a
-    separating witness.
+    separating witness.  The set is first scaled by the power of two that
+    brings its largest |entry| into [1/2, 1), as in ``_cone_verdicts``, so
+    a set and an exact 2^k multiple of it get the same verdict.
+
+    Raises
+    ------
+    ValidationError
+        If the directions are not a finite (K, m) array with K >= 1.
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValidationError("directions must be a (K, m) array")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("directions must be finite")
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])  # exact: every |entry| now below 1
     m = v.shape[1]
-    if np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, np.abs(v).max())) < m:
+    if np.linalg.matrix_rank(v, tol=1e-12) < m:
         return ConeVerdict(is_full=False, witness=_rank_witness(v))
     for axis in range(m):
         for sign in (1.0, -1.0):
@@ -341,39 +347,6 @@ def stlc_test_lp(directions):
             if not _conical_feasible(v, target):
                 return ConeVerdict(is_full=False, witness=_lp_witness(v, target))
     return ConeVerdict(is_full=True)
-
-
-def hypersurface_point(gen, controls, sigma, mu):
-    """Stationary point of a simplex combination of control generators.
-
-    For a subset sigma of 2^n - 1 control indices and simplex weights mu,
-    returns
-
-        x = (sum_k mu_k A_k)^{-1} (sum_k mu_k b_k),
-
-    with A_k, b_k the projected field coefficients of control k.  A vertex
-    weight recovers the steady state of a constant control.
-
-    Returns
-    -------
-    ndarray, shape (2^n - 1,)
-    """
-    sigma = list(sigma)
-    mu = np.asarray(mu, dtype=float)
-    m = 2 ** gen.n - 1
-    if len(sigma) != m:
-        raise ValidationError(f"subset must have {m} elements for n={gen.n}")
-    if mu.shape != (len(sigma),) or np.any(mu < -1e-12) or abs(mu.sum() - 1) > 1e-9:
-        raise ValidationError("weights must be nonnegative and sum to one")
-    A, b = projected_field_stack(gen, controls.reps_full[sigma])
-    Aw = np.tensordot(mu, A, axes=1)
-    bw = mu @ b
-    if np.linalg.cond(Aw) > 1e12:
-        raise SingularCombination("weighted field matrix is singular")
-    try:
-        return np.linalg.solve(Aw, bw)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCombination("weighted field matrix is singular") from exc
 
 
 def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):

@@ -68,15 +68,6 @@ def kappa_unitary_max(rho, sigma):
     return kappa
 
 
-def kappa_unitary(rho, sigma, unitary_rep_matrix):
-    """Transfer efficiency of one concrete unitary (given its vector rep)."""
-    s_norm_sq = 2 ** sigma.n * float(sigma.r @ sigma.r)
-    if s_norm_sq <= 0.0:
-        raise ValidationError("target direction must be nonzero")
-    moved = unitary_rep_matrix @ rho.r
-    return 2 ** sigma.n * float(moved @ sigma.r) / s_norm_sq
-
-
 def kappa_channel(output, sigma, tol=1e-6):
     """Projection coefficient of a channel output onto a target direction.
 

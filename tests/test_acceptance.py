@@ -31,10 +31,8 @@ from reachset import (
     build_basis,
     diag_slots,
     diagonal_vertex_coords,
-    evolve,
     fit_rates,
     fixed_point,
-    kappa_unitary,
     kappa_unitary_max,
     noe_steady_state,
     polytope_ray_exit,
@@ -53,6 +51,7 @@ from reachset import (
 from reachset.chloroform import BLOCKS, CHLOROFORM, synthesize_trajectories
 from reachset.cli import main as cli_main
 from reachset.diagonal import projected_field_stack, stacked_directions
+from reachset.dynamics import relax_propagator
 from reachset.sequences import (
     PeriodicSequence,
     RelaxStep,
@@ -204,8 +203,9 @@ def test_criterion_03_unitary_bound(chloroform_gen, rng):
     exact = Fraction(20, 3)
     worst = -np.inf
     for _ in range(1000):
-        rep = unitary_rep(haar_unitary(rng, 4))
-        worst = max(worst, kappa_unitary(source, target, rep))
+        # kappa of one unitary: Tr(U rho U+ sigma) / Tr(sigma^2)
+        moved = unitary_rep(haar_unitary(rng, 4)) @ source.r
+        worst = max(worst, float(moved @ target.r) / float(target.r @ target.r))
     ok = abs(kappa - float(exact)) < 1e-9 and worst <= kappa + 1e-9
     _report(3, "unitary transfer bound", ok,
             f"kappa={kappa:.12f} (=20/3 to 1e-9), "
@@ -450,24 +450,25 @@ def test_criterion_10_dynamics_oracles(chloroform_gen, rng):
     r0 = CoherenceVector(n=2, r=rng.normal(size=15) * 0.3)
     worst = 0.0
     for t in (0.5, 2.0, 10.0):
-        exact = evolve(chloroform_gen, r0, t)
+        E, c = relax_propagator(chloroform_gen, t)
         rk = rk4_evolve(chloroform_gen, r0, t, int(2e5 * max(t, 1.0)))
-        worst = max(worst, float(np.abs(exact.r - rk.r).max()))
+        worst = max(worst, float(np.abs(E @ r0.r + c - rk.r).max()))
     ok_rk = worst <= 1e-8
 
     # purity rate vs first-order finite differences
     rate = purity_rate(chloroform_gen, r0)
     errs = {}
     for h in (1e-4, 1e-5):
-        fd = (purity(evolve(chloroform_gen, r0, h)) - purity(r0)) / h
+        E, c = relax_propagator(chloroform_gen, h)
+        fd = (purity(CoherenceVector(n=2, r=E @ r0.r + c)) - purity(r0)) / h
         errs[h] = abs(rate - fd)
     c_est = errs[1e-4] / 1e-4
     ok_fd = errs[1e-5] <= 1.2 * c_est * 1e-5
 
     # free relaxation settles at the equilibrium (slowest eigenvalue
     # ~0.044 1/s, so the 1e-9 residual needs ~510 s; checked at 600 s)
-    final = evolve(chloroform_gen, CoherenceVector(n=2, r=np.zeros(15)), 600.0)
-    resid = float(np.linalg.norm(final.r - chloroform_gen.r_eq))
+    _, final = relax_propagator(chloroform_gen, 600.0)  # E @ 0 + c, from r0 = 0
+    resid = float(np.linalg.norm(final - chloroform_gen.r_eq))
     ok_eq = resid < 1e-9
 
     _report(10, "dynamics oracles", ok_rk and ok_fd and ok_eq,

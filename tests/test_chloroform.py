@@ -4,13 +4,11 @@ import pytest
 from reachset import (
     BLOCKS,
     CHLOROFORM,
-    CoherenceVector,
     RankDeficient,
     RateSet,
     ValidationError,
     assemble_generator,
     build_basis,
-    evolve,
     fit_rates,
     lindblad_to_bloch,
     simulate_block,
@@ -21,6 +19,7 @@ from reachset.chloroform import (
     TrajectorySample,
     block_matrices,
 )
+from reachset.dynamics import relax_propagator
 
 
 def test_default_rates_are_the_fits():
@@ -103,9 +102,8 @@ def test_coherence_block_positive():
 def test_free_evolution_settles_at_equilibrium(chloroform_gen):
     # slowest population eigenvalue is ~0.044 1/s, so the 1e-9 residual
     # needs t >= ~510 s; 600 s gives margin
-    start = CoherenceVector(n=2, r=np.zeros(15))
-    final = evolve(chloroform_gen, start, 600.0)
-    assert np.linalg.norm(final.r - chloroform_gen.r_eq) < 1e-9
+    _, final = relax_propagator(chloroform_gen, 600.0)  # E @ 0 + c, from r0 = 0
+    assert np.linalg.norm(final - chloroform_gen.r_eq) < 1e-9
 
 
 def test_assembly_guards():
@@ -228,6 +226,9 @@ def test_fit_needs_a_start():
     for n_starts in (0, -3):
         with pytest.raises(ValidationError, match="n_starts >= 1"):
             fit_rates(trajs, "population", n_starts=n_starts)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            fit_rates(trajs, "population", seed=seed)
 
 
 def test_rates_json_round_trip():

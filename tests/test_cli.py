@@ -127,19 +127,6 @@ def test_simulate_command(tmp_path):
     assert meta["fixed_point_eta"] == pytest.approx(7.905, abs=0.01)
 
 
-def test_simulate_composes_the_period_map_once(tmp_path, monkeypatch):
-    # one relaxation step per period: one propagator for the trajectory
-    # and the fixed point together
-    import scipy.linalg
-
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
-    assert run("simulate", "--preset", "chloroform", "--seq", "pps", "--tau", "1.5",
-               "--m", "3", "--out", str(tmp_path / "traj.csv")) == 0
-    assert len(calls) == 1
-
-
 def test_stlc_command(tmp_path):
     out = tmp_path / "stlc.csv"
     assert run("stlc", "--preset", "chloroform", "--rays", "fibonacci:8",
@@ -301,6 +288,10 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
         assert not out.exists()
     # a fit from no start at all
     assert run("fit", "--block", "population", "--traj", str(good), "--starts", "0",
+               "--out", str(rates)) == 2
+    assert not rates.exists()
+    # a negative seed, which numpy's generator refuses with a raw ValueError
+    assert run("fit", "--block", "population", "--traj", str(good), "--seed", "-1",
                "--out", str(rates)) == 2
     assert not rates.exists()
 

@@ -3,14 +3,10 @@ import pytest
 
 from reachset import (
     AffineGenerator,
-    CoherenceVector,
-    DiagonalVector,
     ValidationError,
     build_basis,
     diag_labels,
     diag_slots,
-    embed,
-    project,
     unitary_rep,
 )
 from reachset.diagonal import projected_field_stack, stacked_directions
@@ -29,17 +25,10 @@ def test_diag_slots_orders():
     assert labels3[:3] == ("ZII", "IZI", "IIZ")
 
 
-def test_embed_project_round_trip(rng):
-    x = DiagonalVector(n=2, x=rng.normal(size=3))
-    v = embed(x)
-    assert np.count_nonzero(v.r) == 3
-    np.testing.assert_array_equal(project(v).x, x.x)
-
-
 def test_free_field_vanishes_at_equilibrium(chloroform_gen):
-    x_eq = project(CoherenceVector(n=2, r=chloroform_gen.r_eq))
+    x_eq = chloroform_gen.r_eq[list(diag_slots(2))]
     A, b = projected_field_stack(chloroform_gen, [unitary_rep(np.eye(4))])
-    np.testing.assert_allclose(stacked_directions(A, b, x_eq.x), 0.0, atol=1e-12)
+    np.testing.assert_allclose(stacked_directions(A, b, x_eq), 0.0, atol=1e-12)
 
 
 def test_far_states_flow_inward(chloroform_gen, two_qubit_controls, rng):
@@ -62,7 +51,9 @@ def test_projected_field_matches_full_space_restriction(
         rep_full = two_qubit_controls.reps_full[k]
         x = rng.normal(size=3)
         # full-space oracle: rotate the embedded state, evolve, pull back
-        r_full = rep_full @ embed(DiagonalVector(n=2, x=x)).r
+        embedded = np.zeros(15)
+        embedded[slots] = x
+        r_full = rep_full @ embedded
         rdot = chloroform_gen.drift @ r_full + chloroform_gen.v
         oracle = (rep_full.T @ rdot)[slots]
         np.testing.assert_allclose(
@@ -85,7 +76,7 @@ def test_coherent_part_does_not_contribute(chloroform_gen, two_qubit_controls, r
 
 
 def test_stacked_directions_order_and_duplicates(chloroform_gen, two_qubit_controls):
-    x_eq = project(CoherenceVector(n=2, r=chloroform_gen.r_eq)).x
+    x_eq = chloroform_gen.r_eq[list(diag_slots(2))]
     controls = two_qubit_controls.reps_full
     dirs = stacked_directions(*projected_field_stack(chloroform_gen, controls), x_eq)
     assert dirs.shape == (24, 3)

@@ -7,12 +7,11 @@ from reachset import (
     ContractivityViolation,
     ValidationError,
     build_basis,
-    evolve,
     lindblad_to_bloch,
     purity,
     purity_rate,
 )
-from reachset.dynamics import affine_trajectory
+from reachset.dynamics import affine_trajectory, relax_propagator
 
 from conftest import random_density_matrix
 from oracles import lindblad_dissipator, rk4_evolve, superoperator_matrix
@@ -162,25 +161,25 @@ def test_dissipator_preserves_trace_on_random_states(rng):
 
 
 def test_evolve_fixed_point_and_t0(chloroform_gen):
-    r_eq = CoherenceVector(n=2, r=chloroform_gen.r_eq)
-    out = evolve(chloroform_gen, r_eq, 3.7)
-    np.testing.assert_allclose(out.r, r_eq.r, atol=1e-12)
-    r0 = CoherenceVector(n=2, r=np.linspace(-0.2, 0.2, 15))
-    np.testing.assert_allclose(evolve(chloroform_gen, r0, 0.0).r, r0.r, atol=1e-14)
+    r_eq = chloroform_gen.r_eq
+    E, c = relax_propagator(chloroform_gen, 3.7)
+    np.testing.assert_allclose(E @ r_eq + c, r_eq, atol=1e-12)
+    r0 = np.linspace(-0.2, 0.2, 15)
+    E, c = relax_propagator(chloroform_gen, 0.0)
+    np.testing.assert_allclose(E @ r0 + c, r0, atol=1e-14)
 
 
 def test_evolve_composes(chloroform_gen, rng):
-    r0 = CoherenceVector(n=2, r=rng.normal(size=15) * 0.1)
-    two_steps = evolve(chloroform_gen, evolve(chloroform_gen, r0, 0.8), 0.6)
-    direct = evolve(chloroform_gen, r0, 1.4)
-    np.testing.assert_allclose(two_steps.r, direct.r, atol=1e-9)
+    r0 = rng.normal(size=15) * 0.1
+    (E1, c1), (E2, c2), (E, c) = (relax_propagator(chloroform_gen, t) for t in (0.8, 0.6, 1.4))
+    np.testing.assert_allclose(E2 @ (E1 @ r0 + c1) + c2, E @ r0 + c, atol=1e-9)
 
 
 def test_evolve_matches_rk4(chloroform_gen, rng):
-    r0 = CoherenceVector(n=2, r=rng.normal(size=15) * 0.3)
-    exact = evolve(chloroform_gen, r0, 1.0)
+    r0 = rng.normal(size=15) * 0.3
+    E, c = relax_propagator(chloroform_gen, 1.0)
     rk = rk4_evolve(chloroform_gen, r0, 1.0, 200_000)
-    np.testing.assert_allclose(exact.r, rk.r, atol=1e-8)
+    np.testing.assert_allclose(E @ r0 + c, rk.r, atol=1e-8)
 
 
 def test_affine_trajectory_matches_expm_per_time(rng):
@@ -202,11 +201,11 @@ def test_affine_trajectory_matches_expm_per_time(rng):
 
 
 def test_free_relaxation_contracts_monotonically(chloroform_gen):
-    r0 = CoherenceVector(n=2, r=np.zeros(15))
     r_eq = chloroform_gen.r_eq
     dists = []
     for t in np.linspace(0.0, 40.0, 20):
-        dists.append(np.linalg.norm(evolve(chloroform_gen, r0, t).r - r_eq))
+        _, c = relax_propagator(chloroform_gen, t)  # from r0 = 0, E @ r0 + c is c
+        dists.append(np.linalg.norm(c - r_eq))
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
@@ -236,7 +235,8 @@ def test_purity_rate_matches_finite_differences(chloroform_gen, rng):
     rate = purity_rate(chloroform_gen, r0)
     errs = {}
     for h in (1e-4, 1e-5):
-        fd = (purity(evolve(chloroform_gen, r0, h)) - purity(r0)) / h
+        E, c = relax_propagator(chloroform_gen, h)
+        fd = (purity(CoherenceVector(n=2, r=E @ r0.r + c)) - purity(r0)) / h
         errs[h] = abs(rate - fd)
     # first-order convergence: one constant C bounds err <= C h at both h
     c_est = errs[1e-4] / 1e-4

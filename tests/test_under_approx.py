@@ -9,12 +9,10 @@ from reachset import (
     AffineGenerator,
     CoherenceVector,
     OriginNotControllable,
-    SingularCombination,
     ValidationError,
     build_permutation_set,
     diag_slots,
     fibonacci_sphere,
-    hypersurface_point,
     stlc_boundary_rays,
     stlc_test_3d,
     stlc_test_lp,
@@ -140,6 +138,30 @@ def test_triple_product_agrees_with_lp(rng):
     for _ in range(60):
         dirs = rng.normal(size=(24, 3))
         assert stlc_test_3d(dirs).is_full == stlc_test_lp(dirs).is_full
+
+
+#: Scales of the LP cone test's inputs, by test id.
+LP_SCALES = {"2^-1000": 2.0 ** -1000, "1e-20": 1e-20, "2^-70": 2.0 ** -70, "1/2": 0.5,
+             "1": 1.0, "2^70": 2.0 ** 70, "1e20": 1e20, "2^1000": 2.0 ** 1000, "1e300": 1e300}
+
+
+@pytest.mark.parametrize("scale", LP_SCALES.values(), ids=LP_SCALES.keys())
+def test_lp_verdict_is_scale_free(scale):
+    # the six +-unit axes fill R^3 at any scale; an absolute rank floor once
+    # called them rank deficient at 1e-20 and the LP refused them at 1e20
+    axes = np.vstack([np.eye(3), -np.eye(3)]) * scale
+    assert stlc_test_lp(axes).is_full
+    assert stlc_test_3d(axes).is_full
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lp_rejects_non_finite_directions(bad):
+    # an infinite entry once hung the rank test's SVD, and a NaN raised
+    # a raw LinAlgError
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    axes[0, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        stlc_test_lp(axes)
 
 
 def test_chloroform_equilibrium_agreement(chloroform_gen, two_qubit_controls):
@@ -451,61 +473,24 @@ def test_traced_radii_invariant_under_signed_permutations(
 
 
 # ---------------------------------------------------------------------------
-# hypersurfaces
+# constant-control steady states
 
 
 def test_vertex_on_identity_is_equilibrium(chloroform_gen, two_qubit_controls):
     identity_idx = two_qubit_controls.perms.index(tuple(range(4)))
-    sigma = [identity_idx, 3, 7]
-    mu = [1.0, 0.0, 0.0]
-    x = hypersurface_point(chloroform_gen, two_qubit_controls, sigma, mu)
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
+    x = np.linalg.solve(A[identity_idx], b[identity_idx])
     np.testing.assert_allclose(x, [1.0, 4.0, 0.0], atol=1e-10)
-
-
-def test_centroid_matches_direct_solve(chloroform_gen, two_qubit_controls):
-    sigma = [2, 9, 17]
-    mu = np.ones(3) / 3
-    x = hypersurface_point(chloroform_gen, two_qubit_controls, sigma, mu)
-    A, b = projected_field_stack(
-        chloroform_gen, two_qubit_controls.reps_full[sigma]
-    )
-    Aw = np.tensordot(mu, A, axes=1)
-    bw = mu @ b
-    np.testing.assert_allclose(x, np.linalg.solve(Aw, bw), atol=1e-12)
 
 
 def test_vertex_points_stay_inside_sphere(
     chloroform_gen, two_qubit_controls, chloroform_bound
 ):
     limit = chloroform_bound.radius_sq * (1 + 1e-6)
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
     for k in range(24):
-        x = hypersurface_point(
-            chloroform_gen, two_qubit_controls, [k, (k + 1) % 24, (k + 2) % 24],
-            [1.0, 0.0, 0.0],
-        )
+        x = np.linalg.solve(A[k], b[k])
         assert float(x @ x) <= limit
-
-
-def test_singular_combination_detected():
-    gen = AffineGenerator(
-        n=1,
-        Hmat=np.zeros((3, 3)),
-        Rmat=np.zeros((3, 3)),
-        r_eq=np.zeros(3),
-        unital=True,
-    )
-    controls = build_permutation_set(1)
-    with pytest.raises(SingularCombination):
-        hypersurface_point(gen, controls, [0], [1.0])
-
-
-def test_hypersurface_weight_validation(chloroform_gen, two_qubit_controls):
-    with pytest.raises(ValidationError):
-        hypersurface_point(chloroform_gen, two_qubit_controls, [0, 1], [0.5, 0.5])
-    with pytest.raises(ValidationError):
-        hypersurface_point(
-            chloroform_gen, two_qubit_controls, [0, 1, 2], [0.5, 0.6, 0.5]
-        )
 
 
 # ---------------------------------------------------------------------------

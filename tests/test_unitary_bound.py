@@ -10,9 +10,7 @@ from reachset import (
     build_basis,
     diag_slots,
     diagonal_vertex_coords,
-    embed,
     kappa_channel,
-    kappa_unitary,
     kappa_unitary_max,
     polytope_ray_exit,
     polytope_vertices,
@@ -91,8 +89,9 @@ def test_sampled_unitaries_never_exceed_bound(rng):
     bound = kappa_unitary_max(rho, sig)
     worst = -np.inf
     for _ in range(200):
-        rep = unitary_rep(haar_unitary(rng, 4))
-        worst = max(worst, kappa_unitary(rho, sig, rep))
+        # kappa of one unitary: Tr(U rho U+ sigma) / Tr(sigma^2)
+        moved = unitary_rep(haar_unitary(rng, 4)) @ rho.r
+        worst = max(worst, float(moved @ sig.r) / float(sig.r @ sig.r))
     assert worst <= bound + 1e-9
 
 
@@ -112,14 +111,15 @@ def test_kappa_channel_rejects_unwanted_components():
 
 
 def test_kappa_channel_on_saturation_steady_state(chloroform_gen):
-    from reachset import DiagonalVector, noe_steady_state
+    from reachset import noe_steady_state
 
     x = noe_steady_state(chloroform_gen, "C")
     basis = build_basis(2)
-    target = np.zeros(15)
+    output, target = np.zeros(15), np.zeros(15)
+    output[list(diag_slots(2))] = x.x
     target[basis.index("IZ")] = 1.0
     kappa = kappa_channel(
-        embed(x), CoherenceVector(n=2, r=target), tol=1e-9
+        CoherenceVector(n=2, r=output), CoherenceVector(n=2, r=target), tol=1e-9
     )
     assert kappa == pytest.approx(4.2309, abs=1e-3)
 

@@ -6,11 +6,14 @@
 For each workload, pair k runs ``python3 bench/run.py --workload W --seed S
 --seconds T`` once in each checkout, the base first on even k and the
 change first on odd k, so slow drift of the machine falls on both sides
-alike.  Each checkout then runs ``--workload bounds --trace 1`` once for
-its per-layer metrics.  The file records, per workload and end-to-end
-metric, the median and quartiles on each side, the change of the median
-and how many pairs the change won, plus the operations attempted and
-failed and the environment line the runs print.
+alike.  Each checkout then runs ``--workload bounds --trace 1``
+TRACED_RUNS times, base and change in turn, for its per-layer metrics: a
+single traced run can swing a per-layer figure threefold, so each metric
+is recorded as the median of the runs, next to the runs themselves.  The file
+records, per workload and end-to-end metric, the median and quartiles on
+each side, the change of the median and how many pairs the change won,
+plus the operations attempted and failed and the environment line the
+runs print.
 
 The benchmark runs as a separate process in each checkout; nothing is
 imported from it.  Metric names, units and directions come from
@@ -24,6 +27,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+#: Traced ``bounds`` runs per checkout; each per-layer metric is their median.
+TRACED_RUNS = 3
 
 
 def run(checkout, workload, seed, seconds, trace=0):
@@ -95,10 +101,17 @@ def main(argv):
             }
         report["workloads"][workload] = entry
 
-    report["traced"] = {}
-    for side, checkout in sides.items():
-        result, _ = run(checkout, "bounds", args.seed, args.seconds, trace=1)
-        report["traced"][side] = {k: v["value"] for k, v in result["metrics"].items()}
+    traced = {side: [] for side in sides}
+    for _ in range(TRACED_RUNS):
+        for side, checkout in sides.items():
+            result, _ = run(checkout, "bounds", args.seed, args.seconds, trace=1)
+            traced[side].append({k: v["value"] for k, v in result["metrics"].items()})
+    report["traced"] = {
+        side: {name: {"median": float(np.median([r[name] for r in runs])),
+                      "runs": [r[name] for r in runs]}
+               for name in runs[0]}
+        for side, runs in traced.items()
+    }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
