@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import AffineGenerator, affine_trajectory
-from .errors import RankDeficient, ValidationError, json_fields
+from .errors import RankDeficient, ValidationError, json_floats
 from .pauli import build_basis
 from .pauli import _readonly
 
@@ -104,16 +104,15 @@ class RateSet:
 
     @classmethod
     def from_json_dict(cls, d):
-        rates, J = json_fields(d, "rate set", "r", "J_hz")
-        if len(rates) != 14:
+        rates, J = json_floats(d, "rate set", "r", "J_hz")
+        defaults = {"eps_C": cls.eps_C, "eps_H": cls.eps_H}
+        eps_C, eps_H = json_floats({**defaults, **d}, "rate set", "eps_C", "eps_H")
+        if rates.shape != (14,):
             raise ValidationError("rate vector must have 14 entries")
+        if J.shape or eps_C.shape or eps_H.shape:
+            raise ValidationError("J_hz, eps_C and eps_H must each be one number")
         kw = {f"r{k+1}": float(rates[k]) for k in range(14)}
-        return cls(
-            J=float(J),
-            eps_C=float(d.get("eps_C", 1.0)),
-            eps_H=float(d.get("eps_H", 4.0)),
-            **kw,
-        )
+        return cls(J=float(J), eps_C=float(eps_C), eps_H=float(eps_H), **kw)
 
 
 CHLOROFORM = RateSet()

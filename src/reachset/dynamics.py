@@ -6,10 +6,10 @@ D turns, in the Pauli coefficient representation, into the affine ODE
     dr/dt = Hmat r - Rmat (r - r_eq),
 
 with Hmat antisymmetric (coherent part), Rmat symmetric (relaxation part)
-and r_eq the relaxation fixed point.  When the free relaxation channel is
-strictly contractive, Rmat is positive definite and r_eq = Rmat^{-1} v is
-unique, where v is the inhomogeneous drive generated by the action of D on
-the identity.
+and r_eq the relaxation fixed point.  Every generator here is strictly
+contractive: Rmat is positive definite, checked relative to its largest
+eigenvalue, so r_eq = Rmat^{-1} v is unique, where v is the inhomogeneous
+drive generated by the action of D on the identity.
 
 Propagation is exact: with A = Hmat - Rmat and full fixed point
 r* = A^{-1}(-v), the solution is r(t) = e^{At} (r0 - r*) + r*.  A fixed-step
@@ -27,11 +27,20 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractivityViolation, FixedPointUndefined, ValidationError
-from .errors import json_fields
-from .pauli import build_basis, _readonly
+from .errors import json_fields, json_floats
+from .pauli import build_basis, _check_qubit_count, _readonly
 
 #: Largest asymmetry of Hmat and Rmat, relative to their largest entry.
 _SYM_TOL = 1e-10
+
+
+def _check_positive_definite(R):
+    """Refuse a symmetric R unless its eigenvalues are positive relative to the largest."""
+    eigs = np.linalg.eigvalsh(R)
+    if eigs[0] <= 1e-12 * eigs[-1]:
+        raise ContractivityViolation(
+            f"relaxation matrix is not positive definite (min eigenvalue {eigs[0]:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -45,13 +54,10 @@ class AffineGenerator:
     Hmat : ndarray
         Antisymmetric coherent part, rad/s.
     Rmat : ndarray
-        Symmetric relaxation matrix, 1/s.  Positive definite unless the
-        generator was constructed with ``unital=True``.
+        Symmetric positive definite relaxation matrix, 1/s: every analysis
+        needs the strictly contractive case.
     r_eq : ndarray
         Relaxation fixed point.
-    unital : bool
-        Permits a positive semidefinite Rmat (r_eq typically 0).  Reachability
-        analyses require the strict SPD case and reject unital generators.
 
     These are the generator's only data.  The drive ``v``, like ``drift``
     and ``fixed_point``, is derived from them on first use, so it cannot
@@ -62,9 +68,9 @@ class AffineGenerator:
     Hmat: np.ndarray
     Rmat: np.ndarray
     r_eq: np.ndarray
-    unital: bool = False
 
     def __post_init__(self):
+        _check_qubit_count(self.n)
         d = 4 ** self.n - 1
         H = np.asarray(self.Hmat, dtype=float)
         R = np.asarray(self.Rmat, dtype=float)
@@ -80,17 +86,7 @@ class AffineGenerator:
             raise ValidationError("Hmat is not antisymmetric")
         if np.abs(R - R.T).max() > _SYM_TOL * np.abs(R).max():
             raise ValidationError("Rmat is not symmetric")
-        eigs = np.linalg.eigvalsh(R)
-        if self.unital:
-            if eigs[0] < -1e-10 * abs(eigs[-1]):
-                raise ContractivityViolation(
-                    f"Rmat has a negative eigenvalue ({eigs[0]:.3e})"
-                )
-        elif eigs[0] <= 1e-12 * eigs[-1]:  # relative, so any scaling of R passes
-            raise ContractivityViolation(
-                f"Rmat is not positive definite (min eigenvalue {eigs[0]:.3e}); "
-                "pass unital=True only for unital special cases"
-            )
+        _check_positive_definite(R)
         object.__setattr__(self, "Hmat", _readonly(H.copy()))
         object.__setattr__(self, "Rmat", _readonly(R.copy()))
         object.__setattr__(self, "r_eq", _readonly(r_eq.copy()))
@@ -137,16 +133,12 @@ class AffineGenerator:
 
     @classmethod
     def from_json_dict(cls, d):
-        n, H, R, r_eq = json_fields(d, "generator", "n", "H", "R", "r_eq")
-        return cls(
-            n=int(n),
-            Hmat=np.asarray(H, dtype=float),
-            Rmat=np.asarray(R, dtype=float),
-            r_eq=np.asarray(r_eq, dtype=float),
-        )
+        (n,) = json_fields(d, "generator", "n")
+        H, R, r_eq = json_floats(d, "generator", "H", "R", "r_eq")
+        return cls(n=n, Hmat=H, Rmat=R, r_eq=r_eq)
 
 
-def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
+def lindblad_to_bloch(hamiltonian, dissipator):
     """Project a master equation onto the coherence-vector representation.
 
     Parameters
@@ -156,11 +148,9 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
     dissipator : callable or None
         Action of the relaxation superoperator on a matrix.  Must
         annihilate traces and preserve Hermiticity (checked on the basis
-        operators).  ``None`` means no relaxation.
-    n : int, optional
-        Qubit count; inferred from the Hamiltonian when omitted.
-    unital : bool
-        Accept a positive semidefinite relaxation matrix.
+        operators).  ``None`` means no relaxation.  A relaxation matrix
+        that is not positive definite, as with ``None``, raises
+        ContractivityViolation.
 
     Returns
     -------
@@ -174,8 +164,7 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
     dissipator in any unit passes or fails alike.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
-    if n is None:
-        n = int(round(np.log2(hamiltonian.shape[0])))
+    n = hamiltonian.shape[0].bit_length() - 1
     basis = build_basis(n)
     dim = 2 ** n
     if hamiltonian.shape != (dim, dim):
@@ -190,38 +179,25 @@ def lindblad_to_bloch(hamiltonian, dissipator, n=None, unital=False):
         raise ValidationError("coherent part has imaginary matrix elements")
     Hmat = Hfull.real[1:, 1:]
 
-    d = basis.dim
-    if dissipator is None:
-        Rmat = np.zeros((d, d))
-        v = np.zeros(d)
-    else:
-        images = np.empty_like(basis.matrices)
+    images = np.zeros_like(basis.matrices)  # no dissipator: no relaxation
+    if dissipator is not None:
         for j in range(4 ** n):
             images[j] = dissipator(basis.matrices[j])
-        d_scale = np.abs(images).max()
-        if np.abs(np.trace(images, axis1=1, axis2=2)).max() > 1e-9 * d_scale:
-            raise ValidationError("dissipator does not annihilate traces")
-        if np.abs(images - images.conj().transpose(0, 2, 1)).max() > 1e-9 * d_scale:
-            raise ValidationError("dissipator does not preserve Hermiticity")
-        Rfull = -np.einsum("kab,jba->kj", basis.matrices, images).real / dim
-        Rmat = 0.5 * (Rfull[1:, 1:] + Rfull[1:, 1:].T)
-        if np.abs(Rfull[1:, 1:] - Rmat).max() > 1e-9 * np.abs(Rmat).max():
-            raise ValidationError("relaxation part is not symmetric")
-        v = np.einsum("kab,ba->k", basis.matrices[1:], images[0]).real / 4 ** n
+    d_scale = np.abs(images).max()
+    if np.abs(np.trace(images, axis1=1, axis2=2)).max() > 1e-9 * d_scale:
+        raise ValidationError("dissipator does not annihilate traces")
+    if np.abs(images - images.conj().transpose(0, 2, 1)).max() > 1e-9 * d_scale:
+        raise ValidationError("dissipator does not preserve Hermiticity")
+    Rfull = -np.einsum("kab,jba->kj", basis.matrices, images).real / dim
+    Rmat = 0.5 * (Rfull[1:, 1:] + Rfull[1:, 1:].T)
+    if np.abs(Rfull[1:, 1:] - Rmat).max() > 1e-9 * np.abs(Rmat).max():
+        raise ValidationError("relaxation part is not symmetric")
+    v = np.einsum("kab,ba->k", basis.matrices[1:], images[0]).real / 4 ** n
 
-    if unital or not np.any(v):
-        r_eq, *_ = np.linalg.lstsq(Rmat, v, rcond=None)
-        if np.abs(Rmat @ r_eq - v).max() > 1e-9 * np.abs(v).max():
-            raise ContractivityViolation("drive v is not in the range of Rmat")
-    else:
-        eigs = np.linalg.eigvalsh(Rmat)
-        if eigs[0] <= 1e-12 * eigs[-1]:
-            raise ContractivityViolation(
-                f"relaxation matrix is not positive definite "
-                f"(min eigenvalue {eigs[0]:.3e})"
-            )
-        r_eq = np.linalg.solve(Rmat, v)
-    return AffineGenerator(n=n, Hmat=Hmat, Rmat=Rmat, r_eq=r_eq, unital=unital)
+    _check_positive_definite(Rmat)
+    # solve() gives -0.0 entries for a zero drive; the equilibrium is +0.0
+    r_eq = np.linalg.solve(Rmat, v) if np.any(v) else np.zeros(basis.dim)
+    return AffineGenerator(n=n, Hmat=Hmat, Rmat=Rmat, r_eq=r_eq)
 
 
 def relax_propagator(gen, t):

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the JSON key check."""
+"""Exception types shared across the library, and the JSON field checks."""
 
 
 class ReachsetError(Exception):
@@ -47,3 +47,18 @@ def json_fields(d, what, *keys):
         if not isinstance(d, dict) or key not in d:
             raise ValidationError(f"{what} JSON must be an object with key {key!r}")
     return [d[key] for key in keys]
+
+
+def json_floats(d, what, *keys):
+    """Values of `keys` in the JSON object d as float arrays, naming a non-numeric one."""
+    import numpy as np  # the exception classes alone load no numpy
+
+    out = []
+    for key, value in zip(keys, json_fields(d, what, *keys)):
+        try:
+            out.append(np.asarray(value, dtype=float))
+        except (TypeError, ValueError) as exc:  # a string, an object or a ragged list
+            raise ValidationError(
+                f"{what} JSON key {key!r} must hold numbers: {exc}"
+            ) from exc
+    return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import diag_slots
-from .errors import CertificationFailed, ContractivityViolation, ValidationError
+from .errors import CertificationFailed, ValidationError
 from .pauli import CoherenceVector
 
 #: Relative agreement demanded between solver and certification oracle.
@@ -189,7 +189,7 @@ def max_purity_on_ellipsoid(gen):
     Parameters
     ----------
     gen : AffineGenerator
-        Must have a strictly positive definite relaxation matrix.
+        Its relaxation matrix is positive definite, as every generator's is.
 
     Returns
     -------
@@ -197,17 +197,11 @@ def max_purity_on_ellipsoid(gen):
 
     Raises
     ------
-    ContractivityViolation
-        If the generator is unital/PSD.
     ValidationError
         If r_eq's scale puts radius_sq outside the normal float range.
     CertificationFailed
         If the oracle disagrees with the secular solution.
     """
-    if gen.unital:
-        raise ContractivityViolation(
-            "purity bound requires a strictly contractive relaxation matrix"
-        )
     if not np.any(gen.r_eq):
         zero = CoherenceVector(n=gen.n, r=np.zeros(gen.dim))
         return PurityBound(0.0, zero, 0.0, 0.0, 0.0)

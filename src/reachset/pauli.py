@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ValidationError, json_fields
+from .errors import ValidationError, json_fields, json_floats
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -76,6 +76,15 @@ class PauliBasis:
         return k - 1
 
 
+def _check_qubit_count(n):
+    """Refuse a qubit count that is not an integer in [1, MAX_QUBITS], before any 4^n."""
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not (integer and 1 <= n <= MAX_QUBITS):
+        raise ValidationError(
+            f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n!r}"
+        )
+
+
 @lru_cache(maxsize=None)
 def build_basis(n):
     """Construct the n-qubit Pauli basis in lexicographic {I,X,Y,Z} order.
@@ -89,8 +98,7 @@ def build_basis(n):
     -------
     PauliBasis
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    _check_qubit_count(n)
     labels = tuple("".join(p) for p in product("IXYZ", repeat=n))
     mats = np.empty((4 ** n, 2 ** n, 2 ** n), dtype=complex)
     for k, lab in enumerate(labels):
@@ -114,6 +122,7 @@ class CoherenceVector:
     r: np.ndarray
 
     def __post_init__(self):
+        _check_qubit_count(self.n)
         r = np.asarray(self.r, dtype=float)
         if r.shape != (4 ** self.n - 1,):
             raise ValidationError(
@@ -128,33 +137,31 @@ class CoherenceVector:
 
     @classmethod
     def from_json_dict(cls, d):
-        n, r = json_fields(d, "coherence vector", "n", "r")
+        (n,) = json_fields(d, "coherence vector", "n")
+        (r,) = json_floats(d, "coherence vector", "r")
         order = d.get("order", COHERENCE_VECTOR_ORDER)
         if order != COHERENCE_VECTOR_ORDER:
             raise ValidationError(f"unsupported coefficient order {order!r}")
-        r = np.asarray(r, dtype=float)
         if not np.isfinite(r).all():
             raise ValidationError("coherence vector entries must be finite")
-        return cls(n=int(n), r=r)
+        return cls(n=n, r=r)
 
 
-def encode(rho, n=None):
+def encode(rho):
     """Expand a density matrix into its coherence vector.
 
     Parameters
     ----------
     rho : ndarray, shape (2^n, 2^n)
-        Hermitian, unit-trace matrix (validated to 1e-10).
-    n : int, optional
-        Qubit count; inferred from the matrix dimension when omitted.
+        Hermitian, unit-trace matrix (validated to 1e-10); n is read from
+        its dimension.
 
     Returns
     -------
     CoherenceVector
     """
     rho = np.asarray(rho, dtype=complex)
-    if n is None:
-        n = int(round(np.log2(rho.shape[0])))
+    n = rho.shape[0].bit_length() - 1
     basis = build_basis(n)
     if rho.shape != (2 ** n, 2 ** n):
         raise ValidationError(f"expected a {2**n}x{2**n} matrix, got {rho.shape}")
@@ -180,15 +187,14 @@ def deviation_matrix(v):
     return np.tensordot(v.r, basis.matrices[1:], axes=1)
 
 
-def unitary_rep(U, n=None):
+def unitary_rep(U):
     """Represent a unitary, or each of a stack, as an orthogonal coherence-space matrix.
 
     Parameters
     ----------
     U : ndarray, shape (..., 2^n, 2^n)
-        Unitary matrix or stack of them (each validated to 1e-10).
-    n : int, optional
-        Qubit count; inferred when omitted.
+        Unitary matrix or stack of them (each validated to 1e-10); n is
+        read from the row count.
 
     Returns
     -------
@@ -197,13 +203,12 @@ def unitary_rep(U, n=None):
         conjugation rho -> U rho U^dag becomes r -> rep @ r, preserving |r|.
     """
     U = np.asarray(U, dtype=complex)
-    if n is None:
-        n = int(round(np.log2(U.shape[-1])))
+    n = U.shape[-2].bit_length() - 1
+    basis = build_basis(n)
     if U.shape[-2:] != (2 ** n, 2 ** n):
         raise ValidationError(f"expected a {2**n}x{2**n} matrix, got {U.shape}")
     if not np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(2 ** n), atol=1e-10):
         raise ValidationError("matrix is not unitary")
-    basis = build_basis(n)
     conj = np.einsum("...ab,jbc,...dc->...jad", U, basis.matrices, U.conj())
     rep = np.einsum("kab,...jba->...kj", basis.matrices, conj).real / 2 ** n
     return _readonly(rep[..., 1:, 1:].copy())

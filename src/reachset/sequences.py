@@ -563,8 +563,7 @@ class RobustnessResult:
         return float(np.nanmax(self.delta))
 
 
-def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
-                     reference=None):
+def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values, reference):
     """Fixed-point sensitivity to per-channel control-amplitude errors.
 
     The grid is swept as a stack: each block of SWEEP_CHUNK cells is one
@@ -580,9 +579,9 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
         holds the matching stack of reps (see pps_pulse_sequence_builder).
     delta_c_values, delta_h_values : array-like
         Grid of relative amplitude errors per channel.
-    reference : CoherenceVector, optional
-        State against which errors are measured; defaults to the fixed
-        point of seq_builder(0.0, 0.0).
+    reference : CoherenceVector
+        State against which errors are measured, such as the fixed point
+        of the ideal pps_sequence.
 
     Returns
     -------
@@ -593,8 +592,6 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values,
     """
     dc = np.asarray(delta_c_values, dtype=float)
     dh = np.asarray(delta_h_values, dtype=float)
-    if reference is None:
-        reference = fixed_point(gen, seq_builder(0.0, 0.0)).x_star
     ref = reference.r
     ref_norm = np.linalg.norm(ref)
     if ref_norm == 0.0:

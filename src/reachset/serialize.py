@@ -84,6 +84,8 @@ def read_trajectory_csv(path):
     if not header or header[0] != "t":
         raise ValidationError("trajectory CSV must start with a 't' column")
     labels = header[1:]
+    if len(set(labels)) != len(labels):
+        raise ValidationError("trajectory CSV repeats a column label")
     data = [row for row in rows[1:] if row]
     if not data:
         raise ValidationError("trajectory CSV carries no rows")

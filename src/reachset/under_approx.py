@@ -40,7 +40,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .diagonal import diag_slots, projected_field_stack, stacked_directions
+from .diagonal import projected_field_stack, stacked_directions
 from .errors import OriginNotControllable, ValidationError
 from .pauli import _readonly, unitary_rep
 
@@ -84,7 +84,7 @@ def build_permutation_set(n):
     perms = tuple(permutations(range(dim)))
     matrices = np.zeros((len(perms), dim, dim), dtype=complex)
     matrices[np.arange(len(perms))[:, None], perms, np.arange(dim)] = 1.0
-    return PermutationControlSet(n=n, perms=perms, reps_full=unitary_rep(matrices, n=n))
+    return PermutationControlSet(n=n, perms=perms, reps_full=unitary_rep(matrices))
 
 
 @dataclass(frozen=True)
@@ -403,7 +403,7 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
         hi[halving[~full]] = mid[~full]
 
 
-def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1):
+def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
     """Trace the STLC boundary along rays from an interior point.
 
     Parameters
@@ -416,12 +416,12 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     tol : float
         Bisection tolerance on the ray radius, finite and positive.  A tol
         below the radius' ulp stops once the bracket can no longer split.
-    origin : ndarray, optional
-        Base point; defaults to the diagonal part of r_eq.  Must test STLC.
-        For the chloroform model the free equilibrium is a boundary point of
-        the STLC set: its cone fails strictly, not through the degeneracy
-        band, while points just toward the origin pass.  Chloroform scans
-        are therefore anchored at the maximally mixed state.
+    origin : ndarray, shape (3,)
+        Base point, keyword only; it must test STLC.  For the chloroform
+        model the free equilibrium is a boundary point of the STLC set: its
+        cone fails strictly, not through the degeneracy band, while points
+        just toward the origin pass.  Chloroform scans are therefore
+        anchored at the maximally mixed state, np.zeros(3).
     workers : int
         Processes to trace with, a positive integer (1 = serial).
 
@@ -462,8 +462,6 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, origin=None, workers=1
     norms = np.linalg.norm(dirs, axis=1)
     if not (np.abs(norms - 1.0) <= 1e-9).all():
         raise ValidationError("ray directions must have unit norm")
-    if origin is None:
-        origin = gen.r_eq[list(diag_slots(gen.n))]
     origin = np.asarray(origin, dtype=float)
     A, b = projected_field_stack(gen, controls.reps_full)
     if not stlc_test_3d(stacked_directions(A, b, origin)).is_full:

@@ -95,17 +95,20 @@ def polytope_vertices(rho):
     """All distinct permutations of the deviation spectrum of rho.
 
     Returns a read-only (V, 2^n) array: every row has the same multiset of
-    entries and zero sum.  Guarded at n <= 3: four qubits would loop over
-    16! ~ 2.1e13 permutations.
+    entries and zero sum.  Rows are told apart by the spectrum scaled by
+    the power of two that brings its largest |entry| below 1, rounded to 12
+    decimals, so a state and its 2^k multiples give as many rows.  Guarded
+    at n <= 3: four qubits would loop over 16! ~ 2.1e13 permutations.
     """
     if rho.n > 3:
         raise ValidationError("spectrum polytopes are enumerated for n <= 3")
     lam = deviation_spectrum(rho)
+    unit = np.ldexp(lam, -np.frexp(np.abs(lam).max())[1])  # exact: every |entry| below 1
     seen = set()
     rows = []
     for perm in permutations(range(len(lam))):
         row = lam[list(perm)]
-        key = tuple(np.round(row, 12))
+        key = tuple(np.round(unit[list(perm)], 12))
         if key not in seen:
             seen.add(key)
             rows.append(row)

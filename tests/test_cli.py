@@ -265,12 +265,32 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
     assert run("unitary-bound", "--preset", "chloroform", "--target", str(target),
                "--out", str(poly)) == 2
     assert not poly.exists()
-    # JSON that is malformed, is not an object, or lacks a key
+    # JSON that is malformed, is not an object, or lacks a key; a trajectory
+    # CSV that repeats a label
     no_h = chloroform_gen.to_json_dict()
     del no_h["H"]
     inputs = {"no_r.json": '{"n": 2}', "truncated.json": '{"n": 2, "H": [[0.0',
               "no_h.json": json.dumps(no_h), "list.json": "[1, 2]",
-              "init.json": '{"J_hz": 214.5}', "gen.csv": "t,ZI,IZ,ZZ\n0,1,4,0\n"}
+              "init.json": '{"J_hz": 214.5}', "gen.csv": "t,ZI,IZ,ZZ\n0,1,4,0\n",
+              "twice.csv": "t,ZI,ZI,IZ,ZZ\n0,1,1,4,0\n20,1,1,4,0\n40,1,1,4,0\n"}
+    # a qubit count that is not an integer in [1, 4] (10**9 once spent 13 s
+    # on 4**n), and fields that hold no numbers or ragged rows
+    fit = ["fit", "--block", "population", "--traj", str(good), "--init"]
+    commands = {"gen": ["bound", "--gen"], "init": fit,
+                "target": ["unitary-bound", "--preset", "chloroform", "--target"]}
+    gen, init = chloroform_gen.to_json_dict(), CHLOROFORM.to_json_dict()
+    vector = {"n": 2, "r": [0.25] * 15}
+    fields = [("gen", gen, "n", n) for n in (2.5, "two", None, 10 ** 9)]
+    fields += [("target", vector, "n", n) for n in (2.5, "two", None, 10 ** 9)]
+    fields += [("gen", gen, "H", "abc"), ("gen", gen, "H", [[0.0] * 15] * 14 + [[0.0]]),
+               ("target", vector, "r", "abc"),
+               ("target", vector, "r", [0.25] * 14 + [[0.25]]),
+               ("init", init, "r", 5), ("init", init, "r", ["x"] * 14),
+               ("init", init, "J_hz", "abc"), ("init", init, "eps_C", "x")]
+    bad_fields = []
+    for i, (command, good_json, key, value) in enumerate(fields):
+        inputs[f"field{i}.json"] = json.dumps({**good_json, key: value})
+        bad_fields.append([*commands[command], str(tmp_path / f"field{i}.json")])
     for name, text in inputs.items():
         (tmp_path / name).write_text(text)
     d = str(tmp_path)
@@ -282,6 +302,8 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
         ["fit", "--block", "population", "--traj", str(good),
          "--init", f"{d}/init.json"],
         ["bound", "--gen", f"{d}/gen.csv"],
+        ["fit", "--block", "population", "--traj", f"{d}/twice.csv"],
+        *bad_fields,
     ):
         out = tmp_path / "out.json"
         assert run(*argv, "--out", str(out)) == 2, argv

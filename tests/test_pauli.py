@@ -150,7 +150,7 @@ def test_unitary_rep_rejects_a_stack_with_one_nonunitary(rng):
     with pytest.raises(ValidationError, match="not unitary"):
         unitary_rep(stack)
     with pytest.raises(ValidationError, match="4x4"):
-        unitary_rep(np.zeros((5, 4, 3)), n=2)
+        unitary_rep(np.zeros((5, 4, 3)))
 
 
 def test_conjugation_matches_rep(rng):

@@ -299,11 +299,12 @@ def test_robustness_sweep_compensated(chloroform_gen):
 
 def test_robustness_sweep_plain_is_worse(chloroform_gen):
     grid = np.array([-0.05, 0.0, 0.05])
+    reference = fixed_point(chloroform_gen, pps_sequence(1.5)).x_star
     compensated = robustness_sweep(
-        chloroform_gen, pps_pulse_sequence_builder(1.5, True), grid, grid
+        chloroform_gen, pps_pulse_sequence_builder(1.5, True), grid, grid, reference
     )
     plain = robustness_sweep(
-        chloroform_gen, pps_pulse_sequence_builder(1.5, False), grid, grid
+        chloroform_gen, pps_pulse_sequence_builder(1.5, False), grid, grid, reference
     )
     assert plain.max_delta > 10 * compensated.max_delta
 
@@ -432,9 +433,10 @@ def test_stacks_rejected_at_the_boundary(chloroform_gen):
     with pytest.raises(ValidationError, match="not orthogonal"):
         GateStep(rep=bad)
     # a sweep cell whose scaled BB1 angle overflows
+    reference = fixed_point(chloroform_gen, pps_sequence(1.5)).x_star
     with pytest.raises(ValidationError, match="overflows"):
         robustness_sweep(chloroform_gen, pps_pulse_sequence_builder(1.5),
-                         [0.0, 1e308], [0.0])
+                         [0.0, 1e308], [0.0], reference)
     # one-sequence functions take no stack of gate variants
     stacked = pps_pulse_sequence_builder(1.5)(np.zeros(2), np.zeros(2))
     with pytest.raises(ValidationError, match="stack"):

@@ -80,7 +80,7 @@ def test_permutation_reps_match_one_by_one(n):
     for perm, rep in zip(controls.perms, controls.reps_full):
         P = np.zeros((2 ** n, 2 ** n), dtype=complex)
         P[list(perm), range(2 ** n)] = 1.0
-        assert np.array_equal(rep, unitary_rep(P, n=n))
+        assert np.array_equal(rep, unitary_rep(P))
 
 
 def test_permutation_set_guard():
@@ -500,7 +500,8 @@ def test_vertex_points_stay_inside_sphere(
 def test_equilibrium_origin_raises(chloroform_gen, two_qubit_controls):
     rays = fibonacci_sphere(4)
     with pytest.raises(OriginNotControllable):
-        stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=1e-2)
+        stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=1e-2,
+                           origin=chloroform_gen.r_eq[list(diag_slots(2))])
 
 
 def test_rays_from_mixed_state(chloroform_gen, two_qubit_controls, chloroform_bound):

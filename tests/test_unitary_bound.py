@@ -131,6 +131,11 @@ def test_polytope_vertices_thermal():
     np.testing.assert_allclose(sums, 0.0, atol=1e-9)
     for row in vertices:
         assert sorted(np.round(row).astype(int)) == [-5, -3, 3, 5]
+    # duplicates are found relative to the spectrum's scale: an absolute
+    # rounding once merged the 24 rows into one at r * 1e-13
+    for k in range(-1060, 1021, 10):
+        scaled = CoherenceVector(n=2, r=np.ldexp(thermal_state().r, k))
+        assert polytope_vertices(scaled).shape == (24, 4), k
 
 
 def test_polytope_degenerate_spectra():
