@@ -49,12 +49,25 @@ def json_fields(d, what, *keys):
     return [d[key] for key in keys]
 
 
+def _holds_bool(value):
+    """Whether a JSON value is true or false, or a list holding one at any depth."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(item) for item in value)
+    return isinstance(value, bool)
+
+
 def json_floats(d, what, *keys):
-    """Values of `keys` in the JSON object d as float arrays, naming a non-numeric one."""
+    """Values of `keys` in the JSON object d as float arrays, naming a non-numeric one.
+
+    JSON true and false are not numbers here, although numpy would read
+    them as 1.0 and 0.0.
+    """
     import numpy as np  # the exception classes alone load no numpy
 
     out = []
     for key, value in zip(keys, json_fields(d, what, *keys)):
+        if _holds_bool(value):
+            raise ValidationError(f"{what} JSON key {key!r} must hold numbers, not true or false")
         try:
             out.append(np.asarray(value, dtype=float))
         except (TypeError, ValueError) as exc:  # a string, an object or a ragged list

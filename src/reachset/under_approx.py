@@ -26,12 +26,17 @@ equilibrium a boundary point of the STLC set.
 
 The boundary of the STLC set is traced by marching along rays from a
 verified interior point and bisecting the first sign change; the reported
-radius is the last radius at which the test succeeded, which keeps the
-trace a certified inner bound.  All rays of a fan are traced in lockstep:
-each round stacks every bisecting ray's midpoint and every marching ray's
-next few march points into one call of ``stlc_test_3d``, whose verdict on
-each set is bit for bit that of a call on the set alone, so the radii do
-not depend on which rays are traced together or how far ahead they look.
+radius is the last march point or midpoint that was tested or certified,
+which keeps the trace a certified inner bound.  All rays of a fan are
+traced in lockstep: each round stacks every bisecting ray's midpoint and
+every marching ray's next few march points into one call of
+``stlc_test_3d``, whose verdict on each set is bit for bit that of a call
+on the set alone, so the radii do not depend on which rays are traced
+together or how far ahead they look.  The march passes over the points
+that the depth of an earlier certificate on the ray already covers: the
+fields are affine in x, so a tetrahedron that holds the origin deep at one
+point still holds it a little further on, and each point passed over
+would test "full".
 """
 
 from dataclasses import dataclass
@@ -93,10 +98,16 @@ class ConeVerdict:
 
     ``witness`` is a separating normal with witness . v_k <= 0 for all k
     (within DEGENERACY_TOL) when the cone is not full, else None.
+    ``depth`` is the radius of a ball about the origin that the hull of the
+    directions is certified to hold, in the directions' units: 0.88 times
+    the largest smallest-facet distance over the tetrahedra that certify
+    the set (see ``_cone_verdicts``), and 0 where none does, so always 0
+    when the cone is not full and for the LP test.
     """
 
     is_full: bool
     witness: np.ndarray = None
+    depth: float = 0.0
 
 
 def _rank_witness(dirs):
@@ -121,11 +132,11 @@ def stlc_test_3d(directions):
     Returns
     -------
     ConeVerdict
-        For one set of shape (K, 3), ``is_full`` is a bool and ``witness``
-        a unit normal or None.  For a stack, ``is_full`` is a bool array of
-        the leading shape and ``witness`` a (..., 3) array that is NaN
-        where the cone is full; each entry equals the one-set call on its
-        set, bit for bit.
+        For one set of shape (K, 3), ``is_full`` is a bool, ``witness`` a
+        unit normal or None and ``depth`` a float.  For a stack, ``is_full``
+        and ``depth`` are arrays of the leading shape and ``witness`` a
+        (..., 3) array that is NaN where the cone is full; each entry
+        equals the one-set call on its set, bit for bit.
 
     Raises
     ------
@@ -141,17 +152,17 @@ def stlc_test_3d(directions):
     lead = v.shape[:-2]
     sets = v.reshape(-1, *v.shape[-2:])
     chunks = [_cone_verdicts(sets[s:s + CHUNK]) for s in range(0, max(len(sets), 1), CHUNK)]
-    full = np.concatenate([f for f, _ in chunks])
-    witness = np.concatenate([w for _, w in chunks])
+    full, witness, depth = (np.concatenate(parts) for parts in zip(*chunks))
     if lead:
-        return ConeVerdict(is_full=full.reshape(lead), witness=witness.reshape(*lead, 3))
+        return ConeVerdict(is_full=full.reshape(lead), witness=witness.reshape(*lead, 3),
+                           depth=depth.reshape(lead))
     if full[0]:
-        return ConeVerdict(is_full=True)
+        return ConeVerdict(is_full=True, depth=float(depth[0]))
     return ConeVerdict(is_full=False, witness=witness[0])
 
 
 def _cone_verdicts(v):
-    """Verdicts and witnesses of the triple-product test on (N, K, 3) sets.
+    """Verdicts, witnesses and depths of the triple-product test on (N, K, 3) sets.
 
     Each set is first scaled by the power of two that brings its largest
     |entry| into [1/2, 1): exact (an entry below 2^-1021 times the largest
@@ -173,10 +184,13 @@ def _cone_verdicts(v):
     >= delta, with that normal above 1e-6 (|a||b| + |b||c| + |c||a|) and
     each vertex at least delta from the origin.  Then each volume exceeds
     1e-14 |a||b||c|, ten times its rounding, so the computed signs are
-    exact and the computed depth is within 12% of the exact one.  The ball
-    of radius 0.88 delta lies in the hull of the set's fields, so for every
-    n, each computed plane normal included, max_k n . v_k >= 0.88 delta |n|
-    and min_k n . v_k <= -0.88 delta |n|: 2000 times the widest band, and
+    exact and each computed facet distance is within 12% of the exact one.
+    The ball of radius 0.88 times the tetrahedron's smallest computed facet
+    distance, at least 0.88 delta, lies in the hull of the set's fields;
+    the largest such radius over the certifying tetrahedra is the set's
+    reported depth.  So for every n, each computed plane normal included,
+    max_k n . v_k >= 0.88 delta |n| and min_k n . v_k <= -0.88 delta |n|:
+    2000 times the widest band, and
     far beyond matmul rounding near 1e-15 |n| |v_k|.  Every valid plane
     thus passes the next prefilter, and the smallest singular value, at
     least 0.88 delta, is far above the rank tolerance, so the sweep would
@@ -192,10 +206,11 @@ def _cone_verdicts(v):
     norms = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])  # (N, K)
     full = np.ones(len(v), dtype=bool)
     witness = np.full((len(v), 3), np.nan)
-    rest = np.flatnonzero(~_deep_tetrahedron(v, norms))
+    depth = _deep_tetrahedron(v, norms)
+    rest = np.flatnonzero(depth == 0)
     if rest.size:
         full[rest], witness[rest] = _sweep(v[rest], norms[rest])
-    return full, witness
+    return full, witness, np.ldexp(depth, e)
 
 
 #: Six fields span 15 tetrahedra (a, b, c, d), built from 20 vertex
@@ -215,9 +230,10 @@ _PAIRS, _TRIPLES, _TETRAHEDRA = (np.array(a) for a in (_PAIRS, _TRIPLES, _TETRAH
 
 
 def _deep_tetrahedron(v, norms):
-    """Sets whose axis-extreme fields hold the origin deep inside a
-    tetrahedron (the first prefilter of ``_cone_verdicts``), from
-    power-of-two-scaled (N, K, 3) sets and their (N, K) field norms."""
+    """Certified depth of each set whose axis-extreme fields hold the origin
+    deep inside a tetrahedron (the first prefilter of ``_cone_verdicts``),
+    0 for the other sets, from power-of-two-scaled (N, K, 3) sets and their
+    (N, K) field norms."""
     ext = np.concatenate([v.argmax(axis=1), v.argmin(axis=1)], axis=1)  # (N, 6)
     rows = np.arange(len(v))[:, None]
     p, r = v[rows, ext].transpose(2, 0, 1), norms[rows, ext]
@@ -228,15 +244,18 @@ def _deep_tetrahedron(v, norms):
     det = (crosses[:, :, xy] * p[:, :, z]).sum(axis=0)  # (N, 20)
     n0, n1, n2 = crosses[:, :, xy] + crosses[:, :, yz] - crosses[:, :, xz]
     normal_norms = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-    depth = 1e-8 * norms.max(axis=1, keepdims=True)
+    delta = 1e-8 * norms.max(axis=1, keepdims=True)
     facet_ok = ((normal_norms >= 1e-6 * (r[:, x] * r[:, y] + r[:, y] * r[:, z]
                                          + r[:, z] * r[:, x]))
-                & (np.abs(det) >= depth * normal_norms))
+                & (np.abs(det) >= delta * normal_norms))
     weights = det[:, _FACETS] * _FACET_SIGNS  # (N, 15, 4)
     deep = (((weights > 0).all(axis=2) | (weights < 0).all(axis=2))
             & facet_ok[:, _FACETS].all(axis=2)
-            & (r >= depth)[:, _TETRAHEDRA].all(axis=2))
-    return deep.any(axis=1)
+            & (r >= delta)[:, _TETRAHEDRA].all(axis=2))  # (N, 15)
+    # a deep facet's normal is nonzero: collinear vertices give det = 0
+    distance = np.divide(np.abs(det), normal_norms, out=np.zeros_like(det),
+                         where=normal_norms > 0)
+    return 0.88 * np.where(deep, distance[:, _FACETS].min(axis=2), 0.0).max(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -360,11 +379,42 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
     round within one CHUNK (at least 1).  A marching ray brackets its first
     failing radius by the last passing one before it, as the lone march
     would; the radii it tested beyond that go unused.
+
+    A marching ray that passes all its radii then passes over, untested,
+    the next march radii that their certificates cover, and the following
+    round starts at the first radius none covers.  Each skipped radius
+    would test "full", so the radii are those of the lone march.  The
+    fields are affine, v_k(x + s d) = v_k(x) - s A_k d, so from a tested
+    point x = origin + t d to a march point x' = origin + (t + s) d each
+    field moves by at most s L_d, L_d = max_k |A_k d|, plus rounding: of
+    the two points, of ``stacked_directions`` at both and of the skip test
+    itself.  With S = max_k |A_k|_F (|origin| + t + s) + max_k |b_k|, which
+    bounds |A_k||x'| + |b_k| and |A_k||x| + |b_k| up to the 1e-9 by which
+    the directions may miss unit norm, all of it is below 1e-14 S.  It
+    scales with S, not with |v_k|: near an equilibrium the fields cancel,
+    and S can be far larger than max_k |v_k(x')|.  If the tested set at x
+    has certified depth rho (``ConeVerdict.depth``, a ball of radius rho
+    about the origin inside the hull of its fields), moving each field by
+    at most m keeps the ball of radius rho - m inside the moved hull, since
+    every support value max_k n . v_k falls by at most m |n|.  A radius is
+    therefore skipped only where rho - s L_d > 2e-8 S, computed as
+    (rho + t L_d) - (t + s) L_d over the round's tested radii t: the set at
+    x' then holds a ball of radius above 2e-8 S - 1e-14 S, more than
+    1e-8 max_k |v_k(x')|, the depth past which ``_cone_verdicts`` shows
+    that the plane sweep answers "full" with a NaN witness.  The test runs
+    on A and b scaled by a power of two, so no norm in it under- or
+    overflows, and every term scales alike.
     """
     lo = np.zeros(len(dirs))
     hi = np.full(len(dirs), np.inf)  # inf while the ray is still marching
     t = np.full(len(dirs), step)
     radius = np.full(len(dirs), max_radius)  # for rays that never exit
+    # the skip test in units of 2^e
+    _, e = np.frexp(max(np.abs(A).max(), np.abs(b).max()))
+    A_e, b_e = np.ldexp(A, -e), np.ldexp(b, -e)
+    slope = np.linalg.norm(np.einsum("kab,rb->rka", A_e, dirs), axis=2).max(axis=1)  # L_d
+    grow = np.linalg.norm(A_e, axis=(1, 2)).max()
+    base = grow * float(np.linalg.norm(origin)) + np.linalg.norm(b_e, axis=1).max()
     live = np.arange(len(dirs))
     while True:
         marching = live[np.isinf(hi[live])]
@@ -387,10 +437,12 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
         rows, cols = np.nonzero(ahead <= max_radius)  # a prefix of each row
         radii = np.concatenate([ahead[rows, cols], mid])
         points = origin + radii[:, None] * dirs[np.concatenate([marching[rows], halving])]
-        full = stlc_test_3d(stacked_directions(A, b, points)).is_full
+        verdict = stlc_test_3d(stacked_directions(A, b, points))
         verdicts = np.ones_like(ahead, dtype=bool)
-        verdicts[rows, cols] = full[:len(rows)]
-        full = full[len(rows):]
+        verdicts[rows, cols] = verdict.is_full[:len(rows)]
+        depth = np.full_like(ahead, -np.inf)  # a radius beyond max_radius covers none
+        depth[rows, cols] = np.ldexp(verdict.depth[:len(rows)], -e)
+        full = verdict.is_full[len(rows):]
         first = np.argmin(verdicts, axis=1)  # first failing radius, 0 if none
         exits = ~verdicts[np.arange(len(marching)), first]
         last = np.bincount(rows, minlength=len(marching)) - 1  # last radius tested
@@ -401,6 +453,20 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
         hi[marching[exits]] = ahead[exits, first[exits]]
         lo[halving[full]] = mid[full]
         hi[halving[~full]] = mid[~full]
+        # pass over the march radii that this round's certificates cover
+        ray = marching[~exits]
+        rate = slope[ray]
+        reach = (depth[~exits] + ahead[~exits] * rate[:, None]).max(axis=1)  # rho + t L_d
+        r, skipped = t[ray], lo[ray]
+        go = r <= max_radius
+        while True:
+            go &= reach - r * rate > 2e-8 * (base + grow * r)
+            if not go.any():
+                break
+            skipped = np.where(go, r, skipped)
+            r = np.where(go, r + step, r)
+            go &= r <= max_radius
+        lo[ray], t[ray] = skipped, r
 
 
 def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
@@ -417,7 +483,7 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
         Bisection tolerance on the ray radius, finite and positive.  A tol
         below the radius' ulp stops once the bracket can no longer split.
     origin : ndarray, shape (3,)
-        Base point, keyword only; it must test STLC.  For the chloroform
+        Base point, keyword only, finite; it must test STLC.  For the chloroform
         model the free equilibrium is a boundary point of the STLC set: its
         cone fails strictly, not through the degeneracy band, while points
         just toward the origin pass.  Chloroform scans are therefore
@@ -428,8 +494,9 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
     Returns
     -------
     ndarray, shape (R,)
-        Per-ray radius of the last STLC sample before the first exit; the
-        reported point origin + radius * direction is itself certified.
+        Per-ray radius of the last STLC sample before the first exit, a
+        march point or bisection midpoint that was tested or certified:
+        the reported point origin + radius * direction is itself certified.
         Monotonicity along a ray is not assumed; connectedness of the STLC
         set justifies reporting the first exit.
 
@@ -443,7 +510,17 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
     round within one CHUNK of points, and at least 1 (k = 3 for 20
     marching rays and none bisecting).  A marching ray takes its first
     failing point and the last passing one before it as the bracket,
-    exactly as a lone march would.  Points are evaluated CHUNK at a time
+    exactly as a lone march would.  After each round a ray that did not
+    exit passes over the march points its certificates cover: a tested
+    point at depth rho (``ConeVerdict.depth``) covers the march radii r
+    that lie s further on while rho - s max_k |A_k d| stays above the
+    margin 2e-8 (max_k |A_k|_F (|origin| + r) + max_k |b_k|), which
+    grows with the fields' rounding.  Each of them would test "full"
+    (``_trace_lockstep`` gives the proof), so a reported radius is the last
+    march point or midpoint that was tested or certified, and the radii
+    are those of testing every march point; on fibonacci_sphere(20) from
+    the origin at tol 1e-3 the trace makes 20 stacked calls on 888 sets
+    instead of 34 on 1705.  Points are evaluated CHUNK at a time
     so memory stays near 3.4 MB per chunk whatever the fan size.  With
     workers > 1 the fan is split into contiguous parts, one per process
     (at most the CPUs available), each traced in lockstep, and the radii
@@ -462,7 +539,13 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
     norms = np.linalg.norm(dirs, axis=1)
     if not (np.abs(norms - 1.0) <= 1e-9).all():
         raise ValidationError("ray directions must have unit norm")
-    origin = np.asarray(origin, dtype=float)
+    try:
+        origin = np.asarray(origin, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"origin must be a finite vector of 3 numbers: {exc}") from exc
+    if origin.shape != (3,) or not np.isfinite(origin).all():
+        raise ValidationError(
+            f"origin must be a finite vector of 3 numbers, got shape {origin.shape}")
     A, b = projected_field_stack(gen, controls.reps_full)
     if not stlc_test_3d(stacked_directions(A, b, origin)).is_full:
         raise OriginNotControllable(

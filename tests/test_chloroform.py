@@ -240,3 +240,7 @@ def test_rates_json_round_trip():
     assert back == CHLOROFORM
     with pytest.raises(ValidationError):
         RateSet.from_json_dict({"r": [1.0] * 10, "J_hz": 214.5})
+    # JSON true and false are not numbers, though numpy reads them as 1 and 0
+    for key, value in (("J_hz", True), ("J_hz", [False]), ("r", [True] + d["r"][1:])):
+        with pytest.raises(ValidationError, match=repr(key)):
+            RateSet.from_json_dict({**d, key: value})

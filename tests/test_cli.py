@@ -286,7 +286,9 @@ def test_validation_exit_codes(tmp_path, chloroform_gen):
                ("target", vector, "r", "abc"),
                ("target", vector, "r", [0.25] * 14 + [[0.25]]),
                ("init", init, "r", 5), ("init", init, "r", ["x"] * 14),
-               ("init", init, "J_hz", "abc"), ("init", init, "eps_C", "x")]
+               ("init", init, "J_hz", "abc"), ("init", init, "eps_C", "x"),
+               ("init", init, "J_hz", True), ("gen", gen, "r_eq", [False] * 15),
+               ("gen", gen, "H", [[True] * 15] * 15)]
     bad_fields = []
     for i, (command, good_json, key, value) in enumerate(fields):
         inputs[f"field{i}.json"] = json.dumps({**good_json, key: value})

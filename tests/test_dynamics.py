@@ -288,3 +288,11 @@ def test_generator_json_round_trip(chloroform_gen):
     np.testing.assert_allclose(gen2.Hmat, chloroform_gen.Hmat, atol=1e-15)
     np.testing.assert_allclose(gen2.Rmat, chloroform_gen.Rmat, atol=1e-15)
     np.testing.assert_allclose(gen2.r_eq, chloroform_gen.r_eq, atol=1e-15)
+    # JSON true and false are not numbers, at any depth of a numeric field
+    H = [list(row) for row in d["H"]]
+    H[3][7] = True
+    r_eq = list(d["r_eq"])
+    r_eq[0] = False
+    for key, value in (("H", H), ("r_eq", r_eq), ("R", True)):
+        with pytest.raises(ValidationError, match=repr(key)):
+            AffineGenerator.from_json_dict({**d, key: value})

@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -185,13 +186,16 @@ def _assert_rows_match_one_set_calls(sets):
     stacked = stlc_test_3d(sets)
     lead = sets.shape[:-2]
     assert stacked.is_full.shape == lead and stacked.witness.shape == (*lead, 3)
+    assert stacked.depth.shape == lead
     for idx in np.ndindex(*lead):
         one = stlc_test_3d(sets[idx])
         assert stacked.is_full[idx] == one.is_full, idx
+        assert isinstance(one.depth, float) and stacked.depth[idx] == one.depth, idx
         if one.is_full:
             assert one.witness is None and np.isnan(stacked.witness[idx]).all()
         else:
             assert stacked.witness[idx].tobytes() == one.witness.tobytes(), idx
+            assert one.depth == 0.0
     return stacked
 
 
@@ -296,6 +300,7 @@ def test_cone_test_is_scale_free(chloroform_gen, two_qubit_controls, rng):
             scaled = stlc_test_3d(scaled_sets)
         assert scaled.is_full.tobytes() == base.is_full.tobytes()
         assert scaled.witness.tobytes() == base.witness.tobytes()
+        assert scaled.depth.tobytes() == np.ldexp(base.depth, k).tobytes()
 
 
 @pytest.mark.parametrize("dirs", [
@@ -350,9 +355,9 @@ def _count_certified(monkeypatch):
     certify = under_approx._deep_tetrahedron
 
     def counting(v, norms):
-        deep = certify(v, norms)
-        counts.append((int(deep.sum()), deep.size))
-        return deep
+        depth = certify(v, norms)
+        counts.append((int((depth > 0).sum()), depth.size))
+        return depth
 
     monkeypatch.setattr(under_approx, "_deep_tetrahedron", counting)
     return counts
@@ -416,13 +421,21 @@ def test_certificate_answers_most_traced_sets(chloroform_gen, two_qubit_controls
         radii, stacks = _traced_fan(chloroform_gen, two_qubit_controls, m)
     answered, tested = np.sum(counts, axis=0)
     assert tested == sum(len(s) if s.ndim == 3 else 1 for s in stacks)
-    assert answered > tested / 2
-    # the saving is inside each call: the sweep alone makes the same calls
+    # the sweep alone certifies no depth, so its march skips no point and
+    # tests every point of the lone march (34 calls, 1705 sets)
     with monkeypatch.context() as m:
-        m.setattr(under_approx, "_cone_verdicts", cone_verdicts_sweep)
+        m.setattr(under_approx, "_cone_verdicts",
+                  lambda v: (*cone_verdicts_sweep(v), np.zeros(len(v))))
         swept_radii, swept_stacks = _traced_fan(chloroform_gen, two_qubit_controls, m)
-    assert len(stacks) == len(swept_stacks)
     assert radii.tobytes() == swept_radii.tobytes()
+    swept = sum(len(s) if s.ndim == 3 else 1 for s in swept_stacks)
+    # the certificate answers most of those sets: by its own verdict, or by
+    # the depth that lets the march pass over them untested
+    assert answered + (swept - tested) > swept / 2
+    # the counts repeat exactly: 20 stacked calls and 888 sets, the origin's
+    # included
+    assert len(stacks) <= 20 < len(swept_stacks)
+    assert tested <= 900 < swept
 
 
 def test_certificate_leaves_a_tetrahedron_inside_the_band_to_the_sweep():
@@ -440,6 +453,118 @@ def test_certificate_leaves_a_tetrahedron_inside_the_band_to_the_sweep():
     assert not verdict.is_full
     np.testing.assert_array_equal(verdict.witness, [-0.0, -0.0, -1.0])
     _assert_matches_the_sweep(dirs)
+
+
+def test_depth_is_a_ball_inside_the_hull(chloroform_gen, two_qubit_controls, rng,
+                                         monkeypatch):
+    # a certified depth rho means every support value max_k n . v_k is at
+    # least rho; a set the sweep answers reports 0
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
+    points = rng.normal(size=(150, 3)) * rng.uniform(0.5, 5.0, size=(150, 1))
+    sets = np.concatenate([stacked_directions(A, b, points), rng.normal(size=(50, 24, 3)),
+                           rng.normal(size=(20, 24, 3)) + [0.0, 0.0, 1.5]])
+    swept = []
+    sweep = under_approx._sweep
+    monkeypatch.setattr(under_approx, "_sweep",
+                        lambda v, norms: swept.append(len(v)) or sweep(v, norms))
+    verdict = stlc_test_3d(sets)
+    certified = verdict.depth > 0
+    assert sum(swept) == (~certified).sum()
+    assert 0 < certified.sum() < len(sets) and not verdict.is_full.all()
+    assert (verdict.is_full[certified]).all() and (verdict.depth[~verdict.is_full] == 0).all()
+    n = rng.normal(size=(1000, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    support = (sets[certified] @ n.T).max(axis=1)  # (certified sets, 1000)
+    assert (support >= verdict.depth[certified, None]).all()
+    # the deepest tetrahedron of the six axis-extreme fields, by brute force
+    for v, depth in zip(sets[certified][:20], verdict.depth[certified][:20]):
+        ext = v[np.concatenate([v.argmax(axis=0), v.argmin(axis=0)])]
+        best = 0.0
+        for tet in combinations(range(6), 4):
+            hull = ext[list(tet)]
+            weights = np.linalg.solve(np.vstack([hull.T, np.ones(4)]), [0.0, 0.0, 0.0, 1.0])
+            if (weights > 0).all():
+                facets = [hull[[j for j in range(4) if j != i]] for i in range(4)]
+                best = max(best, min(abs(np.linalg.det(f)) / np.linalg.norm(
+                    np.cross(f[1] - f[0], f[2] - f[0])) for f in facets))
+        assert depth == pytest.approx(0.88 * best, rel=1e-9)
+
+
+def _rotation(seed):
+    """Seeded 3x3 rotation, as the benchmark rotates its fans."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+SKIP_FANS = {
+    "fibonacci20": (fibonacci_sphere(20), np.zeros(3), 1e-3),
+    "rotated20": (fibonacci_sphere(20) @ _rotation(101).T, np.zeros(3), 1e-3),
+    "off_origin50": (fibonacci_sphere(50), np.full(3, 0.3), 1e-6),
+}
+
+
+@pytest.mark.parametrize("rays, origin, tol", SKIP_FANS.values(), ids=SKIP_FANS.keys())
+def test_skipped_march_points_test_full(chloroform_gen, two_qubit_controls, monkeypatch,
+                                        rays, origin, tol):
+    # record every point whose fields the tracer hands to the cone test,
+    # rebuild each ray's march radii by repeated addition, and test each
+    # march point the trace passed over, alone
+    A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
+    tested = set()
+
+    def recording(A, b, x):
+        tested.update(p.tobytes() for p in np.array(x, ndmin=2))
+        return stacked_directions(A, b, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(under_approx, "stacked_directions", recording)
+        radii = stlc_boundary_rays(chloroform_gen, two_qubit_controls, rays, tol=tol,
+                                   origin=origin)
+    scale = float(np.linalg.norm(origin))
+    step = max(scale, 1.0) / 20.0
+    skipped = marched = 0
+    for d, radius in zip(rays, radii):
+        t = step
+        while t <= radius:
+            point = origin + t * d
+            marched += 1
+            if point.tobytes() not in tested:
+                skipped += 1
+                assert stlc_test_3d(stacked_directions(A, b, point)).is_full, (d, t)
+            t += step
+    assert marched / 4 < skipped < marched
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0 ** 51], ids=["tight", "cancelling"])
+def test_skip_keeps_the_lone_march_where_its_bounds_are_tight(shift, monkeypatch):
+    # four fields v_k(x) = 3 u_k - (x - B), u_k the vertices of a regular
+    # tetrahedron (each an axis extreme, so the tetrahedron certifies): every
+    # field moves by exactly L_d = 1 per unit radius, and along a facet
+    # normal the depth shrinks at that rate to 0 at radius 1, so a
+    # certificate's reach is tight up to its factor 0.88.  At B = 2^51 the
+    # fields, about 3 long, cancel against S near 2^53, and rounding the
+    # points to multiples of 0.5 (the ulp of 2^51) moves them by up to 0.5
+    # per coordinate: the margin's S term must keep the march from passing
+    # over points that fail
+    u = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    u = u @ _rotation(101).T
+    A = np.repeat(np.eye(3)[None], 4, axis=0)
+    b = shift + 3.0 * u
+    origin = np.full(3, shift)
+    rays = (-u[:, None] + 1e-3 * fibonacci_sphere(16)[None]).reshape(-1, 3)
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    sizes = []
+    with monkeypatch.context() as m:
+        m.setattr(under_approx, "stlc_test_3d",
+                  lambda directions: sizes.append(len(directions)) or stlc_test_3d(directions))
+        radii = under_approx._trace_lockstep(A, b, origin, rays, 0.05, 3.0, 1e-3)
+    lone = [first_exit(A, b, origin, d, 0.05, 3.0, 1e-3) for d in rays]
+    np.testing.assert_array_equal(radii, lone)
+    if not shift:
+        assert (radii > 0.95).all() and sum(sizes) < 12 * len(rays)  # lone: 27 each
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +707,13 @@ def test_ray_validation(chloroform_gen, two_qubit_controls):
     with pytest.raises(ValidationError, match="n=2"):
         stlc_boundary_rays(one, build_permutation_set(1), np.array([[1.0]]),
                            origin=np.zeros(1))
+    # an origin that is not a finite point of the three diagonal coordinates
+    # (a length-2 origin once ended in a raw numpy broadcast error)
+    for origin in (np.zeros(2), np.zeros((1, 3)), [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0],
+                   "abc", None):
+        with pytest.raises(ValidationError, match="origin"):
+            stlc_boundary_rays(chloroform_gen, two_qubit_controls, fibonacci_sphere(1),
+                               origin=origin)
     # a bisection tolerance that never ends the loop, or never starts it
     for tol in (np.nan, np.inf, -1.0, 0.0):
         with pytest.raises(ValidationError, match="tol"):
