@@ -281,10 +281,15 @@ def fixed_point(gen, seq, target=None, kappa_tol=0.12):
 def _angle(states, target):
     """Angle of a deviation vector, or of each row of a stack, to target, radians.
 
-    A zero vector has cosine 0 and so the angle pi/2.
+    Each vector is first scaled by the power of two that brings its largest
+    |entry| into [1/2, 1): exact, so no norm under- or overflows and a
+    vector and an exact 2^k multiple of it get the same bits.  A zero
+    vector has cosine 0 and so the angle pi/2.
     """
-    norms = np.linalg.norm(states, axis=-1) * np.linalg.norm(target.r)
-    cosine = states @ target.r / np.maximum(norms, 1e-300)
+    x = np.ldexp(states, -np.frexp(np.abs(states).max(axis=-1, keepdims=True))[1])
+    t = np.ldexp(target.r, -np.frexp(np.abs(target.r).max())[1])
+    norms = np.linalg.norm(x, axis=-1) * np.linalg.norm(t)
+    cosine = x @ t / np.maximum(norms, 1e-300)
     return np.arccos(np.clip(cosine, -1.0, 1.0))
 
 
@@ -588,13 +593,20 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values, reference
     RobustnessResult
         delta = |x_perturbed - x_reference| / |x_reference| on deviation
         parts (Frobenius norm of the operator difference divided by the
-        reference norm equals exactly this vector-space ratio).
+        reference norm equals exactly this vector-space ratio).  Both
+        norms are taken after scaling by the power of two that brings the
+        reference's largest |entry| into [1/2, 1), so delta neither under-
+        nor overflows and an exact 2^k multiple of the model gets its bits.
+
+    Raises
+    ------
+    ValidationError
+        If the reference is all zero.
     """
     dc = np.asarray(delta_c_values, dtype=float)
     dh = np.asarray(delta_h_values, dtype=float)
     ref = reference.r
-    ref_norm = np.linalg.norm(ref)
-    if ref_norm == 0.0:
+    if not np.any(ref):
         raise ValidationError("reference fixed point must be nonzero")
     cells_c, cells_h = (g.ravel() for g in np.meshgrid(dc, dh, indexing="ij"))
     count = cells_c.size
@@ -605,8 +617,9 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values, reference
         chunk = slice(lo, lo + SWEEP_CHUNK)
         M, c = one_period_map(gen, seq_builder(cells_c[chunk], cells_h[chunk]))
         x[chunk], rho[chunk], cond[chunk], ok[chunk] = _attracting_fixed_point(M, c)
-    diff = x - ref
-    delta = np.sqrt(np.vecdot(diff, diff)) / ref_norm
+    e = np.frexp(np.abs(ref).max())[1]
+    diff = np.ldexp(x - ref, -e)  # exact, as is the reference's scaling
+    delta = np.sqrt(np.vecdot(diff, diff)) / np.linalg.norm(np.ldexp(ref, -e))
     shape = (len(dc), len(dh))
     return RobustnessResult(
         delta_c=dc, delta_h=dh, delta=delta.reshape(shape), failed=~ok.reshape(shape),

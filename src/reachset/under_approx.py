@@ -8,7 +8,8 @@ of R^{2^n - 1}.  By the separating-hyperplane characterization, the cone
 fails to be full iff some hyperplane spanned by directions from the set has
 every direction on one side.
 
-Two implementations are provided and cross-validated:
+Two implementations are provided and cross-validated.  Each answers with
+a ``ConeVerdict``: the verdict and a certified depth (0 from the LP).
 
 * ``stlc_test_3d`` - the run-time test, so tracing is two-qubit only: for
   each unordered pair (i, j), c_k = (v_i x v_j) . v_k must change sign.
@@ -94,10 +95,9 @@ def build_permutation_set(n):
 
 @dataclass(frozen=True)
 class ConeVerdict:
-    """Outcome of a cone-fullness test.
+    """Outcome of a cone-fullness test: a verdict and a depth.
 
-    ``witness`` is a separating normal with witness . v_k <= 0 for all k
-    (within DEGENERACY_TOL) when the cone is not full, else None.
+    ``is_full`` says whether the cone of the directions is all of R^m.
     ``depth`` is the radius of a ball about the origin that the hull of the
     directions is certified to hold, in the directions' units: 0.88 times
     the largest smallest-facet distance over the tetrahedra that certify
@@ -106,17 +106,7 @@ class ConeVerdict:
     """
 
     is_full: bool
-    witness: np.ndarray = None
     depth: float = 0.0
-
-
-def _rank_witness(dirs):
-    """Separating normal when the directions do not span the space."""
-    _, s, vt = np.linalg.svd(dirs, full_matrices=True)
-    normal = vt[-1]
-    if (normal @ dirs.T).max() > 0:
-        normal = -normal
-    return normal
 
 
 def stlc_test_3d(directions):
@@ -132,11 +122,10 @@ def stlc_test_3d(directions):
     Returns
     -------
     ConeVerdict
-        For one set of shape (K, 3), ``is_full`` is a bool, ``witness`` a
-        unit normal or None and ``depth`` a float.  For a stack, ``is_full``
-        and ``depth`` are arrays of the leading shape and ``witness`` a
-        (..., 3) array that is NaN where the cone is full; each entry
-        equals the one-set call on its set, bit for bit.
+        The verdict and the depth.  For one set of shape (K, 3),
+        ``is_full`` is a bool and ``depth`` a float; for a stack, both are
+        arrays of the leading shape, and each entry equals the one-set call
+        on its set, bit for bit.
 
     Raises
     ------
@@ -152,28 +141,24 @@ def stlc_test_3d(directions):
     lead = v.shape[:-2]
     sets = v.reshape(-1, *v.shape[-2:])
     chunks = [_cone_verdicts(sets[s:s + CHUNK]) for s in range(0, max(len(sets), 1), CHUNK)]
-    full, witness, depth = (np.concatenate(parts) for parts in zip(*chunks))
+    full, depth = (np.concatenate(parts) for parts in zip(*chunks))
     if lead:
-        return ConeVerdict(is_full=full.reshape(lead), witness=witness.reshape(*lead, 3),
-                           depth=depth.reshape(lead))
-    if full[0]:
-        return ConeVerdict(is_full=True, depth=float(depth[0]))
-    return ConeVerdict(is_full=False, witness=witness[0])
+        return ConeVerdict(is_full=full.reshape(lead), depth=depth.reshape(lead))
+    return ConeVerdict(is_full=bool(full[0]), depth=float(depth[0]))
 
 
 def _cone_verdicts(v):
-    """Verdicts, witnesses and depths of the triple-product test on (N, K, 3) sets.
+    """Verdicts and depths of the triple-product test on (N, K, 3) sets.
 
     Each set is first scaled by the power of two that brings its largest
     |entry| into [1/2, 1): exact (an entry below 2^-1021 times the largest
     may round, deep inside every band), safe from overflow, and unseen by
     the thresholds below, which are all homogeneous; so a set and an exact
     2^k multiple of it get the same bits.  A set whose directions do not
-    span R^3 gets the rank witness.  Otherwise the cone is not full iff
-    some valid plane (v_i x v_j, |v_i x v_j| above 1e-12 |v_i| |v_j|) has
-    every product c_k = (v_i x v_j) . v_k on one side of the band
-    +-DEGENERACY_TOL |v_i x v_j| |v_k|, and the first such plane in triu
-    order gives the witness.
+    span R^3 is not full.  Otherwise the cone is not full iff some valid
+    plane (v_i x v_j, |v_i x v_j| above 1e-12 |v_i| |v_j|) has every
+    product c_k = (v_i x v_j) . v_k on one side of the band
+    +-DEGENERACY_TOL |v_i x v_j| |v_k|.
 
     Three sound prefilters keep the exact work small.  First, a set is
     full, with no plane swept, when a tetrahedron of its six axis-extreme
@@ -194,7 +179,7 @@ def _cone_verdicts(v):
     far beyond matmul rounding near 1e-15 |n| |v_k|.  Every valid plane
     thus passes the next prefilter, and the smallest singular value, at
     least 0.88 delta, is far above the rank tolerance, so the sweep would
-    answer "full" with a NaN witness too.  Second, a plane with products
+    answer "full" too.  Second, a plane with products
     beyond four times the widest band on both sides cannot separate, and
     third, a set with some |c_k| above twice |V|_F^2 times the rank
     tolerance 1e-12 has rank 3 (by Cauchy-Binet, every 3x3 minor is at
@@ -205,12 +190,11 @@ def _cone_verdicts(v):
     w = v.transpose(2, 0, 1)
     norms = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])  # (N, K)
     full = np.ones(len(v), dtype=bool)
-    witness = np.full((len(v), 3), np.nan)
     depth = _deep_tetrahedron(v, norms)
     rest = np.flatnonzero(depth == 0)
     if rest.size:
-        full[rest], witness[rest] = _sweep(v[rest], norms[rest])
-    return full, witness, np.ldexp(depth, e)
+        full[rest] = _sweep(v[rest], norms[rest])
+    return full, np.ldexp(depth, e)
 
 
 #: Six fields span 15 tetrahedra (a, b, c, d), built from 20 vertex
@@ -265,8 +249,8 @@ def _planes(k):
 
 
 def _sweep(v, norms):
-    """The plane sweep and rank fallback of ``_cone_verdicts`` on scaled
-    (N, K, 3) sets with their (N, K) field norms."""
+    """The verdicts of the plane sweep and rank check of ``_cone_verdicts``
+    on scaled (N, K, 3) sets with their (N, K) field norms."""
     i, j = _planes(v.shape[1])  # each unordered plane once
     w = v.transpose(2, 0, 1)
     (a0, a1, a2), (b0, b1, b2) = w[:, :, i], w[:, :, j]  # np.cross, term by term
@@ -281,29 +265,18 @@ def _sweep(v, norms):
     rows, pairs = np.nonzero(valid & ~((top > band) & (bottom < -band)))
     c = prods[rows, :, pairs]
     scale = np.maximum(cross_norms[rows, pairs][:, None] * norms[rows], 1e-300)
-    below = (c <= DEGENERACY_TOL * scale).all(axis=1)
-    above = (c >= -DEGENERACY_TOL * scale).all(axis=1)
-    hit = below | above
-    rows, pairs, below = rows[hit], pairs[hit], below[hit]
-    _, first = np.unique(rows, return_index=True)  # rows ascend, pairs within rows
-    rows, pairs, below = rows[first], pairs[first], below[first]
-
+    hit = ((c <= DEGENERACY_TOL * scale).all(axis=1)
+           | (c >= -DEGENERACY_TOL * scale).all(axis=1))
     full = np.ones(len(v), dtype=bool)
-    full[rows] = False
-    witness = np.full((len(v), 3), np.nan)
-    normal = crosses[rows, :, pairs] / cross_norms[rows, pairs][:, None]
-    witness[rows] = np.where(below[:, None], normal, -normal)
+    full[rows[hit]] = False
 
     rank_tol = 1e-12
     widest = np.maximum(top.max(axis=1, initial=0.0), -bottom.min(axis=1, initial=0.0))
     frobenius_sq = (v * v).sum(axis=(1, 2))
     unsure = np.flatnonzero(~(widest > 2.0 * frobenius_sq * rank_tol))
     if unsure.size:
-        deficient = unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol) < 3]
-        full[deficient] = False
-        for r in deficient:
-            witness[r] = _rank_witness(v[r])
-    return full, witness
+        full[unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol) < 3]] = False
+    return full
 
 
 def _conical_feasible(v, target):
@@ -319,31 +292,15 @@ def _conical_feasible(v, target):
     return res.status == 0
 
 
-def _lp_witness(v, target):
-    """Farkas certificate: n with n . v_k <= 0 for all k and n . target > 0."""
-    from scipy.optimize import linprog
-
-    m = v.shape[1]
-    res = linprog(
-        -target,
-        A_ub=v,
-        b_ub=np.zeros(len(v)),
-        bounds=[(-1.0, 1.0)] * m,
-        method="highs",
-    )
-    if res.status == 0 and res.x is not None and np.linalg.norm(res.x) > 0:
-        return res.x / np.linalg.norm(res.x)
-    return None
-
-
 def stlc_test_lp(directions):
     """Linear-programming cone test in any dimension.
 
-    The cone equals the full space iff each of the 2m targets +-e_i admits
-    a nonnegative conical combination; otherwise a Farkas dual provides a
-    separating witness.  The set is first scaled by the power of two that
-    brings its largest |entry| into [1/2, 1), as in ``_cone_verdicts``, so
-    a set and an exact 2^k multiple of it get the same verdict.
+    The cone equals the full space iff the directions span R^m and each of
+    the 2m targets +-e_i admits a nonnegative conical combination; the test
+    returns its verdict after the first target that admits none, with depth
+    0.  The set is first scaled by the power of two that brings its largest
+    |entry| into [1/2, 1), as in ``_cone_verdicts``, so a set and an exact
+    2^k multiple of it get the same verdict.
 
     Raises
     ------
@@ -358,13 +315,13 @@ def stlc_test_lp(directions):
     v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])  # exact: every |entry| now below 1
     m = v.shape[1]
     if np.linalg.matrix_rank(v, tol=1e-12) < m:
-        return ConeVerdict(is_full=False, witness=_rank_witness(v))
+        return ConeVerdict(is_full=False)
     for axis in range(m):
         for sign in (1.0, -1.0):
             target = np.zeros(m)
             target[axis] = sign
             if not _conical_feasible(v, target):
-                return ConeVerdict(is_full=False, witness=_lp_witness(v, target))
+                return ConeVerdict(is_full=False)
     return ConeVerdict(is_full=True)
 
 
@@ -401,7 +358,7 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
     (rho + t L_d) - (t + s) L_d over the round's tested radii t: the set at
     x' then holds a ball of radius above 2e-8 S - 1e-14 S, more than
     1e-8 max_k |v_k(x')|, the depth past which ``_cone_verdicts`` shows
-    that the plane sweep answers "full" with a NaN witness.  The test runs
+    that the plane sweep answers "full".  The test runs
     on A and b scaled by a power of two, so no norm in it under- or
     overflows, and every term scales alike.
     """

@@ -73,22 +73,29 @@ def kappa_channel(output, sigma, tol=1e-6):
 
     The output must be proportional to sigma: the least-squares residual
     relative to |output| has to stay within `tol`, otherwise the transfer
-    carries unwanted components and ResidualTooLarge is raised.
+    carries unwanted components and ResidualTooLarge is raised.  Both are
+    solved scaled by the powers of two that bring their largest |entry|
+    into [0.5, 1), and kappa is scaled back exactly, so the check neither
+    under- nor overflows and an exact 2^k multiple of the output gets the
+    same verdict and 2^k times kappa.
     """
     if output.n != sigma.n:
         raise ValidationError("states have different qubit counts")
-    s_sq = float(sigma.r @ sigma.r)
+    k = int(np.frexp(np.abs(output.r).max())[1])
+    j = int(np.frexp(np.abs(sigma.r).max())[1])
+    out, sig = np.ldexp(output.r, -k), np.ldexp(sigma.r, -j)
+    s_sq = float(sig @ sig)
     if s_sq <= 0.0:
         raise ValidationError("target direction must be nonzero")
-    kappa = float(output.r @ sigma.r) / s_sq
-    out_norm = np.linalg.norm(output.r)
-    residual = np.linalg.norm(output.r - kappa * sigma.r)
+    kappa = float(out @ sig) / s_sq
+    out_norm = np.linalg.norm(out)
+    residual = np.linalg.norm(out - kappa * sig)
     if residual > tol * max(out_norm, 1e-300):
         raise ResidualTooLarge(
             f"output deviates from the target direction by a relative "
             f"{residual / max(out_norm, 1e-300):.3e} (tolerance {tol})"
         )
-    return kappa
+    return float(np.ldexp(kappa, k - j))
 
 
 def polytope_vertices(rho):

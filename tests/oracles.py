@@ -18,7 +18,7 @@ from reachset.over_approx import (
     ORACLE_STARTS,
     ORACLE_STEP_TOL,
 )
-from reachset.under_approx import DEGENERACY_TOL, _rank_witness
+from reachset.under_approx import DEGENERACY_TOL
 
 
 def rk4_evolve(gen, r0, t, n_steps):
@@ -134,11 +134,12 @@ def boundary_rays_one_by_one(gen, controls, ray_dirs, tol, origin):
 
 
 def cone_verdicts_sweep(v):
-    """The triple-product cone test with every set swept, on (N, K, 3) sets.
+    """Verdicts of the triple-product cone test with every set swept, on
+    (N, K, 3) sets.
 
     The library's ``_cone_verdicts`` before its tetrahedron certificate:
     the power-of-two rescale, every plane's products, the two prefilters
-    and the rank fallback, kept as the reference that the certificate must
+    and the rank check, kept as the reference that the certificate must
     match bit for bit.
     """
     _, e = np.frexp(np.abs(v).max(axis=(1, 2)))
@@ -157,29 +158,18 @@ def cone_verdicts_sweep(v):
     rows, pairs = np.nonzero(valid & ~((top > band) & (bottom < -band)))
     c = prods[rows, :, pairs]
     scale = np.maximum(cross_norms[rows, pairs][:, None] * norms[rows], 1e-300)
-    below = (c <= DEGENERACY_TOL * scale).all(axis=1)
-    above = (c >= -DEGENERACY_TOL * scale).all(axis=1)
-    hit = below | above
-    rows, pairs, below = rows[hit], pairs[hit], below[hit]
-    _, first = np.unique(rows, return_index=True)  # rows ascend, pairs within rows
-    rows, pairs, below = rows[first], pairs[first], below[first]
-
+    hit = ((c <= DEGENERACY_TOL * scale).all(axis=1)
+           | (c >= -DEGENERACY_TOL * scale).all(axis=1))
     full = np.ones(len(v), dtype=bool)
-    full[rows] = False
-    witness = np.full((len(v), 3), np.nan)
-    normal = crosses[rows, :, pairs] / cross_norms[rows, pairs][:, None]
-    witness[rows] = np.where(below[:, None], normal, -normal)
+    full[rows[hit]] = False
 
     rank_tol = 1e-12
     widest = np.maximum(top.max(axis=1, initial=0.0), -bottom.min(axis=1, initial=0.0))
     frobenius_sq = (v * v).sum(axis=(1, 2))
     unsure = np.flatnonzero(~(widest > 2.0 * frobenius_sq * rank_tol))
     if unsure.size:
-        deficient = unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol) < 3]
-        full[deficient] = False
-        for r in deficient:
-            witness[r] = _rank_witness(v[r])
-    return full, witness
+        full[unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol) < 3]] = False
+    return full
 
 
 def max_purity_multistart_serial(c, M, n_starts=ORACLE_STARTS, seed=ORACLE_SEED):

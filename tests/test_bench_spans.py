@@ -1,4 +1,4 @@
-"""Guard for the benchmark's traced suite.
+"""Guards for the benchmark's traced suite and its output checks.
 
 ``bench/layers.py`` wraps every public library function by its module
 attribute and reads per-layer metrics off the spans the wraps record, taking
@@ -6,7 +6,9 @@ a median of each.  A refactor that stops calling one of those functions
 through its module attribute leaves its span empty, and the traced run
 then fails while every other test stays green.  This test runs one small
 call per phase under the benchmark's own tracer and checks that every span
-those phases read is recorded.
+those phases read is recorded.  Tier-1 does not collect ``bench/``, so the
+output checks that the bounds workload runs on each traced fan are run here
+too, on a fan the library traces.
 """
 
 import inspect
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import reachset as rs
+from reachset.diagonal import projected_field_stack
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -32,6 +35,14 @@ def layers(monkeypatch):
     import layers
 
     return layers
+
+
+@pytest.fixture()
+def checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+
+    return checks
 
 
 def test_traced_suite_records_every_span_it_reads(layers):
@@ -59,3 +70,16 @@ def test_traced_suite_records_every_span_it_reads(layers):
         tracer.uninstall()
     recorded = {span[0] for span in tracer.spans}
     assert read - NOT_RUN - recorded == set()
+
+
+def test_bench_checks_pass_a_traced_fan(checks):
+    gen = rs.assemble_generator()
+    controls = rs.build_permutation_set(2)
+    origin, dirs, tol = np.zeros(3), rs.fibonacci_sphere(3), 1e-3
+    radii = rs.stlc_boundary_rays(gen, controls, dirs, tol=tol, origin=origin)
+    A, b = projected_field_stack(gen, controls.reps_full)
+    checks.check_ray_radii_lp(A, b, origin, dirs, radii, tol)
+    checks.check_radii_in_sphere(origin, dirs, radii, rs.max_purity_on_ellipsoid(gen).radius_sq)
+    # 2 tol beyond each traced radius lies past the boundary
+    with pytest.raises(checks.CheckFailed, match="not controllable"):
+        checks.check_ray_radii_lp(A, b, origin, dirs, radii + 2 * tol, tol)

@@ -185,6 +185,33 @@ def test_robustness_command(tmp_path):
     assert meta["max_delta"] <= 0.1
 
 
+@pytest.mark.parametrize("command, epsilons", [
+    ("simulate", ["1e160", "1e-200"]),
+    ("robustness", ["1e200", "1e-160", "1e-200"]),
+])
+def test_protocol_outputs_scale_free_in_epsilon(tmp_path, command, epsilons):
+    # polarizations are in units of eps, so theta* and each period's theta,
+    # and each cell's delta, are those of eps = 1.  theta* once printed
+    # 1.5708 at 1e160 and 0.0000 at 1e-200; delta was NaN at 1e200, 0 at
+    # 1e-160 and refused with exit 2 at 1e-200
+    def outputs(eps):
+        out = tmp_path / f"{command}_{eps}.csv"
+        proc = _child(["-m", "reachset.cli", command, "--preset", "chloroform",
+                       "--epsilon", eps, "--out", str(out)], cwd=tmp_path)
+        assert proc.returncode == 0, (eps, proc.stderr)
+        meta = load_json(str(out) + ".meta.json")
+        last = np.loadtxt(out, delimiter=",", skiprows=1)[:, -1]  # theta or delta
+        assert np.isfinite(last).all(), eps
+        return meta["fixed_point_theta" if command == "simulate" else "max_delta"], last
+
+    base, column = outputs("1")
+    assert base == pytest.approx(0.0558 if command == "simulate" else 6.78e-4, rel=1e-3)
+    for eps in epsilons:
+        value, last = outputs(eps)
+        assert value == pytest.approx(base, rel=1e-9), eps
+        np.testing.assert_allclose(last, column, rtol=1e-9, atol=1e-12, err_msg=eps)
+
+
 def test_figure1_command(tmp_path):
     out_dir = tmp_path / "fig"
     assert run("figure1", "--preset", "chloroform", "--rays", "6",

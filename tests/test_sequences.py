@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,11 +10,13 @@ from reachset import (
     NoUniqueFixedPoint,
     PeriodicSequence,
     RelaxStep,
+    ResidualTooLarge,
     ValidationError,
     bell_direction,
     bell_sequence,
     diag_slots,
     fixed_point,
+    kappa_channel,
     noe_steady_state,
     one_period_map,
     pps_direction,
@@ -406,6 +410,49 @@ def test_robustness_sweep_one_propagator_per_chunk(chloroform_gen, monkeypatch):
     robustness_sweep(chloroform_gen, pps_pulse_sequence_builder(1.5), [0.0], grid,
                      reference)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# scale: polarizations are in units of eps, so every state scales with eps and
+# the angle, the proportionality check and the robustness error do not
+
+
+def _protocol_diagnostics(k):
+    """theta at the fixed point and per period, the kappa_tol = 0.01 refusal,
+    kappa_channel / 2^k and delta of the pps protocol at eps = 2^k, as bytes."""
+    eps = 2.0 ** k
+    gen = assemble_generator(RateSet(eps_C=eps, eps_H=4 * eps))
+    seq, target = pps_sequence(1.5, repeat=5), pps_direction()
+    report = fixed_point(gen, seq, target=target, kappa_tol=0.1)
+    with pytest.raises(ResidualTooLarge) as refusal:  # relative residual 5.58e-2
+        fixed_point(gen, seq, target=target, kappa_tol=0.01)
+    run = simulate_sequence(gen, seq, thermal(gen), target=target)
+    grid = np.array([-0.02, 0.0, 0.03])
+    sweep = robustness_sweep(gen, pps_pulse_sequence_builder(1.5), grid, grid,
+                             report.x_star)
+    kappa = kappa_channel(report.x_star, target, tol=0.1)
+    return (np.float64(report.theta).tobytes(), run.theta.tobytes(), str(refusal.value),
+            np.ldexp(kappa, -k).tobytes(), np.ldexp(report.eta_eff, -k).tobytes(),
+            sweep.delta.tobytes())
+
+
+def test_protocol_diagnostics_scale_free_in_epsilon():
+    # raw norms once overflowed above eps ~ 1e154 and underflowed below
+    # 1e-154: theta read pi/2 or 0, the check passed a 5.58e-2 residual at
+    # kappa_tol = 0.01, and delta was NaN, 0 or refused as a zero reference
+    base = _protocol_diagnostics(0)
+    assert np.frombuffer(base[0])[0] == pytest.approx(0.0558, abs=1e-4)
+    for k in range(-900, 1001, 100):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _protocol_diagnostics(k) == base, k
+
+
+def test_robustness_refuses_a_zero_reference(chloroform_gen):
+    # a reference whose norm underflows is measured (eps = 2^-900 above)
+    zero = CoherenceVector(n=2, r=np.zeros(15))
+    with pytest.raises(ValidationError, match="nonzero"):
+        robustness_sweep(chloroform_gen, pps_pulse_sequence_builder(1.5), [0.0], [0.0], zero)
 
 
 def test_attracting_fixed_point_flags_non_attracting_maps(chloroform_gen):

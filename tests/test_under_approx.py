@@ -105,11 +105,8 @@ def test_half_space_detected():
     dirs = rng.normal(size=(24, 3))
     dirs[:, 0] = np.abs(dirs[:, 0]) + 0.1
     verdict = stlc_test_3d(dirs)
-    assert not verdict.is_full
-    # witness points against the positive-x1 half space
-    assert verdict.witness is not None
-    assert (dirs @ verdict.witness).max() <= 1e-10
-    assert verdict.witness[0] < -0.5
+    assert not verdict.is_full and verdict.depth == 0.0
+    assert not stlc_test_lp(dirs).is_full
 
 
 def test_lp_one_dimensional():
@@ -123,16 +120,16 @@ def test_lp_upper_half_plane():
     dirs = rng.normal(size=(12, 2))
     dirs[:, 1] = np.abs(dirs[:, 1])
     verdict = stlc_test_lp(dirs)
-    assert not verdict.is_full
-    assert (dirs @ verdict.witness).max() <= 1e-9
-    assert verdict.witness[1] < -0.5
+    assert not verdict.is_full and verdict.depth == 0.0
+    # one field below the half plane closes the cone
+    assert stlc_test_lp(np.vstack([dirs, [[0.0, -1.0]]])).is_full
 
 
 def test_rank_deficient_directions():
     dirs = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
     for verdict in (stlc_test_3d(dirs), stlc_test_lp(dirs)):
-        assert not verdict.is_full
-        assert abs(abs(verdict.witness[2]) - 1.0) < 1e-9
+        assert not verdict.is_full and verdict.depth == 0.0
+    assert not cone_verdicts_sweep(dirs[None]).any()
 
 
 def test_triple_product_agrees_with_lp(rng):
@@ -179,22 +176,18 @@ def test_chloroform_equilibrium_agreement(chloroform_gen, two_qubit_controls):
 
 
 # ---------------------------------------------------------------------------
-# stacked cone tests: each set of a stack gets the one-set verdict and witness
+# stacked cone tests: each set of a stack gets the one-set verdict and depth
 
 
 def _assert_rows_match_one_set_calls(sets):
     stacked = stlc_test_3d(sets)
     lead = sets.shape[:-2]
-    assert stacked.is_full.shape == lead and stacked.witness.shape == (*lead, 3)
-    assert stacked.depth.shape == lead
+    assert stacked.is_full.shape == lead and stacked.depth.shape == lead
     for idx in np.ndindex(*lead):
         one = stlc_test_3d(sets[idx])
         assert stacked.is_full[idx] == one.is_full, idx
         assert isinstance(one.depth, float) and stacked.depth[idx] == one.depth, idx
-        if one.is_full:
-            assert one.witness is None and np.isnan(stacked.witness[idx]).all()
-        else:
-            assert stacked.witness[idx].tobytes() == one.witness.tobytes(), idx
+        if not one.is_full:
             assert one.depth == 0.0
     return stacked
 
@@ -234,8 +227,7 @@ def test_stacked_cone_test_rank_deficient_sets(rng):
     sets = np.concatenate([planar, np.zeros((3, 24, 3)), line, generic])
     stacked = _assert_rows_match_one_set_calls(sets)
     assert not stacked.is_full[:13].any()
-    # the rank fallback's witness is the plane's normal
-    np.testing.assert_allclose(np.abs(stacked.witness[:5, 2]), 1.0, atol=1e-12)
+    _assert_matches_the_sweep(sets)
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,9 +242,9 @@ def test_stacked_cone_test_products_at_the_band(factor, count):
     base = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], up, low])
     sets = np.repeat(base[None], count, axis=0)
     stacked = _assert_rows_match_one_set_calls(sets)
+    _assert_matches_the_sweep(sets)
     if factor >= -0.99:
         assert not stacked.is_full.any()
-        np.testing.assert_array_equal(stacked.witness[0], [-0.0, -0.0, -1.0])
     elif factor <= -1.01:
         assert stacked.is_full.all()
 
@@ -265,12 +257,12 @@ def test_stacked_cone_test_chunk_sizes_and_shapes(rng):
     for count in (63, 64, 65, 129):
         part = stlc_test_3d(sets[:count])
         np.testing.assert_array_equal(part.is_full, whole.is_full[:count])
-        assert part.witness.tobytes() == whole.witness[:count].tobytes()
+        assert part.depth.tobytes() == whole.depth[:count].tobytes()
     # two leading axes, and an empty stack
     grid = stlc_test_3d(sets[:65].reshape(5, 13, 24, 3))
     np.testing.assert_array_equal(grid.is_full.ravel(), whole.is_full[:65])
     empty = stlc_test_3d(np.empty((0, 24, 3)))
-    assert empty.is_full.shape == (0,) and empty.witness.shape == (0, 3)
+    assert empty.is_full.shape == (0,) and empty.depth.shape == (0,)
     for bad in (np.empty((24,)), np.empty((24, 2)), np.empty((4, 0, 3))):
         with pytest.raises(ValidationError):
             stlc_test_3d(bad)
@@ -283,7 +275,7 @@ R_SCALES = [2.0 ** -1000, 2.0 ** -200, 1e-60, 2.0 ** -8, 2.0 ** 8, 2.0 ** 40, 1e
 
 def test_cone_test_is_scale_free(chloroform_gen, two_qubit_controls, rng):
     # each set is rescaled by a power of two before any product is taken,
-    # so 2^k times a set gets its verdicts and witnesses bit for bit, with
+    # so 2^k times a set gets its verdicts and depths bit for bit, with
     # no overflow at 2^900 and no lost rank at 2^-900
     A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
     points = rng.normal(size=(100, 3)) * rng.uniform(0.5, 5.0, size=(100, 1))
@@ -292,6 +284,7 @@ def test_cone_test_is_scale_free(chloroform_gen, two_qubit_controls, rng):
     sets[101, :, 2] = 0.0  # not full through the rank
     base = stlc_test_3d(sets)
     assert base.is_full.any() and not base.is_full.all()
+    assert base.is_full.tobytes() == cone_verdicts_sweep(sets).tobytes()
     for k in (-900, 900):
         scaled_sets = np.ldexp(sets, k)
         assert np.array_equal(np.ldexp(scaled_sets, -k), sets)  # the scaling is exact
@@ -299,7 +292,6 @@ def test_cone_test_is_scale_free(chloroform_gen, two_qubit_controls, rng):
             warnings.simplefilter("error")
             scaled = stlc_test_3d(scaled_sets)
         assert scaled.is_full.tobytes() == base.is_full.tobytes()
-        assert scaled.witness.tobytes() == base.witness.tobytes()
         assert scaled.depth.tobytes() == np.ldexp(base.depth, k).tobytes()
 
 
@@ -312,9 +304,8 @@ def test_cone_test_answers_huge_directions(dirs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verdict = stlc_test_3d(dirs)
-    assert not verdict.is_full
-    assert np.linalg.norm(verdict.witness) == pytest.approx(1.0)
-    assert (np.asarray(dirs) @ verdict.witness <= 0).all()
+    assert not verdict.is_full and verdict.depth == 0.0
+    assert not stlc_test_lp(dirs).is_full
 
 
 def test_traced_radii_scale_free_in_R(chloroform_gen, two_qubit_controls):
@@ -337,15 +328,13 @@ def test_traced_radii_scale_free_in_R(chloroform_gen, two_qubit_controls):
 
 # ---------------------------------------------------------------------------
 # the tetrahedron certificate: sets it answers skip the plane sweep, and every
-# verdict and witness stays that of the sweep alone
+# verdict stays that of the sweep alone
 
 
 def _assert_matches_the_sweep(sets):
     sets = np.asarray(sets, dtype=float).reshape(-1, *np.shape(sets)[-2:])
-    got = stlc_test_3d(sets)
-    full, witness = cone_verdicts_sweep(sets)
-    assert got.is_full.tobytes() == full.tobytes()
-    assert got.witness.tobytes() == witness.tobytes()
+    full = cone_verdicts_sweep(sets)
+    assert stlc_test_3d(sets).is_full.tobytes() == full.tobytes()
     return full
 
 
@@ -425,7 +414,7 @@ def test_certificate_answers_most_traced_sets(chloroform_gen, two_qubit_controls
     # tests every point of the lone march (34 calls, 1705 sets)
     with monkeypatch.context() as m:
         m.setattr(under_approx, "_cone_verdicts",
-                  lambda v: (*cone_verdicts_sweep(v), np.zeros(len(v))))
+                  lambda v: (cone_verdicts_sweep(v), np.zeros(len(v))))
         swept_radii, swept_stacks = _traced_fan(chloroform_gen, two_qubit_controls, m)
     assert radii.tobytes() == swept_radii.tobytes()
     swept = sum(len(s) if s.ndim == 3 else 1 for s in swept_stacks)
@@ -450,8 +439,7 @@ def test_certificate_leaves_a_tetrahedron_inside_the_band_to_the_sweep():
     depth = abs(np.linalg.det(facet)) / np.linalg.norm(normal)
     assert 1e-14 < depth < 1e-12
     verdict = stlc_test_3d(dirs)
-    assert not verdict.is_full
-    np.testing.assert_array_equal(verdict.witness, [-0.0, -0.0, -1.0])
+    assert not verdict.is_full and verdict.depth == 0.0
     _assert_matches_the_sweep(dirs)
 
 
