@@ -87,13 +87,12 @@ def projected_field_stack(gen, reps):
     ValidationError
         If the controls do not act on the generator's coherence space.
     """
-    slots = list(diag_slots(gen.n))
     mats = np.asarray(reps, dtype=float)
     if mats.shape[1:] != (gen.dim, gen.dim):
         raise ValidationError("qubit counts of generator and controls differ")
-    RU = np.einsum("kia,ij,kjb->kab", mats, gen.Rmat, mats)
-    A = RU[:, slots, :][:, :, slots]
-    b = np.einsum("kia,i->ka", mats, gen.Rmat @ gen.r_eq)[:, slots]
+    cols = mats[:, :, list(diag_slots(gen.n))]  # only these columns of U reach [.]_d
+    A = np.einsum("kia,ij,kjb->kab", cols, gen.Rmat, cols)
+    b = np.einsum("kia,i->ka", cols, gen.Rmat @ gen.r_eq)
     return A, b
 
 

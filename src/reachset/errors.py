@@ -75,3 +75,25 @@ def json_floats(d, what, *keys):
                 f"{what} JSON key {key!r} must hold numbers: {exc}"
             ) from exc
     return out
+
+
+def ldexp_normal(value, exponent, what):
+    """value * 2^exponent, elementwise, refused with ValidationError where a
+    nonzero value would leave the normal float range, or is not finite.
+
+    For a quantity solved at a power-of-two scale and scaled back exactly;
+    `what` names the cause and the quantity, as in "target's scale puts
+    kappa_max".
+    """
+    import numpy as np  # the exception classes alone load no numpy
+
+    _, size = np.frexp(value)
+    size = size + exponent  # |value| 2^exponent = f 2^size, 1/2 <= f < 1
+    bad = np.flatnonzero(~np.isfinite(value)
+                         | ((np.asarray(value) != 0) & ((size < -1021) | (size > 1024))))
+    if bad.size:
+        first = bad[0]
+        raise ValidationError(f"{what} = {float(np.ravel(value)[first])!r} * "
+                              f"2^{np.ravel(np.broadcast_to(exponent, np.shape(size)))[first]} "
+                              "outside the normal float range")
+    return np.ldexp(value, exponent)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import diag_slots
-from .errors import CertificationFailed, ValidationError
+from .errors import CertificationFailed, ldexp_normal
 from .pauli import CoherenceVector
 
 #: Relative agreement demanded between solver and certification oracle.
@@ -213,11 +213,7 @@ def max_purity_on_ellipsoid(gen):
     c, M = _sphere_objective_data(gen.Rmat, r_eq)
     r_opt = _max_norm_on_sphere(c, M)
     val = float(r_opt @ r_opt)
-    with np.errstate(over="ignore"):
-        radius_sq = float(np.ldexp(val, 2 * k))
-    if not np.finfo(float).tiny <= radius_sq < np.inf:
-        raise ValidationError(f"r_eq's scale puts radius_sq = {val!r} * 2^{2 * k} "
-                              "outside the normal float range")
+    radius_sq = float(ldexp_normal(val, 2 * k, "r_eq's scale puts radius_sq"))
 
     # multiplier, unchanged by the scaling: 2 r = mu * R (2 r - r_eq); gc is
     # divided by a power of two once so that gc.gc cannot overflow

@@ -40,7 +40,7 @@ import numpy as np
 
 from .diagonal import DiagonalVector, diag_slots
 from .dynamics import relax_propagator
-from .errors import NoUniqueFixedPoint, ValidationError
+from .errors import NoUniqueFixedPoint, ValidationError, ldexp_normal
 from .pauli import CoherenceVector, build_basis, unitary_rep, _readonly
 from .unitary_bound import kappa_channel
 
@@ -325,6 +325,14 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
     SequenceResult
         Recorded periods at times m * period_duration (m * 1 for a period
         without relaxation).
+
+    Raises
+    ------
+    ValidationError
+        If a recorded period's eta lies outside the normal float range; it
+        is solved with each state and the target scaled by the powers of two
+        that bring their largest |entry| into [1/2, 1), so it does not
+        overflow on the way.
     """
     if record_every < 1:
         raise ValidationError("record_every must be >= 1")
@@ -339,7 +347,11 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
             rows.append(x.copy())
     states = np.asarray(rows)
     if target is not None:
-        eta = states @ target.r / float(target.r @ target.r)
+        k = np.frexp(np.abs(states).max(axis=1))[1]
+        j = np.frexp(np.abs(target.r).max())[1]
+        t = np.ldexp(target.r, -j)
+        eta = ldexp_normal(np.ldexp(states, -k[:, None]) @ t / float(t @ t), k - j,
+                           "the states' scale puts a period's eta")
         theta = _angle(states, target)
     else:
         eta = np.full(len(states), np.nan)

@@ -25,7 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from .diagonal import diag_slots
-from .errors import ResidualTooLarge, ValidationError
+from .errors import ResidualTooLarge, ValidationError, ldexp_normal
 from .pauli import CoherenceVector, build_basis, deviation_matrix, _readonly
 
 
@@ -60,12 +60,7 @@ def kappa_unitary_max(rho, sigma):
     if s_norm_sq <= 0.0:
         raise ValidationError("target direction must be nonzero")
     val = float(deviation_spectrum(rho) @ deviation_spectrum(unit)) / s_norm_sq
-    with np.errstate(over="ignore"):
-        kappa = float(np.ldexp(val, -k))
-    if val and not np.finfo(float).tiny <= abs(kappa) < np.inf:
-        raise ValidationError(f"target's scale puts kappa_max = {val!r} * 2^{-k} "
-                              "outside the normal float range")
-    return kappa
+    return float(ldexp_normal(val, -k, "target's scale puts kappa_max"))
 
 
 def kappa_channel(output, sigma, tol=1e-6):
@@ -77,7 +72,8 @@ def kappa_channel(output, sigma, tol=1e-6):
     solved scaled by the powers of two that bring their largest |entry|
     into [0.5, 1), and kappa is scaled back exactly, so the check neither
     under- nor overflows and an exact 2^k multiple of the output gets the
-    same verdict and 2^k times kappa.
+    same verdict and 2^k times kappa.  A kappa outside the normal float
+    range raises ValidationError.
     """
     if output.n != sigma.n:
         raise ValidationError("states have different qubit counts")
@@ -95,7 +91,7 @@ def kappa_channel(output, sigma, tol=1e-6):
             f"output deviates from the target direction by a relative "
             f"{residual / max(out_norm, 1e-300):.3e} (tolerance {tol})"
         )
-    return float(np.ldexp(kappa, k - j))
+    return float(ldexp_normal(kappa, k - j, "the output's scale puts kappa"))
 
 
 def polytope_vertices(rho):

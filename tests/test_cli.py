@@ -212,6 +212,17 @@ def test_protocol_outputs_scale_free_in_epsilon(tmp_path, command, epsilons):
         np.testing.assert_allclose(last, column, rtol=1e-9, atol=1e-12, err_msg=eps)
 
 
+def test_simulate_rejects_eta_outside_float_range(tmp_path, capsys):
+    # at eps = 4e307 eta* (7.9 eps) and each period's eta exceed the largest
+    # float: the run once printed "eta* = inf", wrote inf into the CSV's eta
+    # column and exited 0
+    out = tmp_path / "traj.csv"
+    assert run("simulate", "--preset", "chloroform", "--epsilon", "4e307", "--m", "3",
+               "--out", str(out)) == 2
+    assert "outside the normal float range" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
 def test_figure1_command(tmp_path):
     out_dir = tmp_path / "fig"
     assert run("figure1", "--preset", "chloroform", "--rays", "6",

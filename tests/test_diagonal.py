@@ -61,6 +61,25 @@ def test_projected_field_matches_full_space_restriction(
         )
 
 
+def test_projected_field_stack_is_the_slice_of_the_full_product(
+    chloroform_gen, two_qubit_controls
+):
+    # A and b come from the diagonal columns of each representation only;
+    # they must be bit for bit the diagonal block of the full (K, 15, 15)
+    # product U^T R U and the diagonal entries of U^T R r_eq
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(15, 15))
+    spd = AffineGenerator(n=2, Hmat=np.zeros((15, 15)), Rmat=m @ m.T + 0.1 * np.eye(15),
+                          r_eq=rng.normal(size=15))
+    slots = list(diag_slots(2))
+    reps = two_qubit_controls.reps_full
+    for gen in (chloroform_gen, spd):
+        A, b = projected_field_stack(gen, reps)
+        full = np.einsum("kia,ij,kjb->kab", reps, gen.Rmat, reps)
+        assert A.tobytes() == full[:, slots, :][:, :, slots].tobytes()
+        assert b.tobytes() == np.einsum("kia,i->ka", reps, gen.Rmat @ gen.r_eq)[:, slots].tobytes()
+
+
 def test_coherent_part_does_not_contribute(chloroform_gen, two_qubit_controls, rng):
     stripped = AffineGenerator(
         n=2,

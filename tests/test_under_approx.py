@@ -179,16 +179,18 @@ def test_chloroform_equilibrium_agreement(chloroform_gen, two_qubit_controls):
 # stacked cone tests: each set of a stack gets the one-set verdict and depth
 
 
-def _assert_rows_match_one_set_calls(sets):
-    stacked = stlc_test_3d(sets)
+def _assert_rows_match_one_set_calls(sets, start=None):
+    stacked = stlc_test_3d(sets, start=start)
     lead = sets.shape[:-2]
     assert stacked.is_full.shape == lead and stacked.depth.shape == lead
+    assert stacked.tetrahedron.shape == lead + (4,)
     for idx in np.ndindex(*lead):
-        one = stlc_test_3d(sets[idx])
+        one = stlc_test_3d(sets[idx], start=None if start is None else start[idx])
         assert stacked.is_full[idx] == one.is_full, idx
         assert isinstance(one.depth, float) and stacked.depth[idx] == one.depth, idx
+        assert tuple(stacked.tetrahedron[idx]) == one.tetrahedron, idx
         if not one.is_full:
-            assert one.depth == 0.0
+            assert one.depth == 0.0 and one.tetrahedron == (-1, -1, -1, -1)
     return stacked
 
 
@@ -339,16 +341,16 @@ def _assert_matches_the_sweep(sets):
 
 
 def _count_certified(monkeypatch):
-    """Patch the certificate to append (sets answered, sets tested) per call."""
+    """Patch the cone test to append (sets certified, sets tested) per call."""
     counts = []
-    certify = under_approx._deep_tetrahedron
+    verdicts = under_approx._cone_verdicts
 
-    def counting(v, norms):
-        depth = certify(v, norms)
-        counts.append((int((depth > 0).sum()), depth.size))
-        return depth
+    def counting(v, start=None):
+        full, depth, tetrahedron = verdicts(v, start)
+        counts.append((int((tetrahedron[:, 0] >= 0).sum()), len(v)))
+        return full, depth, tetrahedron
 
-    monkeypatch.setattr(under_approx, "_deep_tetrahedron", counting)
+    monkeypatch.setattr(under_approx, "_cone_verdicts", counting)
     return counts
 
 
@@ -357,9 +359,9 @@ def _traced_fan(gen, controls, monkeypatch):
     direction stacks of its cone tests in call order."""
     stacks = []
 
-    def recording(directions):
+    def recording(directions, start=None):
         stacks.append(np.array(directions))
-        return stlc_test_3d(directions)
+        return stlc_test_3d(directions, start=start)
 
     with monkeypatch.context() as m:
         m.setattr(under_approx, "stlc_test_3d", recording)
@@ -414,17 +416,20 @@ def test_certificate_answers_most_traced_sets(chloroform_gen, two_qubit_controls
     # tests every point of the lone march (34 calls, 1705 sets)
     with monkeypatch.context() as m:
         m.setattr(under_approx, "_cone_verdicts",
-                  lambda v: (cone_verdicts_sweep(v), np.zeros(len(v))))
+                  lambda v, start: (cone_verdicts_sweep(v), np.zeros(len(v)),
+                                    np.full((len(v), 4), -1)))
         swept_radii, swept_stacks = _traced_fan(chloroform_gen, two_qubit_controls, m)
     assert radii.tobytes() == swept_radii.tobytes()
     swept = sum(len(s) if s.ndim == 3 else 1 for s in swept_stacks)
     # the certificate answers most of those sets: by its own verdict, or by
     # the depth that lets the march pass over them untested
     assert answered + (swept - tested) > swept / 2
-    # the counts repeat exactly: 20 stacked calls and 888 sets, the origin's
-    # included
-    assert len(stacks) <= 20 < len(swept_stacks)
-    assert tested <= 900 < swept
+    # the counts repeat exactly: 19 stacked calls on 820 sets, the origin's
+    # included, of which 112 go to the sweep (20 calls on 888 sets, 507 of
+    # them swept, with the axis-extreme tetrahedra alone)
+    assert len(stacks) <= 19 < len(swept_stacks)
+    assert tested <= 830 < swept
+    assert tested - answered <= 120
 
 
 def test_certificate_leaves_a_tetrahedron_inside_the_band_to_the_sweep():
@@ -464,18 +469,173 @@ def test_depth_is_a_ball_inside_the_hull(chloroform_gen, two_qubit_controls, rng
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     support = (sets[certified] @ n.T).max(axis=1)  # (certified sets, 1000)
     assert (support >= verdict.depth[certified, None]).all()
-    # the deepest tetrahedron of the six axis-extreme fields, by brute force
-    for v, depth in zip(sets[certified][:20], verdict.depth[certified][:20]):
-        ext = v[np.concatenate([v.argmax(axis=0), v.argmin(axis=0)])]
-        best = 0.0
-        for tet in combinations(range(6), 4):
-            hull = ext[list(tet)]
-            weights = np.linalg.solve(np.vstack([hull.T, np.ones(4)]), [0.0, 0.0, 0.0, 1.0])
-            if (weights > 0).all():
-                facets = [hull[[j for j in range(4) if j != i]] for i in range(4)]
-                best = max(best, min(abs(np.linalg.det(f)) / np.linalg.norm(
-                    np.cross(f[1] - f[0], f[2] - f[0])) for f in facets))
-        assert depth == pytest.approx(0.88 * best, rel=1e-9)
+    # the reported tetrahedron holds the origin 0.88 times its smallest facet
+    # distance deep, by brute force; the first-pass certificate is the deepest
+    # axis-extreme tetrahedron, and the exchange answers the others
+    def brute_depth(hull):
+        system = np.vstack([hull.T, np.ones(4)])
+        if np.linalg.matrix_rank(system) < 4:  # a flat or repeated vertex set
+            return 0.0
+        if not (np.linalg.solve(system, [0.0, 0.0, 0.0, 1.0]) > 0).all():
+            return 0.0
+        facets = [hull[[j for j in range(4) if j != i]] for i in range(4)]
+        return min(abs(np.linalg.det(f)) / np.linalg.norm(np.cross(f[1] - f[0], f[2] - f[0]))
+                   for f in facets)
+
+    exchanged = 0
+    for v, depth, tet in zip(sets[certified], verdict.depth[certified],
+                             verdict.tetrahedron[certified]):
+        assert depth == pytest.approx(0.88 * brute_depth(v[tet]), rel=1e-9)
+        ext = np.concatenate([v.argmax(axis=0), v.argmin(axis=0)])
+        extremes = [ext[list(t)] for t in combinations(range(6), 4)]
+        if any(sorted(tet) == sorted(t) for t in extremes):
+            best = max(brute_depth(v[t]) for t in extremes)
+            assert depth == pytest.approx(0.88 * best, rel=1e-9)
+        else:
+            exchanged += 1
+    assert 0 < exchanged < certified.sum()
+
+
+# ---------------------------------------------------------------------------
+# start tetrahedra and the exchange: the tetrahedron that certifies a set may
+# come from the axis-extreme fields, the caller's start or the exchange, and
+# whichever it is, the verdict is the sweep's
+
+
+def _holds_origin(sets, tetrahedra):
+    """Whether each (N, 4) tetrahedron of (N, K, 3) sets holds the origin
+    strictly inside, by a dense solve for its barycentric weights."""
+    hulls = np.take_along_axis(sets, tetrahedra[..., None], axis=1)  # (N, 4, 3)
+    systems = np.concatenate([hulls.transpose(0, 2, 1), np.ones((len(sets), 1, 4))], axis=1)
+    flat = np.linalg.matrix_rank(systems) < 4
+    systems[flat] = np.eye(4)
+    weights = np.linalg.solve(systems, np.tile([[0.0], [0.0], [0.0], [1.0]], (len(sets), 1, 1)))
+    return ~flat & (weights[..., 0] > 0).all(axis=1)
+
+
+def _sources(sets, start, tetrahedra):
+    """Per set, which candidate certified it: "axis" (a tetrahedron of its
+    six axis-extreme fields), "start", "exchange", or "" for none."""
+    labels = []
+    for v, given, tet in zip(sets, start, tetrahedra):
+        ext = np.concatenate([v.argmax(axis=0), v.argmin(axis=0)])
+        found = sorted(tet)
+        if found[0] < 0:
+            labels.append("")
+        elif any(found == sorted(ext[list(t)]) for t in combinations(range(6), 4)):
+            labels.append("axis")
+        elif found == sorted(given):
+            labels.append("start")
+        else:
+            labels.append("exchange")
+    return np.array(labels)
+
+
+def _degenerate_and_random_sets(gen, controls, rng):
+    A, b = projected_field_stack(gen, controls.reps_full)
+    points = rng.normal(size=(100, 3)) * rng.uniform(0.5, 4.0, size=(100, 1))
+    half = rng.normal(size=(20, 24, 3))
+    half[..., 1] = np.abs(half[..., 1])  # not full: y = 0 separates
+    planar = rng.normal(size=(6, 24, 3))
+    planar[..., 2] = 0.0
+    line = rng.normal(size=(6, 24, 1)) * rng.normal(size=(6, 1, 3))
+    return np.concatenate([stacked_directions(A, b, points), rng.normal(size=(40, 24, 3)),
+                           half, planar, np.zeros((2, 24, 3)), line])
+
+
+def test_certificates_on_the_bounds_fans_match_the_sweep(chloroform_gen, two_qubit_controls,
+                                                         monkeypatch):
+    # every cone test of the eight benchmark fans, with the start its ray
+    # carried: each verdict is the sweep's, and each certified set is full
+    calls = []
+
+    def recording(directions, start=None):
+        verdict = stlc_test_3d(directions, start=start)
+        calls.append((np.array(directions, ndmin=3), start, verdict))
+        return verdict
+
+    with monkeypatch.context() as m:
+        m.setattr(under_approx, "stlc_test_3d", recording)
+        for seed in range(101, 109):
+            stlc_boundary_rays(chloroform_gen, two_qubit_controls,
+                               fibonacci_sphere(20) @ _rotation(seed).T, origin=np.zeros(3))
+    labels = []
+    for sets, start, verdict in calls:
+        full = cone_verdicts_sweep(sets)
+        assert np.reshape(verdict.is_full, -1).tobytes() == full.tobytes()
+        tetrahedra = np.reshape(verdict.tetrahedron, (-1, 4))
+        certified = tetrahedra[:, 0] >= 0
+        assert full[certified].all() and _holds_origin(sets[certified], tetrahedra[certified]).all()
+        starts = np.full((len(sets), 4), -1) if start is None else start
+        labels.extend(_sources(sets, starts, tetrahedra))
+    labels = np.array(labels)
+    # the carried start and the exchange each certify many sets: most of
+    # what the axis-extreme tetrahedra leave to the sweep
+    assert ((labels == "start").sum() > 1000 and (labels == "exchange").sum() > 500
+            and (labels == "").sum() < 1000)
+
+
+def test_start_never_changes_the_verdict(chloroform_gen, two_qubit_controls, rng):
+    sets = _degenerate_and_random_sets(chloroform_gen, two_qubit_controls, rng)
+    base = stlc_test_3d(sets)
+    assert base.is_full.tobytes() == cone_verdicts_sweep(sets).tobytes()
+    assert base.is_full.any() and not base.is_full.all()
+    for trial in range(6):
+        start = rng.integers(0, 24, size=(len(sets), 4))
+        start[::5] = -1  # no start
+        start[1::7] = start[1::7, :1]  # four times one field
+        verdict = _assert_rows_match_one_set_calls(sets, start)
+        assert verdict.is_full.tobytes() == base.is_full.tobytes()
+        certified = verdict.tetrahedron[:, 0] >= 0
+        # the reported tetrahedron holds the origin, and a start that does
+        # not hold it is never reported
+        assert _holds_origin(sets[certified], verdict.tetrahedron[certified]).all()
+        outside = (start[:, 0] >= 0) & ~_holds_origin(sets, np.maximum(start, 0))
+        reported = (np.sort(verdict.tetrahedron, axis=1) == np.sort(start, axis=1)).all(axis=1)
+        assert outside.any() and not (outside & reported).any()
+        # a start adds a candidate: no set that an axis-extreme tetrahedron
+        # certifies gets less deep
+        axis = _sources(sets, np.full((len(sets), 4), -1), base.tetrahedron) == "axis"
+        assert axis.any() and (verdict.depth[axis] >= base.depth[axis]).all()
+
+
+def test_a_deep_start_is_the_certificate():
+    # a regular tetrahedron of fields holds the origin deep; the other fields
+    # lie far above the xy plane, so the axis-extreme tetrahedra, which take
+    # five of those, hold it only shallowly or not at all
+    u = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    u = u @ _rotation(3).T
+    angles = np.linspace(0, 2 * np.pi, 20, endpoint=False)
+    far = 3.0 * np.column_stack([np.cos(angles), np.sin(angles), np.full(20, 2.0)])
+    dirs = np.vstack([far, u])
+    start = np.arange(20, 24)
+    alone, started = stlc_test_3d(dirs), stlc_test_3d(dirs, start=start)
+    assert alone.is_full and started.is_full
+    assert sorted(started.tetrahedron) == list(start)
+    assert started.depth > max(alone.depth, 0.25)  # u's inradius is 1/3
+    for bad in (start[:3], start.astype(float), [0, 1, 2, 24], [0, 1, 2, -1], [[0, 1, 2, 3]]):
+        with pytest.raises(ValidationError):
+            stlc_test_3d(dirs, start=bad)
+
+
+def test_exchange_swaps_the_vertex_behind_the_origin():
+    # the start (u0, u1, u2, -u3) misses the origin: -u3 lies beyond the facet
+    # (u0, u1, u2), and of the fields beyond it on the origin's side u3 is
+    # the farthest, so one exchange gives the regular tetrahedron
+    u = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    u = 0.5 * u @ _rotation(3).T
+    fields = np.vstack([u, -u[3], 0.5 * u[3], 0.2 * u[0] + 0.3 * u[3]])
+    layout = under_approx._layout(under_approx._ALONE)
+
+    def exchange(fields, start):
+        w = fields.T[:, None]  # (3, 1, K)
+        tet = np.array([start])
+        det, normal = under_approx._facets(w[:, [[0]], tet], layout)
+        return sorted(under_approx._exchange(w, tet, det, normal)[0][0])
+
+    assert exchange(fields, [0, 1, 2, 4]) == [0, 1, 2, 3]
+    assert exchange(fields, [0, 1, 2, 3]) == [0, 1, 2, 3]  # holds: no exchange
+    assert exchange(fields[[0, 1, 2, 4]], [0, 1, 2, 3]) == [0, 1, 2, 3]  # none beyond
 
 
 def _rotation(seed):
@@ -547,7 +707,8 @@ def test_skip_keeps_the_lone_march_where_its_bounds_are_tight(shift, monkeypatch
     sizes = []
     with monkeypatch.context() as m:
         m.setattr(under_approx, "stlc_test_3d",
-                  lambda directions: sizes.append(len(directions)) or stlc_test_3d(directions))
+                  lambda directions, start: (sizes.append(len(directions))
+                                             or stlc_test_3d(directions, start)))
         radii = under_approx._trace_lockstep(A, b, origin, rays, 0.05, 3.0, 1e-3)
     lone = [first_exit(A, b, origin, d, 0.05, 3.0, 1e-3) for d in rays]
     np.testing.assert_array_equal(radii, lone)

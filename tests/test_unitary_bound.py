@@ -101,6 +101,18 @@ def test_kappa_channel_projection():
     assert kappa_channel(out, sig) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_kappa_channel_rejects_kappa_outside_float_range():
+    # kappa is 3 times the output's scale over the target's; past the
+    # largest float it once came back inf with a RuntimeWarning
+    sig = pps_direction()
+    assert kappa_channel(CoherenceVector(n=2, r=3e300 * sig.r), sig) == pytest.approx(3e300)
+    for out_scale, sig_scale in ((1e308, 0.25), (3.0, 1e-308), (1e-300, 1e10)):
+        out = CoherenceVector(n=2, r=out_scale * sig.r)
+        target = CoherenceVector(n=2, r=sig_scale * sig.r)
+        with pytest.raises(ValidationError, match="normal float range"):
+            kappa_channel(out, target)
+
+
 def test_kappa_channel_rejects_unwanted_components():
     sig = pps_direction()
     basis = build_basis(2)
