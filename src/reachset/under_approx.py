@@ -39,8 +39,11 @@ that the depth of an earlier certificate on the ray already covers: the
 fields are affine in x, so a tetrahedron that holds the origin deep at one
 point still holds it a little further on, and each point passed over
 would test "full".  For the same reason each ray hands the tetrahedron
-that certified its farthest point to its next cone test as a start, so
-the plane sweep runs mostly near the exit.
+that certified its farthest point to its next cone test as a start.  Past
+the exit, the vertex exchange that searches for a certifying tetrahedron
+finds a facet plane with the origin on one side and every field on the
+other, which answers "not full"; so of the 826.6 sets of a 20-ray fan of
+the benchmark, 119.5 are answered that way and 1.9 go to the plane sweep.
 """
 
 from dataclasses import dataclass
@@ -108,7 +111,9 @@ class ConeVerdict:
     (see ``_cone_verdicts``), and 0 where none does, so always 0 when the
     cone is not full and for the LP test.  ``tetrahedron`` holds the indices
     of that tetrahedron's four directions, and -1 four times where none
-    certifies.
+    certifies.  A set that a facet plane separates from the origin, which
+    answers "not full" without the plane sweep, reports depth 0 and
+    tetrahedron -1 too.
     """
 
     is_full: bool
@@ -185,11 +190,11 @@ def _cone_verdicts(v, start=None):
     span R^3 is not full.  Otherwise the cone is not full iff some valid
     plane (v_i x v_j, |v_i x v_j| above 1e-12 |v_i| |v_j|) has every
     product c_k = (v_i x v_j) . v_k on one side of the band
-    +-DEGENERACY_TOL |v_i x v_j| |v_k|.
+    +-DEGENERACY_TOL |v_i x v_j| |v_k|; ``_sweep`` applies these rules.
 
-    Three sound prefilters keep the exact work small.  First, a set is
-    full, with no plane swept, when some tetrahedron of its fields holds
-    the origin at depth at least delta = 1e-8 max|v_k| (``_certify``
+    Two sound certificates answer most sets without the sweep.  First, a
+    set is full, with no plane swept, when some tetrahedron of its fields
+    holds the origin at depth at least delta = 1e-8 max|v_k| (``_certify``
     applies these rules): its four signed volumes, the barycentric weights
     by Cramer's rule, share a strict sign, and each facet (a, b, c) lies at
     distance |det(a, b, c)| / |a x b + b x c + c x a| >= delta, with that
@@ -202,16 +207,63 @@ def _cone_verdicts(v, start=None):
     computed plane normal included, max_k n . v_k >= 0.88 delta |n| and
     min_k n . v_k <= -0.88 delta |n|: 2000 times the widest band, and far
     beyond matmul rounding near 1e-15 |n| |v_k|.  Every valid plane thus
-    passes the next prefilter, and the smallest singular value, at least
-    0.88 delta, is far above the rank tolerance, so the sweep would answer
-    "full" too.  The argument holds for any four fields, so which
+    passes the sweep's first prefilter, and the smallest singular value, at
+    least 0.88 delta, is far above the rank tolerance, so the sweep would
+    answer "full" too.  The argument holds for any four fields, so which
     tetrahedra are tried changes the depth, never the verdict.  The
     candidates are the 15 tetrahedra of the six axis-extreme fields (the
     argmax and argmin of each coordinate) and the set's start; the deepest
     that certifies gives the set's depth and tetrahedron.  A set none
     certifies goes to ``_exchange`` from its start (the last axis-extreme
-    tetrahedron where it has none), and the result meets the same rules.  Second, a plane with products beyond four times
-    the widest band on both sides cannot separate, and third, a set with
+    tetrahedron where it has none), and the tetrahedron it ends on meets the
+    same rules.
+
+    Second, a set is not full, with depth 0 and tetrahedron -1, when one of
+    the exchange's evaluations finds a facet plane n . x = det that passes
+    three rules (``_exchange`` applies them to the computed values).  With
+    V = max_k |v_k| and g(x) = +-(n . x - det), signed as the exchange
+    computes x's barycentric weight for the tetrahedron's fourth vertex
+    (times the total weight):
+
+    * the origin lies more than 1e-6 V from the plane, on the far side:
+      g(0) < -1e-6 |n| V;
+    * no field, the four vertices included, lies more than 1e-12 V across
+      it: g(v_k) >= -1e-12 |n| V;
+    * the facet is not thin: |n| >= 5e-4 K V^2.
+
+    The sweep answers such a set "not full" too.  Each g(v_k) is a dot
+    product with the computed n minus the computed det, which errs by under
+    4e-16 |n| V, so the unit vector m = +-n/|n| has m . v_k >= h for every
+    k, with h > (1e-6 - 1.1e-12) V: the cone lies in an open half space, and
+    each |v_k| >= h, so no product below comes near underflow.  Project the
+    fields centrally onto the plane m . x = h: u_k = h v_k / (m . v_k), with
+    |u_k| <= |v_k| <= V.  The computed n and det err by at most 1.7e-15 V^2
+    and 6.5e-16 V^3, so the facet's vertices lie within
+    2.3e-15 V^3 / |n| <= 1.6e-12 V of the computed plane (|n| is nonzero
+    only for three distinct fields, so K >= 3).  They project with factors
+    within 3e-6 of 1, onto a triangle of doubled area at least 0.98 |n|.
+    The hull of the u_k holds that triangle and has at most K edges, and
+    over its edges the sum of edge length times the distance r from h m to
+    the edge's line is at least twice its area; so some edge (u_i, u_j) has
+    |u_i - u_j| r >= 0.98 |n| / K.  Its line lies at least r from the
+    origin, so |u_i x u_j| >= |u_i - u_j| r, and
+    sin angle(v_i, v_j) = |u_i x u_j| / (|u_i| |u_j|) >= 0.98 |n| / (K V^2),
+    at least 4.9e-4: the plane v_i x v_j is valid.  Every u_k lies on one
+    side of the edge's line, so every exact product c_k of that plane has
+    one sign or is 0.  The computed cross product errs by at most
+    3.2e-16 |v_i| |v_j|, under 6.5e-13 |v_i x v_j|, and the products by
+    3.4e-16 |v_i x v_j| |v_k| more in any summation order, with or without
+    fused multiply-adds; entries that underflow add far less.  So every
+    computed c_k lies on its side of the band
+    +-DEGENERACY_TOL |v_i x v_j| |v_k|, which the computed norms move by a
+    few ulps.  The plane passes the first prefilter and hits, and the rank
+    check only adds "not full" answers, so the sweep answers "not full".
+    Sets that are not full only through the band, or whose hull misses the
+    origin by less than the margin, are never separated: they go to the
+    sweep.
+
+    The sweep has two prefilters of its own.  A plane with products beyond
+    four times the widest band on both sides cannot separate, and a set with
     some |c_k| above twice |V|_F^2 times the rank tolerance 1e-12 has rank
     3 (by Cauchy-Binet, every 3x3 minor is at most s1^2 s3), so only the
     other sets take the SVD.
@@ -227,7 +279,8 @@ def _cone_verdicts(v, start=None):
         vertices, tetrahedra = np.concatenate([vertices, start], axis=1), _WITH_START
     layout = _layout(tetrahedra)
     rows = np.arange(len(v))[:, None]
-    delta = 1e-8 * norms.max(axis=1, keepdims=True)
+    top = norms.max(axis=1)
+    delta = 1e-8 * top[:, None]
     det, normal = _facets(w[:, rows, vertices], layout)
     depths = _certify(det, normal, norms[rows, vertices], delta, layout)
     best = depths.argmax(axis=1)
@@ -238,12 +291,14 @@ def _cone_verdicts(v, start=None):
     if rest.size:
         # exchange from the last candidate: the start, where one is given
         facets = layout.facets[-1][::-1]  # in _layout(_ALONE)'s triple order
-        found, det, normal = _exchange(w[:, rest], vertices[rest[:, None], layout.tetrahedra[-1]],
-                                       det[rest[:, None], facets], normal[:, rest[:, None], facets])
+        found, det, normal, separated = _exchange(
+            w[:, rest], vertices[rest[:, None], layout.tetrahedra[-1]],
+            det[rest[:, None], facets], normal[:, rest[:, None], facets], top[rest])
         depth[rest] = _certify(det, normal, norms[rest[:, None], found], delta[rest],
                                _layout(_ALONE))[:, 0]
         tetrahedron[rest] = np.where((depth[rest] > 0)[:, None], found, -1)
-        rest = rest[depth[rest] == 0]
+        full[rest[separated]] = False
+        rest = rest[(depth[rest] == 0) & ~separated]
     if rest.size:
         full[rest] = _sweep(v[rest], norms[rest])
     return full, np.ldexp(depth, e), tetrahedron
@@ -261,11 +316,19 @@ _ALONE = ((0, 1, 2, 3),)
 #: barycentric weights of the origin, up to one common factor.
 _FACET_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
 
-#: Most vertex exchanges the search for a containing tetrahedron makes.  On
-#: the benchmark's fans a third exchange certifies 0.8 more of the 122 sets
-#: per fan that two leave to the sweep, and none takes a fourth; each round
-#: of exchanges costs a call more than the sweeps it saves.
-_EXCHANGES = 2
+#: Most vertex exchanges the search for a containing tetrahedron or a
+#: separating facet makes.  On the benchmark's fans, two leave 2.8 sets per
+#: fan to the sweep (12 on one fan), three leave 1.9 (at most 7), and a
+#: fourth changes no count.
+_EXCHANGES = 3
+
+#: The separation rules of ``_cone_verdicts``, for a facet plane n . x = det
+#: of a set of K fields with V = max_k |v_k|: the origin lies more than
+#: _ORIGIN_MARGIN V from the plane, no field more than _FIELD_TOL V across
+#: it, and |n| is at least _FACET_FLOOR K V^2.
+_ORIGIN_MARGIN = 1e-6
+_FIELD_TOL = 1e-12
+_FACET_FLOOR = 5e-4
 
 
 class _Layout(NamedTuple):
@@ -328,40 +391,55 @@ def _certify(det, normal, r, delta, layout):
     return 0.88 * np.where(deep, distance[:, facets].min(axis=2), 0.0)
 
 
-def _exchange(w, tet, det, normal):
-    """Search for a tetrahedron that holds the origin.
+def _exchange(w, tet, det, normal, top):
+    """Search for a tetrahedron that holds the origin, or a facet that
+    separates the origin from the fields.
 
     From (n, 4) field indices into power-of-two-scaled (3, n, K) sets, with
     their facet volumes (n, 4) and normals (3, n, 4) in ``_layout(_ALONE)``'s
-    triple order: while the origin lies beyond the facet opposite the most
+    triple order and their largest field norms (n,): evaluate the
+    tetrahedron, and while the origin lies beyond the facet opposite the most
     negative barycentric weight, swap that vertex for the field farthest
-    beyond the facet, at most _EXCHANGES times.  A set stops once its
-    tetrahedron holds the origin, is flat, or has no field beyond that
-    facet.  The three arrays are updated in place and returned.
+    beyond the facet, at most _EXCHANGES times, so _EXCHANGES + 1
+    evaluations.  A set stops once its tetrahedron holds the origin, is
+    flat, has no field beyond that facet, or is separated: that facet's
+    plane has the origin and the fields on its two sides by the margins of
+    ``_cone_verdicts``.  The three arrays are updated in place and returned
+    with the (n,) mask of separated sets.
     """
     layout = _layout(_ALONE)
     facets = layout.facets[0]  # facet q, omitting vertex q, as a triple
+    separated = np.zeros(len(tet), dtype=bool)
     live = np.arange(len(tet))
-    for _ in range(_EXCHANGES):
+    for swaps in range(_EXCHANGES + 1):
         weights = det[live[:, None], facets] * _FACET_SIGNS
         sign = np.sign(weights.sum(axis=1))  # of the weights' common factor
         weights *= sign[:, None]
         q = weights.argmin(axis=1)
         rows, facet = np.arange(len(live)), facets[q]
+        n = normal[:, live, facet]
         # each field's barycentric weight for vertex q, times |total|: the
         # facet's plane is n . x = det, and vertex q lies on its other side
         beyond = (-_FACET_SIGNS[q] * sign)[:, None] * (
-            (w[:, live] * normal[:, live, facet, None]).sum(axis=0) - det[live, facet][:, None])
+            (w[:, live] * n[..., None]).sum(axis=0) - det[live, facet][:, None])
+        # the facet's plane separates the origin from every field, the
+        # vertices included; weights[rows, q] is the origin's weight
+        n0, n1, n2 = n
+        unit = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) * top[live]  # |n| V
+        apart = ((weights[rows, q] < -_ORIGIN_MARGIN * unit)
+                 & (beyond.min(axis=1) >= -_FIELD_TOL * unit)
+                 & (unit >= _FACET_FLOOR * w.shape[2] * top[live] ** 3))
+        separated[live[apart]] = True
         beyond[rows[:, None], tet[live]] = np.inf  # the vertices stay out
         k = beyond.argmin(axis=1)
         # a flat tetrahedron (sign 0) has no field beyond
-        go = (weights[rows, q] <= 0) & (beyond[rows, k] < 0)
+        go = (weights[rows, q] <= 0) & (beyond[rows, k] < 0) & ~apart
         live = live[go]
-        if not live.size:
+        if not live.size or swaps == _EXCHANGES:
             break
         tet[live, q[go]] = k[go]
         det[live], normal[:, live] = _facets(w[:, live[:, None], tet[live]], layout)
-    return tet, det, normal
+    return tet, det, normal, separated
 
 
 @lru_cache(maxsize=None)
@@ -585,7 +663,11 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
         just toward the origin pass.  Chloroform scans are therefore
         anchored at the maximally mixed state, np.zeros(3).
     workers : int
-        Processes to trace with, a positive integer (1 = serial).
+        Processes to trace with, a positive integer (1 = serial).  Workers
+        are spawned and re-import the main module, so a script that passes
+        workers > 1 must call this under ``if __name__ == "__main__":``.
+        Lockstep tracing gains nothing from the pool, which is due for
+        deletion (ROADMAP.md, item 1).
 
     Returns
     -------
@@ -616,12 +698,14 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
     march point or midpoint that was tested or certified, and the radii
     are those of testing every march point.  Each ray hands the
     tetrahedron that certified its farthest point to its next round's cone
-    test as a start, so the plane sweep runs mostly near the exit: on
-    fibonacci_sphere(20) from the origin at tol 1e-3 the trace makes 19
-    stacked calls on 820 sets, 112 of them swept, where the axis-extreme
-    certificate alone made 20 calls on 888 sets with 507 swept, and testing
-    every march point 34 calls on 1705 sets.  Points are evaluated CHUNK at a time
-    so memory stays near 3.4 MB per chunk whatever the fan size.  With
+    test as a start, and past the exit a facet of the vertex exchange
+    separates most sets from the origin, so the plane sweep runs on few
+    sets: on fibonacci_sphere(20) from the origin at tol 1e-3 the trace
+    makes 19 stacked calls on 820 sets, 112 of them separated and none
+    swept, where the axis-extreme certificate alone made 20 calls on 888
+    sets with 507 swept, and testing every march point 34 calls on 1705
+    sets.  Points are evaluated CHUNK at a time so memory stays near 3.4 MB
+    per chunk whatever the fan size.  With
     workers > 1 the fan is split into contiguous parts, one per process
     (at most the CPUs available), each traced in lockstep, and the radii
     are joined in ray order; every ray's radius equals that of tracing it

@@ -354,6 +354,26 @@ def _count_certified(monkeypatch):
     return counts
 
 
+def _count_swept_and_separated(monkeypatch):
+    """Patch the cone test's last two stages to append, per call, the sets
+    swept and the sets the exchange's facet separates; return both lists."""
+    swept, separated = [], []
+    sweep, exchange = under_approx._sweep, under_approx._exchange
+
+    def sweeping(v, norms):
+        swept.append(len(v))
+        return sweep(v, norms)
+
+    def exchanging(*args):
+        found = exchange(*args)
+        separated.append(int(found[3].sum()))
+        return found
+
+    monkeypatch.setattr(under_approx, "_sweep", sweeping)
+    monkeypatch.setattr(under_approx, "_exchange", exchanging)
+    return swept, separated
+
+
 def _traced_fan(gen, controls, monkeypatch):
     """Radii of a fibonacci_sphere(20) fan traced from the origin, and the
     direction stacks of its cone tests in call order."""
@@ -371,6 +391,7 @@ def _traced_fan(gen, controls, monkeypatch):
 
 def test_cone_test_matches_the_sweep_on_random_stacks(rng, monkeypatch):
     counts = _count_certified(monkeypatch)
+    swept, separated = _count_swept_and_separated(monkeypatch)
     deep = rng.normal(size=(64, 24, 3))
     # +-y, +-z and (-t, 0.6, 0.8) in or just across the plane x = 0, the
     # rest beyond it: full at a depth near t once t leaves the band
@@ -396,6 +417,8 @@ def test_cone_test_matches_the_sweep_on_random_stacks(rng, monkeypatch):
         _assert_matches_the_sweep(rng.normal(size=(16, few, 3)))
     answered = sum(a for a, _ in counts)
     assert 0 < answered < full.sum()
+    # the half-space sets are separated, the in-band ones swept
+    assert sum(separated) >= 32 and sum(swept) >= 17
 
 
 def test_cone_test_matches_the_sweep_on_traced_stacks(chloroform_gen, two_qubit_controls,
@@ -425,8 +448,9 @@ def test_certificate_answers_most_traced_sets(chloroform_gen, two_qubit_controls
     # the depth that lets the march pass over them untested
     assert answered + (swept - tested) > swept / 2
     # the counts repeat exactly: 19 stacked calls on 820 sets, the origin's
-    # included, of which 112 go to the sweep (20 calls on 888 sets, 507 of
-    # them swept, with the axis-extreme tetrahedra alone)
+    # included, of which 112 are not certified, and the exchange's facet
+    # separates all 112 from the origin, so none goes to the sweep (20 calls
+    # on 888 sets, 507 of them swept, with the axis-extreme tetrahedra alone)
     assert len(stacks) <= 19 < len(swept_stacks)
     assert tested <= 830 < swept
     assert tested - answered <= 120
@@ -456,13 +480,21 @@ def test_depth_is_a_ball_inside_the_hull(chloroform_gen, two_qubit_controls, rng
     points = rng.normal(size=(150, 3)) * rng.uniform(0.5, 5.0, size=(150, 1))
     sets = np.concatenate([stacked_directions(A, b, points), rng.normal(size=(50, 24, 3)),
                            rng.normal(size=(20, 24, 3)) + [0.0, 0.0, 1.5]])
-    swept = []
-    sweep = under_approx._sweep
-    monkeypatch.setattr(under_approx, "_sweep",
-                        lambda v, norms: swept.append(len(v)) or sweep(v, norms))
+    swept, separated = _count_swept_and_separated(monkeypatch)
     verdict = stlc_test_3d(sets)
     certified = verdict.depth > 0
-    assert sum(swept) == (~certified).sum()
+    # each set the certificate leaves is either swept or separated, and a
+    # separated set, which never reaches the sweep, is not full
+    assert sum(swept) + sum(separated) == (~certified).sum()
+    count = sum(separated)
+    alone = 0
+    for i in np.flatnonzero(~certified):
+        swept.clear()
+        one = stlc_test_3d(sets[i])
+        if not swept:  # separated
+            assert not one.is_full, i
+            alone += 1
+    assert alone == count > 0
     assert 0 < certified.sum() < len(sets) and not verdict.is_full.all()
     assert (verdict.is_full[certified]).all() and (verdict.depth[~verdict.is_full] == 0).all()
     n = rng.normal(size=(1000, 3))
@@ -575,6 +607,20 @@ def test_certificates_on_the_bounds_fans_match_the_sweep(chloroform_gen, two_qub
             and (labels == "").sum() < 1000)
 
 
+def test_the_sweep_answers_few_sets_of_the_bounds_fans(chloroform_gen, two_qubit_controls,
+                                                      monkeypatch):
+    # a guard on the work: the certificates leave at most 10 sets per fan to
+    # the plane sweep (1.9 per fan and at most 7 when this was written,
+    # against 122 per fan before the separating facet)
+    swept, separated = _count_swept_and_separated(monkeypatch)
+    for seed in range(101, 109):
+        swept.clear()
+        separated.clear()
+        stlc_boundary_rays(chloroform_gen, two_qubit_controls,
+                           fibonacci_sphere(20) @ _rotation(seed).T, tol=1e-3, origin=np.zeros(3))
+        assert sum(swept) <= 10 and sum(separated) > 100, seed
+
+
 def test_start_never_changes_the_verdict(chloroform_gen, two_qubit_controls, rng):
     sets = _degenerate_and_random_sets(chloroform_gen, two_qubit_controls, rng)
     base = stlc_test_3d(sets)
@@ -618,6 +664,17 @@ def test_a_deep_start_is_the_certificate():
             stlc_test_3d(dirs, start=bad)
 
 
+def _exchange_one_set(fields, start):
+    """The exchange's final tetrahedron, sorted, and whether it separated the
+    origin from the fields, for one set of fields from a start tetrahedron."""
+    w = np.asarray(fields, dtype=float).T[:, None]  # (3, 1, K)
+    tet = np.array([start])
+    det, normal = under_approx._facets(w[:, [[0]], tet], under_approx._layout(under_approx._ALONE))
+    top = np.linalg.norm(fields, axis=1).max(keepdims=True)
+    found, _, _, separated = under_approx._exchange(w, tet, det, normal, top)
+    return sorted(found[0]), bool(separated[0])
+
+
 def test_exchange_swaps_the_vertex_behind_the_origin():
     # the start (u0, u1, u2, -u3) misses the origin: -u3 lies beyond the facet
     # (u0, u1, u2), and of the fields beyond it on the origin's side u3 is
@@ -625,17 +682,67 @@ def test_exchange_swaps_the_vertex_behind_the_origin():
     u = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
     u = 0.5 * u @ _rotation(3).T
     fields = np.vstack([u, -u[3], 0.5 * u[3], 0.2 * u[0] + 0.3 * u[3]])
-    layout = under_approx._layout(under_approx._ALONE)
+    assert _exchange_one_set(fields, [0, 1, 2, 4]) == ([0, 1, 2, 3], False)
+    assert _exchange_one_set(fields, [0, 1, 2, 3]) == ([0, 1, 2, 3], False)  # holds: no exchange
+    # no field lies beyond the facet: it separates the origin from them all
+    assert _exchange_one_set(fields[[0, 1, 2, 4]], [0, 1, 2, 3]) == ([0, 1, 2, 3], True)
 
-    def exchange(fields, start):
-        w = fields.T[:, None]  # (3, 1, K)
-        tet = np.array([start])
-        det, normal = under_approx._facets(w[:, [[0]], tet], layout)
-        return sorted(under_approx._exchange(w, tet, det, normal)[0][0])
 
-    assert exchange(fields, [0, 1, 2, 4]) == [0, 1, 2, 3]
-    assert exchange(fields, [0, 1, 2, 3]) == [0, 1, 2, 3]  # holds: no exchange
-    assert exchange(fields[[0, 1, 2, 4]], [0, 1, 2, 3]) == [0, 1, 2, 3]  # none beyond
+def _slab(height, across=None):
+    """24 fields of norm about 1: a triangle in the plane z = height, 21
+    fields above it, and one field `across` below the plane near its middle
+    (or one more above it)."""
+    rng = np.random.default_rng(5)
+    angles = 2 * np.pi * np.arange(3) / 3
+    triangle = np.column_stack([np.cos(angles), np.sin(angles), np.full(3, height)])
+    above = np.column_stack([rng.uniform(-0.5, 0.5, (20, 2)), rng.uniform(0.2, 0.8, 20)])
+    last = [0.1, 0.2, 0.5 if across is None else height - across]
+    return np.vstack([triangle, above, [last]])
+
+
+def test_exchange_separates_by_a_facet_with_no_field_beyond(monkeypatch):
+    # the start's facet (0, 1, 2) has the origin `height` below it and the
+    # start's fourth vertex above it; one evaluation, no exchange
+    start = [0, 1, 2, 3]
+    with monkeypatch.context() as m:
+        m.setattr(under_approx, "_EXCHANGES", 0)
+        assert _exchange_one_set(_slab(1e-3), start) == (start, True)
+        # a field across the plane by less than the tolerance 1e-12 V is on it
+        assert _exchange_one_set(_slab(1e-3, 1e-13), start) == (start, True)
+        # one across it by 1e-9 V is not: the facet no longer separates
+        assert _exchange_one_set(_slab(1e-3, 1e-9), start) == (start, False)
+        # nor does a facet closer to the origin than the margin 1e-6 V
+        assert _exchange_one_set(_slab(1e-8), start) == (start, False)
+        assert _exchange_one_set(_slab(-1e-3), start) == (start, False)
+    # the exchange swaps the field across the plane in, and a facet through
+    # it separates; with the origin inside the margin the set is swept, and
+    # the sweep answers "not full" too
+    assert _exchange_one_set(_slab(1e-3, 1e-9), start) == ([0, 1, 2, 23], True)
+    swept, separated = _count_swept_and_separated(monkeypatch)
+    for height, across, sweeps in ((1e-3, None, 0), (1e-3, 1e-9, 0), (1e-8, None, 1)):
+        swept.clear()
+        verdict = stlc_test_3d(_slab(height, across), start=start)
+        assert not verdict.is_full and verdict.depth == 0.0
+        assert verdict.tetrahedron == (-1, -1, -1, -1) and sum(swept) == sweeps
+        _assert_matches_the_sweep(_slab(height, across))
+
+
+@pytest.mark.parametrize("height", [1e-3, 2e-6, 5e-7, 1e-12, 0.0, -1e-6, -1e-3])
+def test_separation_matches_the_sweep_on_straddling_sets(height, monkeypatch):
+    # the slab's triangle `height` above the origin and one field beyond or
+    # across its plane by 1, 10 and 100 tolerances 1e-12 V (DEGENERACY_TOL),
+    # in 10 rotations: whichever sets a facet separates, each verdict is
+    # the sweep's
+    offsets = [sign * bands * 1e-12 for bands in (1, 10, 100) for sign in (1, -1)]
+    sets = np.array([_slab(height, across) @ _rotation(seed).T
+                     for across in offsets for seed in range(10)])
+    swept, separated = _count_swept_and_separated(monkeypatch)
+    full = _assert_matches_the_sweep(sets)
+    if height >= 2e-6:  # the origin lies beyond the margin 1e-6 V
+        assert not full.any() and sum(separated) > len(sets) / 2
+    else:  # the hull comes within the margin of the origin, or holds it
+        assert sum(separated) == 0
+    _assert_rows_match_one_set_calls(sets[::7])
 
 
 def _rotation(seed):

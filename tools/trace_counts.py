@@ -12,11 +12,15 @@ test, the origin's call included, and how each set was answered:
 * ``carried``: certified by the start tetrahedron the tracer carried along
   its ray;
 * ``exchange``: certified by the tetrahedron the vertex exchange found;
-* ``swept``: not certified, so answered by the plane sweep.
+* ``separated``: not full by a facet plane of the vertex exchange that has
+  the origin on one side and every field on the other;
+* ``swept``: neither, so answered by the plane sweep (``_sweep``).
 
 A certified set counts under the first of these that its reported
-tetrahedron matches.  The last column is the SHA-256 of the radii, to
-compare two checkouts.  The counts are deterministic and repeat exactly.
+tetrahedron matches; an uncertified set counts as swept when it reaches
+``_sweep``, and as separated otherwise.  The last column is the SHA-256 of
+the radii, to compare two checkouts.  The counts are deterministic and
+repeat exactly.
 """
 
 import hashlib
@@ -31,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import reachset as rs  # noqa: E402
 from reachset import under_approx  # noqa: E402
 
-SOURCES = ("axis", "carried", "exchange", "swept")
+SOURCES = ("axis", "carried", "exchange", "separated", "swept")
 EXTREME_TETRAHEDRA = list(combinations(range(6), 4))
 
 
@@ -46,14 +50,15 @@ def rotation(seed):
 
 
 def source_counts(sets, start, tetrahedra):
-    """Sets answered by each of SOURCES, from (N, K, 3) sets, their (N, 4)
-    starts (-1 for none) and the (N, 4) tetrahedra that certified them."""
+    """Sets answered by each of SOURCES but the sweep, from (N, K, 3) sets,
+    their (N, 4) starts (-1 for none) and the (N, 4) tetrahedra that
+    certified them; an uncertified set counts as separated."""
     counts = dict.fromkeys(SOURCES, 0)
     extremes = np.concatenate([sets.argmax(axis=1), sets.argmin(axis=1)], axis=1)
     for ext, given, tet in zip(extremes, start, tetrahedra):
         found = sorted(tet)
         if found[0] < 0:
-            counts["swept"] += 1
+            counts["separated"] += 1
         elif any(found == sorted(ext[list(t)]) for t in EXTREME_TETRAHEDRA):
             counts["axis"] += 1
         elif found == sorted(given):
@@ -65,9 +70,14 @@ def source_counts(sets, start, tetrahedra):
 
 def trace(gen, controls, rays):
     """(radii, counts) of one traced fan, counting through the module
-    attribute the tracer calls."""
-    test = under_approx.stlc_test_3d
+    attributes the tracer and the cone test call."""
+    test, sweep = under_approx.stlc_test_3d, under_approx._sweep
     counts = dict.fromkeys(("calls", "sets") + SOURCES, 0)
+
+    def sweeping(v, norms):
+        counts["swept"] += len(v)
+        counts["separated"] -= len(v)  # source_counts counts them as separated
+        return sweep(v, norms)
 
     def counting(directions, start=None):
         verdict = test(directions, start=start)
@@ -80,11 +90,11 @@ def trace(gen, controls, rays):
             counts[name] += count
         return verdict
 
-    under_approx.stlc_test_3d = counting
+    under_approx.stlc_test_3d, under_approx._sweep = counting, sweeping
     try:
         radii = rs.stlc_boundary_rays(gen, controls, rays, tol=1e-3, origin=np.zeros(3))
     finally:
-        under_approx.stlc_test_3d = test
+        under_approx.stlc_test_3d, under_approx._sweep = test, sweep
     return radii, counts
 
 
@@ -94,16 +104,16 @@ def main():
     fans = {f"bounds {s}": rs.fibonacci_sphere(20) @ rotation(s).T for s in range(101, 109)}
     fans["fibonacci 200"] = rs.fibonacci_sphere(200)
     columns = ("calls", "sets") + SOURCES
-    print(f"{'fan':<14}" + "".join(f"{c:>9}" for c in columns) + "  radii sha256")
+    print(f"{'fan':<14}" + "".join(f"{c:>10}" for c in columns) + "  radii sha256")
     bounds = []
     for name, rays in fans.items():
         radii, counts = trace(gen, controls, rays)
         if name.startswith("bounds"):
             bounds.append([counts[c] for c in columns])
         digest = hashlib.sha256(radii.tobytes()).hexdigest()[:16]
-        print(f"{name:<14}" + "".join(f"{counts[c]:>9}" for c in columns) + f"  {digest}")
+        print(f"{name:<14}" + "".join(f"{counts[c]:>10}" for c in columns) + f"  {digest}")
     mean = np.mean(bounds, axis=0)
-    print(f"{'bounds mean':<14}" + "".join(f"{m:>9.1f}" for m in mean))
+    print(f"{'bounds mean':<14}" + "".join(f"{m:>10.1f}" for m in mean))
     return 0
 
 
