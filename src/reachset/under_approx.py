@@ -39,7 +39,8 @@ that the depth of an earlier certificate on the ray already covers: the
 fields are affine in x, so a tetrahedron that holds the origin deep at one
 point still holds it a little further on, and each point passed over
 would test "full".  For the same reason each ray hands the tetrahedron
-that certified its farthest point to its next cone test as a start.  Past
+that certified its farthest point to its next cone test as a start, in
+place of the axis-extreme tetrahedra a set without a start scans.  Past
 the exit, the vertex exchange that searches for a certifying tetrahedron
 finds a facet plane with the origin on one side and every field on the
 other, which answers "not full"; so of the 826.6 sets of a 20-ray fan of
@@ -49,7 +50,6 @@ the benchmark, 119.5 are answered that way and 1.9 go to the plane sweep.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -107,13 +107,14 @@ class ConeVerdict:
     ``is_full`` says whether the cone of the directions is all of R^m.
     ``depth`` is the radius of a ball about the origin that the hull of the
     directions is certified to hold, in the directions' units: 0.88 times
-    the smallest facet distance of the tetrahedron that certifies the set
-    (see ``_cone_verdicts``), and 0 where none does, so always 0 when the
-    cone is not full and for the LP test.  ``tetrahedron`` holds the indices
-    of that tetrahedron's four directions, and -1 four times where none
-    certifies.  A set that a facet plane separates from the origin, which
-    answers "not full" without the plane sweep, reports depth 0 and
-    tetrahedron -1 too.
+    the smallest facet distance of the one tetrahedron that certifies the
+    set (see ``_cone_verdicts``), and 0 where it does not, so always 0 when
+    the cone is not full and for the LP test.  ``tetrahedron`` holds the
+    indices of that tetrahedron's four directions (the caller's start, or
+    for a set without one the deepest axis-extreme tetrahedron, after the
+    vertex exchange), and -1 four times where it does not certify.  A set
+    that a facet plane separates from the origin, which answers "not full"
+    without the plane sweep, reports depth 0 and tetrahedron -1 too.
     """
 
     is_full: bool
@@ -132,10 +133,10 @@ def stlc_test_3d(directions, start=None):
         independent direction sets, tested CHUNK sets at a time.
     start : array-like of int, shape (..., 4), optional
         Per set, the indices of four directions to try as a certifying
-        tetrahedron next to the axis-extreme ones, or -1 four times for
+        tetrahedron in place of the axis-extreme ones, or -1 four times for
         none; typically the tetrahedron that certified a nearby set.  It
         can change the depth and the tetrahedron reported, never the
-        verdict.
+        verdict, and the caller's array is not modified.
 
     Returns
     -------
@@ -210,13 +211,13 @@ def _cone_verdicts(v, start=None):
     passes the sweep's first prefilter, and the smallest singular value, at
     least 0.88 delta, is far above the rank tolerance, so the sweep would
     answer "full" too.  The argument holds for any four fields, so which
-    tetrahedra are tried changes the depth, never the verdict.  The
-    candidates are the 15 tetrahedra of the six axis-extreme fields (the
-    argmax and argmin of each coordinate) and the set's start; the deepest
-    that certifies gives the set's depth and tetrahedron.  A set none
-    certifies goes to ``_exchange`` from its start (the last axis-extreme
-    tetrahedron where it has none), and the tetrahedron it ends on meets the
-    same rules.
+    tetrahedron is tried changes the depth, never the verdict.  Each set
+    gets one: its start, or, for a set without one, the deepest certifying
+    tetrahedron of its six axis-extreme fields (the argmax and argmin of
+    each coordinate; the last of the 15 where none certifies).
+    ``_exchange`` improves it from its first evaluation, keeping a
+    tetrahedron that holds the origin, and the tetrahedron it ends on is
+    checked once.
 
     Second, a set is not full, with depth 0 and tetrahedron -1, when one of
     the exchange's evaluations finds a facet plane n . x = det that passes
@@ -272,44 +273,36 @@ def _cone_verdicts(v, start=None):
     v = np.ldexp(v, -e[:, None, None])  # exact: every |entry| now below 1
     w = v.transpose(2, 0, 1)
     norms = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])  # (N, K)
-    vertices = np.concatenate([v.argmax(axis=1), v.argmin(axis=1)], axis=1)  # (N, 6)
-    tetrahedra = _EXTREMES
-    if start is not None:
-        start = np.where(start[:, :1] >= 0, start, vertices[:, :4])  # a repeat for none
-        vertices, tetrahedra = np.concatenate([vertices, start], axis=1), _WITH_START
-    layout = _layout(tetrahedra)
-    rows = np.arange(len(v))[:, None]
     top = norms.max(axis=1)
-    delta = 1e-8 * top[:, None]
-    det, normal = _facets(w[:, rows, vertices], layout)
-    depths = _certify(det, normal, norms[rows, vertices], delta, layout)
-    best = depths.argmax(axis=1)
-    depth = depths[rows[:, 0], best]
-    tetrahedron = np.where((depth > 0)[:, None], vertices[rows, layout.tetrahedra[best]], -1)
-    full = np.ones(len(v), dtype=bool)
-    rest = np.flatnonzero(depth == 0)
-    if rest.size:
-        # exchange from the last candidate: the start, where one is given
-        facets = layout.facets[-1][::-1]  # in _layout(_ALONE)'s triple order
-        found, det, normal, separated = _exchange(
-            w[:, rest], vertices[rest[:, None], layout.tetrahedra[-1]],
-            det[rest[:, None], facets], normal[:, rest[:, None], facets], top[rest])
-        depth[rest] = _certify(det, normal, norms[rest[:, None], found], delta[rest],
-                               _layout(_ALONE))[:, 0]
-        tetrahedron[rest] = np.where((depth[rest] > 0)[:, None], found, -1)
-        full[rest[separated]] = False
-        rest = rest[(depth[rest] == 0) & ~separated]
+    delta = 1e-8 * top
+    tet = np.full((len(v), 4), -1) if start is None else start.astype(np.intp)  # a copy
+    alone = np.flatnonzero(tet[:, 0] < 0)
+    if alone.size:
+        # the deepest certifying axis-extreme tetrahedron, else the last
+        extremes = np.concatenate([v[alone].argmax(axis=1), v[alone].argmin(axis=1)], axis=1)
+        candidates = extremes[:, _EXTREMES]  # (n, 15, 4)
+        rows = alone[:, None, None]
+        depths = _certify(*_facets(w[:, rows, candidates]), norms[rows, candidates],
+                          delta[alone, None])
+        best = np.where(depths.max(axis=1) > 0, depths.argmax(axis=1), len(_EXTREMES) - 1)
+        tet[alone] = candidates[np.arange(len(alone)), best]
+    tet, det, normal, separated = _exchange(w, tet, top)
+    depth = _certify(det, normal, norms[np.arange(len(v))[:, None], tet], delta)
+    tetrahedron = np.where((depth > 0)[:, None], tet, -1)
+    full = ~separated
+    rest = np.flatnonzero((depth == 0) & ~separated)
     if rest.size:
         full[rest] = _sweep(v[rest], norms[rest])
     return full, np.ldexp(depth, e), tetrahedron
 
 
-#: Tetrahedra as sorted positions among a row of vertices: the 15 that the
-#: six axis-extreme fields span (the argmax and argmin of each coordinate),
-#: those and a start tetrahedron at positions 6-9, and a lone tetrahedron.
-_EXTREMES = tuple(combinations(range(6), 4))
-_WITH_START = _EXTREMES + ((6, 7, 8, 9),)
-_ALONE = ((0, 1, 2, 3),)
+#: The 15 tetrahedra that a set's six axis-extreme fields span (the argmax
+#: and argmin of each coordinate), as positions among those six.
+_EXTREMES = np.array(list(combinations(range(6), 4)))
+
+#: Facet q of a tetrahedron (a, b, c, d) omits vertex q: (b, c, d),
+#: (a, c, d), (a, b, d) and (a, b, c), as vertex positions (x, y, z).
+_FACETS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 #: Signs that turn the facet volumes det(b, c, d), det(a, c, d),
 #: det(a, b, d) and det(a, b, c) of a tetrahedron (a, b, c, d) into the
@@ -331,97 +324,75 @@ _FIELD_TOL = 1e-12
 _FACET_FLOOR = 5e-4
 
 
-class _Layout(NamedTuple):
-    """Index tables of tetrahedra given as sorted 4-tuples of vertex
-    positions, so that tetrahedra sharing a facet or a pair compute it once."""
-
-    pairs: np.ndarray  # (P, 2): the vertex pairs (x, y) whose crosses they need
-    triple_pairs: np.ndarray  # (T, 3): facet triple (x, y, z) as pairs (x, y), (y, z), (x, z)
-    triples: np.ndarray  # (T, 3): the facet triples' vertices
-    facets: np.ndarray  # (C, 4): each tetrahedron's facets, facet q omitting vertex q
-    tetrahedra: np.ndarray  # (C, 4)
+def _cross(a, b):
+    """a × b of (3, ...) coordinates, term by term as np.cross."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-@lru_cache(maxsize=None)
-def _layout(tetrahedra):
-    """The read-only index tables of a tuple of tetrahedra."""
-    facets = [[t[:q] + t[q + 1:] for q in range(4)] for t in tetrahedra]
-    triples = sorted({f for fs in facets for f in fs})
-    pairs = sorted({pr for x, y, z in triples for pr in ((x, y), (y, z), (x, z))})
-    return _Layout(*(_readonly(np.array(a)) for a in (
-        pairs, [[pairs.index(pr) for pr in ((x, y), (y, z), (x, z))] for x, y, z in triples],
-        triples, [[triples.index(f) for f in fs] for fs in facets], tetrahedra)))
+def _facets(p):
+    """Facet volumes det(x, y, z) and normals x × y + y × z + z × x of
+    tetrahedra given by (3, ..., 4) vertex coordinates, facet q omitting
+    vertex q: shapes (..., 4) and (3, ..., 4)."""
+    x, y, z = (p[..., i] for i in _FACETS.T)
+    first = _cross(x, y)
+    return (first * z).sum(axis=0), first + _cross(y, z) - _cross(x, z)
 
 
-def _facets(p, layout):
-    """Facet volumes det(x, y, z) and normals x × y + y × z + z × x, per
-    facet triple of ``layout``, from (3, N, V) vertex coordinates: shapes
-    (N, T) and (3, N, T)."""
-    pairs = layout.pairs
-    (a0, a1, a2), (b0, b1, b2) = p[:, :, pairs[:, 0]], p[:, :, pairs[:, 1]]
-    crosses = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    xy, yz, xz = layout.triple_pairs.T
-    first = crosses[:, :, xy]
-    det = (first * p[:, :, layout.triples[:, 2]]).sum(axis=0)
-    return det, first + crosses[:, :, yz] - crosses[:, :, xz]
-
-
-def _certify(det, normal, r, delta, layout):
+def _certify(det, normal, r, delta):
     """The rules of ``_cone_verdicts``'s certificate.
 
-    From the facet volumes (N, T) and normals (3, N, T) of ``layout``'s
-    facet triples in power-of-two-scaled sets, the (N, V) norms of the
-    vertices and the (N, 1) floor delta, return each candidate
-    tetrahedron's certified depth, 0 where the rules fail: shape (N, C).
+    From the facet volumes (..., 4) and normals (3, ..., 4) of tetrahedra in
+    power-of-two-scaled sets (facet q omitting vertex q), the (..., 4) norms
+    of their vertices and the floor delta (...), return each tetrahedron's
+    certified depth, 0 where the rules fail: shape (...).
     """
     n0, n1, n2 = normal
     normal_norms = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-    x, y, z = layout.triples.T
-    facet_ok = ((normal_norms >= 1e-6 * (r[:, x] * r[:, y] + r[:, y] * r[:, z]
-                                         + r[:, z] * r[:, x]))
+    x, y, z = (r[..., i] for i in _FACETS.T)
+    delta = delta[..., None]
+    facet_ok = ((normal_norms >= 1e-6 * (x * y + y * z + z * x))
                 & (np.abs(det) >= delta * normal_norms))
-    facets = layout.facets
-    weights = det[:, facets] * _FACET_SIGNS  # (N, C, 4)
-    deep = (((weights > 0).all(axis=2) | (weights < 0).all(axis=2))
-            & facet_ok[:, facets].all(axis=2)
-            & (r >= delta)[:, layout.tetrahedra].all(axis=2))  # (N, C)
+    weights = det * _FACET_SIGNS
+    deep = (((weights > 0).all(axis=-1) | (weights < 0).all(axis=-1))
+            & facet_ok.all(axis=-1) & (r >= delta).all(axis=-1))
     # a deep facet's normal is nonzero: collinear vertices give det = 0
     distance = np.divide(np.abs(det), normal_norms, out=np.zeros_like(det),
                          where=normal_norms > 0)
-    return 0.88 * np.where(deep, distance[:, facets].min(axis=2), 0.0)
+    return 0.88 * np.where(deep, distance.min(axis=-1), 0.0)
 
 
-def _exchange(w, tet, det, normal, top):
+def _exchange(w, tet, top):
     """Search for a tetrahedron that holds the origin, or a facet that
     separates the origin from the fields.
 
-    From (n, 4) field indices into power-of-two-scaled (3, n, K) sets, with
-    their facet volumes (n, 4) and normals (3, n, 4) in ``_layout(_ALONE)``'s
-    triple order and their largest field norms (n,): evaluate the
-    tetrahedron, and while the origin lies beyond the facet opposite the most
-    negative barycentric weight, swap that vertex for the field farthest
-    beyond the facet, at most _EXCHANGES times, so _EXCHANGES + 1
-    evaluations.  A set stops once its tetrahedron holds the origin, is
-    flat, has no field beyond that facet, or is separated: that facet's
-    plane has the origin and the fields on its two sides by the margins of
-    ``_cone_verdicts``.  The three arrays are updated in place and returned
-    with the (n,) mask of separated sets.
+    From (N, 4) field indices into power-of-two-scaled (3, N, K) sets and
+    their largest field norms (N,): evaluate the tetrahedron, and while the
+    origin lies beyond the facet opposite the most negative barycentric
+    weight, swap that vertex for the field farthest beyond the facet, at
+    most _EXCHANGES times, so _EXCHANGES + 1 evaluations.  A set stops once
+    its tetrahedron holds the origin, is flat, has no field beyond that
+    facet, or is separated: that facet's plane has the origin and the
+    fields on its two sides by the margins of ``_cone_verdicts``.  Returns
+    the final tetrahedra (``tet``, updated in place), their facet volumes
+    (N, 4) and normals (3, N, 4), facet q omitting vertex q, and the (N,)
+    mask of separated sets.
     """
-    layout = _layout(_ALONE)
-    facets = layout.facets[0]  # facet q, omitting vertex q, as a triple
+    det, normal = np.empty(tet.shape), np.empty((3,) + tet.shape)
     separated = np.zeros(len(tet), dtype=bool)
     live = np.arange(len(tet))
     for swaps in range(_EXCHANGES + 1):
-        weights = det[live[:, None], facets] * _FACET_SIGNS
+        det[live], normal[:, live] = _facets(w[:, live[:, None], tet[live]])
+        weights = det[live] * _FACET_SIGNS
         sign = np.sign(weights.sum(axis=1))  # of the weights' common factor
         weights *= sign[:, None]
         q = weights.argmin(axis=1)
-        rows, facet = np.arange(len(live)), facets[q]
-        n = normal[:, live, facet]
+        rows = np.arange(len(live))
+        n = normal[:, live, q]
         # each field's barycentric weight for vertex q, times |total|: the
         # facet's plane is n . x = det, and vertex q lies on its other side
         beyond = (-_FACET_SIGNS[q] * sign)[:, None] * (
-            (w[:, live] * n[..., None]).sum(axis=0) - det[live, facet][:, None])
+            (w[:, live] * n[..., None]).sum(axis=0) - det[live, q][:, None])
         # the facet's plane separates the origin from every field, the
         # vertices included; weights[rows, q] is the origin's weight
         n0, n1, n2 = n
@@ -438,7 +409,6 @@ def _exchange(w, tet, det, normal, top):
         if not live.size or swaps == _EXCHANGES:
             break
         tet[live, q[go]] = k[go]
-        det[live], normal[:, live] = _facets(w[:, live[:, None], tet[live]], layout)
     return tet, det, normal, separated
 
 

@@ -502,8 +502,9 @@ def test_depth_is_a_ball_inside_the_hull(chloroform_gen, two_qubit_controls, rng
     support = (sets[certified] @ n.T).max(axis=1)  # (certified sets, 1000)
     assert (support >= verdict.depth[certified, None]).all()
     # the reported tetrahedron holds the origin 0.88 times its smallest facet
-    # distance deep, by brute force; the first-pass certificate is the deepest
-    # axis-extreme tetrahedron, and the exchange answers the others
+    # distance deep, by brute force; these sets carry no start, so where an
+    # axis-extreme tetrahedron certifies, the deepest one is reported, and
+    # the exchange answers the others
     def brute_depth(hull):
         system = np.vstack([hull.T, np.ones(4)])
         if np.linalg.matrix_rank(system) < 4:  # a flat or repeated vertex set
@@ -530,8 +531,8 @@ def test_depth_is_a_ball_inside_the_hull(chloroform_gen, two_qubit_controls, rng
 
 # ---------------------------------------------------------------------------
 # start tetrahedra and the exchange: the tetrahedron that certifies a set may
-# come from the axis-extreme fields, the caller's start or the exchange, and
-# whichever it is, the verdict is the sweep's
+# be the caller's start, for a set without one an axis-extreme tetrahedron, or
+# the exchange's, and whichever it is, the verdict is the sweep's
 
 
 def _holds_origin(sets, tetrahedra):
@@ -546,18 +547,19 @@ def _holds_origin(sets, tetrahedra):
 
 
 def _sources(sets, start, tetrahedra):
-    """Per set, which candidate certified it: "axis" (a tetrahedron of its
-    six axis-extreme fields), "start", "exchange", or "" for none."""
+    """Per set, which tetrahedron certified it: "start", "axis" (a
+    tetrahedron of its six axis-extreme fields), "exchange", or "" for
+    none."""
     labels = []
     for v, given, tet in zip(sets, start, tetrahedra):
         ext = np.concatenate([v.argmax(axis=0), v.argmin(axis=0)])
         found = sorted(tet)
         if found[0] < 0:
             labels.append("")
-        elif any(found == sorted(ext[list(t)]) for t in combinations(range(6), 4)):
-            labels.append("axis")
         elif found == sorted(given):
             labels.append("start")
+        elif any(found == sorted(ext[list(t)]) for t in combinations(range(6), 4)):
+            labels.append("axis")
         else:
             labels.append("exchange")
     return np.array(labels)
@@ -601,8 +603,7 @@ def test_certificates_on_the_bounds_fans_match_the_sweep(chloroform_gen, two_qub
         starts = np.full((len(sets), 4), -1) if start is None else start
         labels.extend(_sources(sets, starts, tetrahedra))
     labels = np.array(labels)
-    # the carried start and the exchange each certify many sets: most of
-    # what the axis-extreme tetrahedra leave to the sweep
+    # the carried start and the exchange each certify many sets
     assert ((labels == "start").sum() > 1000 and (labels == "exchange").sum() > 500
             and (labels == "").sum() < 1000)
 
@@ -639,10 +640,11 @@ def test_start_never_changes_the_verdict(chloroform_gen, two_qubit_controls, rng
         outside = (start[:, 0] >= 0) & ~_holds_origin(sets, np.maximum(start, 0))
         reported = (np.sort(verdict.tetrahedron, axis=1) == np.sort(start, axis=1)).all(axis=1)
         assert outside.any() and not (outside & reported).any()
-        # a start adds a candidate: no set that an axis-extreme tetrahedron
-        # certifies gets less deep
-        axis = _sources(sets, np.full((len(sets), 4), -1), base.tetrahedron) == "axis"
-        assert axis.any() and (verdict.depth[axis] >= base.depth[axis]).all()
+        # a start replaces the axis-extreme tetrahedra: a row whose start
+        # holds the origin reports its start where it certifies
+        inside = (start[:, 0] >= 0) & _holds_origin(sets, np.maximum(start, 0))
+        assert (inside & certified).any()
+        assert (verdict.tetrahedron[inside & certified] == start[inside & certified]).all()
 
 
 def test_a_deep_start_is_the_certificate():
@@ -664,14 +666,71 @@ def test_a_deep_start_is_the_certificate():
             stlc_test_3d(dirs, start=bad)
 
 
+def test_a_shallow_start_is_reported_over_a_deeper_axis_tetrahedron():
+    # the regular tetrahedron u holds the origin 1/3 deep and spans the
+    # axis-extreme fields; the start s, a flat tetrahedron 0.1 wide, holds it
+    # only 1e-4 deep, above its base, yet certifies, so it is reported
+    u = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    u = u @ _rotation(3).T
+    angles = 2 * np.pi * np.arange(3) / 3
+    s = 0.1 * np.vstack([np.column_stack([np.cos(angles), np.sin(angles), np.full(3, -1e-3)]),
+                         [[0.0, 0.0, 1.0]]]) @ _rotation(5).T
+    dirs = np.vstack([u, s])
+    alone, started = stlc_test_3d(dirs), stlc_test_3d(dirs, start=[4, 5, 6, 7])
+    assert alone.is_full and started.is_full and cone_verdicts_sweep(dirs[None])[0]
+    assert sorted(alone.tetrahedron) == [0, 1, 2, 3] and alone.depth > 0.25
+    assert started.tetrahedron == (4, 5, 6, 7)
+    facets = [s[[j for j in range(4) if j != i]] for i in range(4)]
+    depth = min(abs(np.linalg.det(f)) / np.linalg.norm(np.cross(f[1] - f[0], f[2] - f[0]))
+                for f in facets)
+    assert 0.9e-4 < depth < 1.1e-4
+    assert started.depth == pytest.approx(0.88 * depth, rel=1e-9)
+
+
+def test_a_stacked_call_certifies_one_tetrahedron_per_set(chloroform_gen, two_qubit_controls,
+                                                          rng, monkeypatch):
+    # a guard on the work: a row with a start has its start as its only
+    # tetrahedron, and only a row without one scans the 15 axis-extreme ones
+    sets = _degenerate_and_random_sets(chloroform_gen, two_qubit_controls, rng)
+    start = rng.integers(0, 24, size=(len(sets), 4))
+    base = stlc_test_3d(sets)
+    certify, counts = under_approx._certify, []
+
+    def counting(det, normal, r, delta):
+        counts.append(np.size(det) // 4)  # tetrahedra certified
+        return certify(det, normal, r, delta)
+
+    monkeypatch.setattr(under_approx, "_certify", counting)
+    verdict = stlc_test_3d(sets, start=start)
+    assert sum(counts) == len(sets)
+    assert verdict.is_full.tobytes() == base.is_full.tobytes()
+    counts.clear()
+    start[::5] = -1
+    stlc_test_3d(sets, start=start)
+    assert sum(counts) == len(sets) + 15 * len(sets[::5])
+
+
+def test_the_exchange_leaves_the_callers_start_alone():
+    # the exchange swaps -u3 for u3 in the start's own row of tetrahedra; the
+    # caller's array keeps its indices, for one set and for a stack
+    u = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    u = 0.5 * u @ _rotation(3).T
+    fields = np.vstack([u, -u[3], 0.5 * u[3], 0.2 * u[0] + 0.3 * u[3]])
+    start = np.array([0, 1, 2, 4])
+    assert stlc_test_3d(fields, start=start).tetrahedron == (0, 1, 2, 3)
+    assert start.tolist() == [0, 1, 2, 4]
+    starts = np.array([[0, 1, 2, 4], [0, 1, 2, 4]])
+    verdict = stlc_test_3d(np.stack([fields, fields]), start=starts)
+    assert verdict.tetrahedron.tolist() == [[0, 1, 2, 3]] * 2
+    assert starts.tolist() == [[0, 1, 2, 4]] * 2
+
+
 def _exchange_one_set(fields, start):
     """The exchange's final tetrahedron, sorted, and whether it separated the
     origin from the fields, for one set of fields from a start tetrahedron."""
     w = np.asarray(fields, dtype=float).T[:, None]  # (3, 1, K)
-    tet = np.array([start])
-    det, normal = under_approx._facets(w[:, [[0]], tet], under_approx._layout(under_approx._ALONE))
     top = np.linalg.norm(fields, axis=1).max(keepdims=True)
-    found, _, _, separated = under_approx._exchange(w, tet, det, normal, top)
+    found, _, _, separated = under_approx._exchange(w, np.array([start]), top)
     return sorted(found[0]), bool(separated[0])
 
 

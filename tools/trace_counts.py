@@ -8,16 +8,18 @@ rotated by seeds 101-108) and ``fibonacci_sphere(200)``.  For each fan it
 prints the stacked ``stlc_test_3d`` calls and the direction sets they
 test, the origin's call included, and how each set was answered:
 
-* ``axis``: certified by a tetrahedron of its six axis-extreme fields;
 * ``carried``: certified by the start tetrahedron the tracer carried along
   its ray;
+* ``axis``: certified by a tetrahedron of its six axis-extreme fields, which
+  only a set without a start tries;
 * ``exchange``: certified by the tetrahedron the vertex exchange found;
 * ``separated``: not full by a facet plane of the vertex exchange that has
   the origin on one side and every field on the other;
 * ``swept``: neither, so answered by the plane sweep (``_sweep``).
 
 A certified set counts under the first of these that its reported
-tetrahedron matches; an uncertified set counts as swept when it reaches
+tetrahedron matches, so a start that the exchange leaves unchanged counts
+as carried; an uncertified set counts as swept when it reaches
 ``_sweep``, and as separated otherwise.  The last column is the SHA-256 of
 the radii, to compare two checkouts.  The counts are deterministic and
 repeat exactly.
@@ -35,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import reachset as rs  # noqa: E402
 from reachset import under_approx  # noqa: E402
 
-SOURCES = ("axis", "carried", "exchange", "separated", "swept")
+SOURCES = ("carried", "axis", "exchange", "separated", "swept")
 EXTREME_TETRAHEDRA = list(combinations(range(6), 4))
 
 
@@ -59,10 +61,10 @@ def source_counts(sets, start, tetrahedra):
         found = sorted(tet)
         if found[0] < 0:
             counts["separated"] += 1
-        elif any(found == sorted(ext[list(t)]) for t in EXTREME_TETRAHEDRA):
-            counts["axis"] += 1
         elif found == sorted(given):
             counts["carried"] += 1
+        elif given[0] < 0 and any(found == sorted(ext[list(t)]) for t in EXTREME_TETRAHEDRA):
+            counts["axis"] += 1
         else:
             counts["exchange"] += 1
     return counts
