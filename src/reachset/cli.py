@@ -112,6 +112,12 @@ def _sidecar(args, out_path, elapsed, extra):
     dump_json(meta, out_path + ".meta.json")
 
 
+def _propagator_health(gen):
+    """How relax_propagator forms e^{At}: "eig" or "expm", and cond(V) of the drift."""
+    eig = gen.drift_eig
+    return {"propagator": eig.path, "eigvec_cond": eig.cond}
+
+
 def _target_vector(spec_str):
     if spec_str == "pps":
         return pps_direction()
@@ -250,6 +256,7 @@ def cmd_simulate(args, gen):
         "fixed_point_eta": report.eta_eff,
         "fixed_point_theta": report.theta,
         "spectral_radius": report.spectral_radius,
+        **_propagator_health(gen),
     }
     message = f"eta* = {report.eta_eff:.4f}, theta* = {report.theta:.4f} -> {args.out}"
     return args.out, extra, message
@@ -305,7 +312,8 @@ def cmd_robustness(args, gen):
         for j, b in enumerate(result.delta_h):
             rows.append([a, b, result.delta[i, j]])
     write_csv(args.out, ["delta_c", "delta_h", "delta"], rows)
-    extra = {"max_delta": result.max_delta, "failed_cells": int(result.failed.sum())}
+    extra = {"max_delta": result.max_delta, "failed_cells": int(result.failed.sum()),
+             **_propagator_health(gen)}
     # numerical health of the solved cells (null when none was solved)
     solved = ~result.failed
     for key, values in (("max_spectral_radius", result.spectral_radius),
@@ -357,7 +365,7 @@ def cmd_figure1(args, gen):
     ):
         write_csv(os.path.join(args.out_dir, name), header, table)
     dump_json({"noe_steady_state": list(noe)}, os.path.join(args.out_dir, "noe.json"))
-    extra = {"oracle_rel_gap": bound.oracle_rel_gap}
+    extra = {"oracle_rel_gap": bound.oracle_rel_gap, **_propagator_health(gen)}
     return os.path.join(args.out_dir, "figure1"), extra, f"figure data -> {args.out_dir}/"
 
 

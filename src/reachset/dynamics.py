@@ -12,9 +12,16 @@ eigenvalue, so r_eq = Rmat^{-1} v is unique, where v is the inhomogeneous
 drive generated by the action of D on the identity.
 
 Propagation is exact: with A = Hmat - Rmat and full fixed point
-r* = A^{-1}(-v), the solution is r(t) = e^{At} (r0 - r*) + r*.  A fixed-step
-Runge-Kutta integrator is deliberately not provided here; the test suite
-carries one as an independent oracle.
+r* = A^{-1}(-v), the solution is r(t) = e^{At} (r0 - r*) + r*.  The matrix
+exponential comes from one eigendecomposition A = V diag(w) V^{-1}, cached
+on the generator: every t then costs one exp of the eigenvalues and one
+product, e^{At} = V diag(e^{wt}) V^{-1}.  This is accurate only while the
+eigenvectors are well conditioned (Moler & Van Loan 2003, "Nineteen dubious
+ways", method 14), so a drift whose cond(V) exceeds EIG_COND_MAX, near a
+defective one, takes scipy's scaling-and-squaring expm instead; scipy is
+imported on that path only.  A fixed-step Runge-Kutta integrator is
+deliberately not provided here; the test suite carries one as an
+independent oracle.
 
 Purity bookkeeping: p = Tr rho^2 = 1/2^n + 2^n r.r, and its time derivative
 under the generator is dp/dt = -2^{n+1} r.Rmat.(r - r_eq); the antisymmetric
@@ -33,6 +40,21 @@ from .pauli import build_basis, _check_qubit_count, _readonly
 #: Largest asymmetry of Hmat and Rmat, relative to their largest entry.
 _SYM_TOL = 1e-10
 
+#: Largest cond(V), V the unit-column eigenvector matrix of a drift A, for
+#: which e^{At} comes from the eigendecomposition.  That form's error in the
+#: max norm is of order u cond(V) (d + |A|_2 t), u = 1.1e-16: rounding in the
+#: two d-term products with V and V^{-1}, and the eigenvalues' backward error
+#: u |A|_2, amplified by up to cond(V) and carried over the time t; each
+#: |e^{wt}| is at most 1 for a contracting drift.  On random contracting
+#: drifts it stays within 4 times that (tests); scipy's expm errs by about
+#: u |A|_2 t.  At the guard the eig form may err by up to about
+#: 4e4 u (d + |A|_2 t), 7e-11 for d = 15 and a short t, so it is kept for
+#: drifts far below: the bundled one has cond(V) = 1.19 (at t = 0.1 s the
+#: eig form errs by 4.1e-14, expm by 8.1e-13) and random contracting
+#: 15-dimensional drifts reach about 700.  A defective 2x2 block (an
+#: exceptional point) gives about 1e8 and takes expm.
+EIG_COND_MAX = 1e4
+
 
 def _check_positive_definite(R):
     """Refuse a symmetric R unless its eigenvalues are positive relative to the largest."""
@@ -41,6 +63,52 @@ def _check_positive_definite(R):
         raise ContractivityViolation(
             f"relaxation matrix is not positive definite (min eigenvalue {eigs[0]:.3e})"
         )
+
+
+@dataclass(frozen=True)
+class Eigensystem:
+    """Read-only eigendecomposition A = V diag(w) V^{-1} of a real square A.
+
+    V has unit columns, as numpy's eig returns them; cond is its 2-norm
+    condition number.  Vinv is None when cond exceeds EIG_COND_MAX, where
+    propagators leave the decomposition for expm (see `path`).
+    """
+
+    w: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
+    cond: float
+
+    @property
+    def path(self):
+        """How e^{At} is formed: "eig" from this decomposition, else "expm"."""
+        return "eig" if self.Vinv is not None else "expm"
+
+
+def _eigensystem(A):
+    """Eigensystem of A, inverting V only where its condition passes the guard."""
+    w, V = np.linalg.eig(A)
+    cond = float(np.linalg.cond(V))
+    Vinv = _readonly(np.linalg.inv(V)) if cond <= EIG_COND_MAX else None
+    return Eigensystem(w=_readonly(w), V=_readonly(V), Vinv=Vinv, cond=cond)
+
+
+def _exp_modes(w, t):
+    """e^{wt}, one row per time of t and one column per eigenvalue of w.
+
+    A mode whose modulus e^{Re(w) t} underflows is exactly 0: at t near the
+    float range, w t of a complex w overflows in its imaginary part and
+    e^{wt} is NaN, yet the mode's limit is 0 whatever its phase.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = np.multiply.outer(t, w)
+        return np.where(np.exp(wt.real) == 0.0, 0.0, np.exp(wt))
+
+
+def _check_relaxation_time(t):
+    """Refuse a relaxation time that is negative, infinite or NaN."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ValidationError("relaxation time must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,9 +127,9 @@ class AffineGenerator:
     r_eq : ndarray
         Relaxation fixed point.
 
-    These are the generator's only data.  The drive ``v``, like ``drift``
-    and ``fixed_point``, is derived from them on first use, so it cannot
-    disagree with r_eq.
+    These are the generator's only data.  The drive ``v``, like ``drift``,
+    ``drift_eig`` and ``fixed_point``, is derived from them on first use,
+    so it cannot disagree with r_eq.
     """
 
     n: int
@@ -104,6 +172,11 @@ class AffineGenerator:
     def drift(self):
         """A = Hmat - Rmat, the homogeneous part of the ODE."""
         return _readonly(self.Hmat - self.Rmat)
+
+    @cached_property
+    def drift_eig(self):
+        """Eigensystem of the drift, shared by every relax_propagator call."""
+        return _eigensystem(self.drift)
 
     @cached_property
     def fixed_point(self):
@@ -203,17 +276,25 @@ def lindblad_to_bloch(hamiltonian, dissipator):
 def relax_propagator(gen, t):
     """Exact affine propagator of the free dynamics over time t.
 
-    Returns (E, c) with r(t) = E @ r0 + c, computed from the matrix
-    exponential of the drift and the full fixed point.  A time so long that
-    e^{At} is not finite (expm gives NaN without a warning) raises
-    ValidationError.
+    Returns (E, c) with r(t) = E @ r0 + c, where E = e^{At} and c follows
+    from the full fixed point.  E is (V diag(e^{wt}) V^{-1}).real from the
+    generator's cached drift eigensystem, or scipy's expm of At where that
+    eigensystem fails the EIG_COND_MAX guard (see the module docstring and
+    `gen.drift_eig.path`).  A mode that decays below the float range
+    contributes exactly 0, so on a contracting drift E is finite for every
+    finite t >= 0.  A non-finite E (expm's NaN at such t, or a mode that
+    rounding makes grow) raises ValidationError, as does a negative or
+    non-finite t.
     """
-    from scipy.linalg import expm
+    _check_relaxation_time(t)
+    eig = gen.drift_eig
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E is refused below
+        if eig.path == "eig":
+            E = ((eig.V * _exp_modes(eig.w, t)) @ eig.Vinv).real
+        else:
+            from scipy.linalg import expm
 
-    if t < 0:
-        raise ValidationError("propagation time must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite At is caught below
-        E = expm(gen.drift * t)
+            E = expm(gen.drift * t)
     if not np.isfinite(E).all():
         raise ValidationError(
             f"relaxation time {t:g} s is too long: e^(At) is not finite"
@@ -225,21 +306,28 @@ def relax_propagator(gen, t):
 def affine_trajectory(A, x_fix, x0, times):
     """Exact solution of dx/dt = A (x - x_fix) from x0, one row per time.
 
-    Rows are e^{At} (x0 - x_fix) + x_fix: from one eigendecomposition when
-    A is exactly symmetric, else from one matrix exponential per time.
+    Rows are e^{At} (x0 - x_fix) + x_fix from one eigendecomposition of A
+    for all times: eigh when A is exactly symmetric, else eig, with
+    relax_propagator's EIG_COND_MAX guard; a near-defective A takes one
+    scipy expm per time instead.
     """
     if np.array_equal(A, A.T):
         w, V = np.linalg.eigh(A)
-        y0 = V.T @ (x0 - x_fix)
-        return (V * np.exp(np.outer(times, w))[:, None, :] @ y0[:, None])[
-            :, :, 0
-        ] + x_fix
-    from scipy.linalg import expm
+        Vinv = V.T
+    else:
+        eig = _eigensystem(A)
+        if eig.path == "expm":
+            from scipy.linalg import expm
 
-    out = np.empty((len(times), len(x0)))
-    for i, t in enumerate(times):
-        out[i] = expm(A * t) @ (x0 - x_fix) + x_fix
-    return out
+            out = np.empty((len(times), len(x0)))
+            for i, t in enumerate(times):
+                out[i] = expm(A * t) @ (x0 - x_fix) + x_fix
+            return out
+        w, V, Vinv = eig.w, eig.V, eig.Vinv
+    y0 = Vinv @ (x0 - x_fix)
+    return (V * _exp_modes(w, times)[:, None, :] @ y0[:, None])[
+        :, :, 0
+    ].real + x_fix
 
 
 def purity(v):

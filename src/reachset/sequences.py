@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import DiagonalVector, diag_slots
-from .dynamics import relax_propagator
+from .dynamics import _check_relaxation_time, relax_propagator
 from .errors import NoUniqueFixedPoint, ValidationError, ldexp_normal
 from .pauli import CoherenceVector, build_basis, unitary_rep, _readonly
 from .unitary_bound import kappa_channel
@@ -55,8 +55,7 @@ class RelaxStep:
     tau: float
 
     def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau < 0:
-            raise ValidationError("relaxation time must be finite and >= 0")
+        _check_relaxation_time(self.tau)
 
 
 @dataclass(frozen=True)
@@ -329,16 +328,18 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
     Raises
     ------
     ValidationError
-        If a recorded period's eta lies outside the normal float range; it
-        is solved with each state and the target scaled by the powers of two
-        that bring their largest |entry| into [1/2, 1), so it does not
-        overflow on the way.
+        If the last period's time overflows, or if a recorded period's eta
+        lies outside the normal float range; eta is solved with each state
+        and the target scaled by the powers of two that bring their largest
+        |entry| into [1/2, 1), so it does not overflow on the way.
     """
     if record_every < 1:
         raise ValidationError("record_every must be >= 1")
+    dt = seq.period_duration if seq.period_duration > 0 else 1.0
+    if not np.isfinite(seq.repeat * dt):
+        raise ValidationError(f"{seq.repeat} periods of {dt:g} s overflow the time axis")
     M, c = _one_period_map_of_one(gen, seq)
     x = start.r.copy()
-    dt = seq.period_duration if seq.period_duration > 0 else 1.0
     times, rows = [], []
     for m in range(1, seq.repeat + 1):
         x = M @ x + c

@@ -424,10 +424,8 @@ def test_abbreviated_options_rejected():
     assert parser.parse_args(["robustness", "--grid=-0.1:0.1:3"]).grid == "-0.1:0.1:3"
 
 
-def test_sidecar_contract(tmp_path, chloroform_gen):
-    # every subcommand writes <out>.meta.json (figure1: <out-dir>/figure1)
-    # with version, command, options and a finite elapsed_s; a rejected
-    # invocation writes neither output nor sidecar
+def _population_traj_args(tmp_path):
+    """--traj options of two noiseless population trajectories written to tmp_path."""
     trajs = synthesize_trajectories(
         CHLOROFORM, "population", [np.array([-1.0, 4.0, 0.0]), np.array([0, 0, 3.0])],
         np.linspace(0.0, 40.0, 10))
@@ -435,6 +433,14 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
     for k, traj in enumerate(trajs):
         write_trajectory_csv(tmp_path / f"traj{k}.csv", traj)
         traj_args += ["--traj", str(tmp_path / f"traj{k}.csv")]
+    return traj_args
+
+
+def test_sidecar_contract(tmp_path, chloroform_gen, monkeypatch):
+    # every subcommand writes <out>.meta.json (figure1: <out-dir>/figure1)
+    # with version, command, options and a finite elapsed_s; a rejected
+    # invocation writes neither output nor sidecar
+    traj_args = _population_traj_args(tmp_path)
     gen = tmp_path / "gen.json"
     dump_json(chloroform_gen.to_json_dict(), gen)
     preset = ["--preset", "chloroform"]
@@ -479,16 +485,23 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
                 assert meta["failed_cells"] == 0
                 assert 0.0 < meta["max_spectral_radius"] < 1.0
                 assert 1.0 <= meta["max_cond"] <= 1e12
-    # a numerical failure, too, leaves neither output nor sidecar
+            if command in ("simulate", "robustness", "figure1"):  # how e^(At) was formed
+                assert meta["propagator"] == "eig"
+                assert meta["eigvec_cond"] == pytest.approx(1.1935, abs=1e-4)
+    # a numerical failure, too, leaves neither output nor sidecar; the
+    # figure1 run's e^(At) is patched to NaN, which the propagator refuses
     failures = (
-        (3, ["simulate", "--tau", "0", "--m", "3"]),
-        (3, ["simulate", "--tau", "1e-300", "--m", "3"]),
-        (2, ["figure1", "--tau", "1e300", "--rays", "2", "--tol", "5e-2", "--m", "3"]),
+        (3, ["simulate", "--tau", "0", "--m", "3"], False),
+        (3, ["simulate", "--tau", "1e-300", "--m", "3"], False),
+        (2, ["figure1", "--tau", "1e300", "--rays", "2", "--tol", "5e-2", "--m", "3"], True),
     )
-    for k, (code, argv) in enumerate(failures):
+    for k, (code, argv, nan_modes) in enumerate(failures):
         out = tmp_path / f"failed{k}"
         flag = "--out-dir" if argv[0] == "figure1" else "--out"
-        assert run(*argv, *preset, flag, str(out)) == code, argv
+        with monkeypatch.context() as patch:
+            if nan_modes:
+                patch.setattr(reachset.dynamics, "_exp_modes", _nan_modes)
+            assert run(*argv, *preset, flag, str(out)) == code, argv
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
     fit = ["fit", "--block", "population", "--starts", "1"]
     out = tmp_path / "rates.json"
@@ -508,16 +521,80 @@ def test_sidecar_contract(tmp_path, chloroform_gen):
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
-def test_nonfinite_propagator_exits_2(tmp_path, capsys):
-    # expm of the drift times 1e300 is NaN: an error naming the relaxation
-    # time, exit 2 and no output instead of a LinAlgError traceback
+def _nan_modes(w, t):
+    """A stand-in for dynamics._exp_modes whose every mode is NaN."""
+    return np.full(np.shape(np.multiply.outer(t, w)), np.nan)
+
+
+def test_nonfinite_propagator_exits_2(tmp_path, capsys, monkeypatch):
+    # a NaN e^(At) is an error naming the relaxation time, exit 2 and no
+    # output, not a LinAlgError traceback or NaN rows
+    monkeypatch.setattr(reachset.dynamics, "_exp_modes", _nan_modes)
     for argv in (["robustness", "--grid=0:0:1"], ["simulate", "--m", "3"]):
         out = tmp_path / "out.csv"
-        assert run(*argv, "--preset", "chloroform", "--tau", "1e300",
-                   "--out", str(out)) == 2, argv
+        assert run(*argv, "--preset", "chloroform", "--out", str(out)) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: relaxation time 1e+300 s"), err
-        assert not out.exists()
+        assert err.startswith("error: relaxation time 1.5 s is too long"), err
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+def test_overflowing_modes_exit_2_without_warnings(tmp_path, capsys, chloroform_gen):
+    # couplings 1e200 times the bundled ones over rates 1e-200 times: the
+    # eigenvalues' rounding, about u |A|, outweighs the rates and a mode
+    # grows past the float range; E is refused, with no warning on the way
+    gen = chloroform_gen.to_json_dict()
+    gen["H"] = [[1e200 * x for x in row] for row in gen["H"]]
+    gen["R"] = [[1e-200 * x for x in row] for row in gen["R"]]
+    path, out = tmp_path / "gen.json", tmp_path / "out.csv"
+    dump_json(gen, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("simulate", "--gen", str(path), "--m", "3", "--out", str(out)) == 2
+    assert "e^(At) is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_long_relaxation_reaches_the_fixed_point(tmp_path, chloroform_gen):
+    # at tau = 1e300 scipy's expm gave NaN (exit 2); e^(At) is 0 there, the
+    # tau -> infinity limit of a contracting drift, so every period ends on
+    # the gate's image of the free fixed point
+    sim, rob = tmp_path / "traj.csv", tmp_path / "delta.csv"
+    preset = ["--preset", "chloroform", "--tau", "1e300"]
+    assert run("simulate", *preset, "--m", "3", "--out", str(sim)) == 0
+    assert run("robustness", *preset, "--grid=0.05:0.05:1", "--out", str(rob)) == 0
+    rows = np.loadtxt(sim, delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all()
+    np.testing.assert_array_equal(rows[:, 0], [1e300, 2e300, 3e300])
+    names = reachset.build_basis(2).labels[1:]
+    cols = [names.index(lab) for lab in sorted(names)]
+    limit = reachset.unitary_rep(reachset.averaging_permutation()) @ chloroform_gen.fixed_point
+    for row in rows:
+        np.testing.assert_allclose(row[1:16], limit[cols], rtol=1e-14, atol=0)
+    # the sweep's one cell: the 5%-off gate's image against the ideal one
+    off = np.full(1, 0.05)
+    gate = reachset.pps_pulse_sequence_builder(1e300)(off, off).steps[1]
+    cell = gate.rep[0] @ chloroform_gen.fixed_point
+    want = np.linalg.norm(cell - limit) / np.linalg.norm(limit)
+    assert want > 1e-4
+    assert np.loadtxt(rob, delimiter=",", skiprows=1)[2] == pytest.approx(want, rel=1e-12)
+
+
+def test_every_finite_relaxation_time_runs(tmp_path, capsys):
+    # e^(At) is finite for every finite tau: a mode that underflows is 0
+    # whatever its phase, also where w tau overflows in its imaginary part
+    # and e^(w tau) alone is NaN (tau = 1e306 and 1e307)
+    out = tmp_path / "out.csv"
+    for tau in [10.0 ** k for k in range(309)] + [1.7e308]:
+        for argv in (["simulate", "--m", "1"], ["robustness", "--grid=0:0:1"]):
+            assert run(*argv, "--preset", "chloroform", "--tau", repr(tau),
+                       "--out", str(out)) == 0, (tau, argv)
+            assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+    capsys.readouterr()
+    # three such periods overflow the time axis: refused, not written as inf
+    assert run("simulate", "--preset", "chloroform", "--tau", "1.7e308", "--m", "3",
+               "--out", str(out.with_name("inf.csv"))) == 2
+    assert "overflow the time axis" in capsys.readouterr().err
+    assert not out.with_name("inf.csv").exists()
 
 
 def test_sphere_certification_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -688,8 +765,9 @@ def _scipy_loaded(tmp_path, *argvs):
 
 def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
     # scipy is imported inside the functions that call it: importing the
-    # package and the commands that never call it, bound included, load no
-    # scipy module; importing the package loads no numpy either
+    # package and every command but fit, on the bundled model, load no scipy
+    # module (the propagator takes expm only past its conditioning guard);
+    # importing the package loads no numpy either
     gen = chloroform_gen.to_json_dict()
     gen["r_eq"][0] = float("inf")
     dump_json(gen, tmp_path / "inf.json")
@@ -699,6 +777,9 @@ def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
         ["unitary-bound", *preset, "--target", "pps", "--out", "polytope.json"],
         ["stlc", *preset, "--rays", "fibonacci:2", "--tol", "5e-2", "--out", "stlc.csv"],
         ["bound", *preset, "--out", "bound.json"],
+        ["simulate", *preset, "--m", "3", "--out", "sim.csv"],
+        ["robustness", *preset, "--grid=0:0:1", "--out", "delta.csv"],
+        ["figure1", *preset, "--rays", "2", "--tol", "5e-2", "--m", "3", "--out-dir", "fig"],
         ["bound", "--gen", "inf.json", "--out", "bound_inf.json"],
         ["simulate", "--gen", "inf.json", "--m", "3", "--out", "sim_inf.csv"],
     ]
@@ -706,17 +787,14 @@ def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
     assert loaded.pop("numpy after import reachset") is False
     assert loaded.pop("import reachset") == []
     assert loaded.pop("import reachset.cli") == []
-    expected_codes = [0, 0, 0, 0, 2, 2]
+    expected_codes = [0, 0, 0, 0, 0, 0, 0, 2, 2]
     assert loaded == {" ".join(argv): [code, []]
                       for argv, code in zip(scipy_free, expected_codes)}
-    # simulate and figure1 take expm from scipy.linalg and nothing from
-    # scipy.optimize
-    for argv in (["simulate", *preset, "--m", "3", "--out", "sim.csv"],
-                 ["figure1", *preset, "--rays", "2", "--tol", "5e-2", "--m", "3",
-                  "--out-dir", "fig"]):
-        code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
-        assert code == 0 and "scipy.linalg" in modules
-        assert not [m for m in modules if m.startswith("scipy.optimize")]
+    # fit takes least_squares from scipy.optimize
+    argv = ["fit", "--block", "population", "--starts", "1",
+            *_population_traj_args(tmp_path), "--out", "rates.json"]
+    code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
+    assert code == 0 and "scipy.optimize" in modules
 
 
 def test_package_names_resolve_lazily(monkeypatch):

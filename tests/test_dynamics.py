@@ -11,7 +11,7 @@ from reachset import (
     purity,
     purity_rate,
 )
-from reachset.dynamics import affine_trajectory, relax_propagator
+from reachset.dynamics import EIG_COND_MAX, affine_trajectory, relax_propagator
 
 from conftest import random_density_matrix
 from oracles import lindblad_dissipator, rk4_evolve, superoperator_matrix
@@ -175,9 +175,106 @@ def test_evolve_matches_rk4(chloroform_gen, rng):
     np.testing.assert_allclose(E @ r0 + c, rk.r, atol=1e-8)
 
 
+#: Unit roundoff of a double.
+_U = np.finfo(float).eps / 2
+
+
+def _expm_40_digits(A, t):
+    """e^{At} of the float matrix A in 40-digit arithmetic, rounded to doubles."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(A.tolist()) * mpmath.mpf(t)).tolist(),
+                        dtype=float)
+
+
+def _errors(gen, t):
+    """Max-norm errors of relax_propagator's E and of scipy's expm, 40-digit reference."""
+    from scipy.linalg import expm
+
+    A = np.asarray(gen.drift)
+    ref = _expm_40_digits(A, t)
+    E, _ = relax_propagator(gen, t)
+    return np.abs(E - ref).max(), np.abs(expm(A * t) - ref).max()
+
+
+def test_drift_eigensystem_is_cached_and_read_only(chloroform_gen):
+    eig = chloroform_gen.drift_eig
+    assert chloroform_gen.drift_eig is eig
+    assert eig.path == "eig" and eig.cond == pytest.approx(1.1935, abs=1e-4)
+    for a in (eig.w, eig.V, eig.Vinv):
+        assert not a.flags.writeable
+    np.testing.assert_allclose((eig.V * eig.w) @ eig.Vinv, chloroform_gen.drift, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 1.5, 3.0])
+def test_eig_propagator_beats_expm_on_the_bundled_drift(chloroform_gen, t):
+    # the protocols run at tau in [1, 3]; the coupling's 337 rad/s makes
+    # expm square many times (8.1e-13 against 4.1e-14 at 0.1 s)
+    eig_err, expm_err = _errors(chloroform_gen, t)
+    assert eig_err <= expm_err
+
+
+def test_eig_propagator_within_its_bound_on_random_generators():
+    # 20 contracting 15-dimensional drifts, couplings from 1 to 300 times the
+    # rates: each generator's own eigensystem gives an E within scipy's
+    # error or within the stated 4 u cond(V) (d + |A| t), whichever is larger
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(15, 15)))
+        R = (q * rng.uniform(0.05, 2.0, size=15)) @ q.T
+        S = rng.normal(size=(15, 15)) * 10 ** rng.uniform(0.0, 2.5)
+        gen = AffineGenerator(n=2, Hmat=S - S.T, Rmat=0.5 * (R + R.T),
+                              r_eq=rng.normal(size=15))
+        t = rng.uniform(0.1, 3.0)
+        eig = gen.drift_eig
+        assert eig.path == "eig" and eig.cond < 100
+        eig_err, expm_err = _errors(gen, t)
+        bound = 4 * _U * eig.cond * (15 + np.linalg.norm(gen.drift, 2) * t)
+        assert eig_err <= max(expm_err, bound)
+
+
+def _exceptional_point_generator():
+    """One qubit whose x-y block of H - R, [[-1, 1], [-1, -3]], is defective."""
+    H = np.zeros((3, 3))
+    H[0, 1], H[1, 0] = 1.0, -1.0
+    return AffineGenerator(n=1, Hmat=H, Rmat=np.diag([1.0, 3.0, 2.0]),
+                           r_eq=np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
+def test_near_defective_drift_takes_expm(t):
+    # eig there errs by 2.8e-9 at 0.1 s: the guard sends it to scipy's expm
+    gen = _exceptional_point_generator()
+    assert gen.drift_eig.path == "expm" and gen.drift_eig.cond > EIG_COND_MAX
+    assert gen.drift_eig.Vinv is None
+    eig_err, expm_err = _errors(gen, t)
+    assert eig_err <= expm_err
+    x_fix, x0 = gen.fixed_point, np.array([0.3, -0.2, 0.5])
+    row = affine_trajectory(np.asarray(gen.drift), x_fix, x0, [t])[0]
+    want = _expm_40_digits(np.asarray(gen.drift), t) @ (x0 - x_fix) + x_fix
+    np.testing.assert_allclose(row, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_propagator_refuses_bad_times(chloroform_gen, t):
+    with pytest.raises(ValidationError, match="must be finite and >= 0"):
+        relax_propagator(chloroform_gen, t)
+
+
+def test_propagator_finite_at_every_scale(chloroform_gen):
+    # a mode that underflows is 0 whatever its phase: w t overflows in its
+    # imaginary part at 1e306 and 1e307, where e^(wt) alone is NaN
+    for t in [10.0 ** k for k in range(309)] + [1.7e308]:
+        E, c = relax_propagator(chloroform_gen, t)
+        assert np.isfinite(E).all() and np.isfinite(c).all(), t
+    E, c = relax_propagator(chloroform_gen, 1e300)
+    assert not E.any() and np.array_equal(c, chloroform_gen.fixed_point)
+
+
 def test_affine_trajectory_matches_expm_per_time(rng):
-    # the eigendecomposition branch (exactly symmetric A) and the expm branch
-    # (A with an antisymmetric part) both reproduce e^{At} (x0 - x*) + x*
+    # the eigh branch (exactly symmetric A) and the eig branch (A with an
+    # antisymmetric part) both reproduce scipy's e^{At} (x0 - x*) + x*
     from scipy.linalg import expm
 
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))

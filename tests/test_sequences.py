@@ -400,16 +400,31 @@ def test_robustness_sweep_chunk_boundaries(chloroform_gen, shape):
 
 
 def test_robustness_sweep_one_propagator_per_chunk(chloroform_gen, monkeypatch):
-    import scipy.linalg
+    import reachset.sequences
 
     reference = fixed_point(chloroform_gen, pps_sequence(1.5)).x_star
     calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    monkeypatch.setattr(reachset.sequences, "relax_propagator",
+                        lambda gen, t: calls.append(t) or relax_propagator(gen, t))
     grid = np.linspace(-0.05, 0.05, SWEEP_CHUNK + 1)
     robustness_sweep(chloroform_gen, pps_pulse_sequence_builder(1.5), [0.0], grid,
                      reference)
-    assert len(calls) == 2
+    assert calls == [1.5, 1.5]
+
+
+def test_sweep_and_fixed_point_decompose_the_drift_once(monkeypatch):
+    # every propagator of one generator reads the eigensystem it cached
+    import reachset.dynamics
+
+    calls = []
+    decompose = reachset.dynamics._eigensystem
+    monkeypatch.setattr(reachset.dynamics, "_eigensystem",
+                        lambda A: calls.append(1) or decompose(A))
+    gen = assemble_generator()
+    reference = fixed_point(gen, pps_sequence(1.5)).x_star
+    robustness_sweep(gen, pps_pulse_sequence_builder(1.5), [0.0],
+                     np.linspace(-0.05, 0.05, SWEEP_CHUNK + 1), reference)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
