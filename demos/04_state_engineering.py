@@ -41,7 +41,8 @@ for tau in (0.5, 1.5, 3.0):
                       kappa_tol=0.5)
     print(f"  tau={tau:>4}: eta={rep.eta_eff:.4f}  "
           f"angle to target={rep.theta:.4f} rad  "
-          f"period contraction={rep.spectral_radius:.4f}")
+          f"spectral radius={rep.spectral_radius:.4f}  "
+          f"contraction bound q={rep.contraction_bound:.4f}")
 print("  unitary-only ceiling is 20/3 = 6.6667: beaten at every tau above")
 
 print("\nconvergence from thermal equilibrium (tau = 1.5 s):")

@@ -49,6 +49,7 @@ from .pauli import CoherenceVector, build_basis
 from .sequences import (
     bell_direction,
     bell_sequence,
+    cond_bound,
     fixed_point,
     noe_steady_state,
     pps_direction,
@@ -256,6 +257,7 @@ def cmd_simulate(args, gen):
         "fixed_point_eta": report.eta_eff,
         "fixed_point_theta": report.theta,
         "spectral_radius": report.spectral_radius,
+        "contraction_bound": report.contraction_bound,
         **_propagator_health(gen),
     }
     message = f"eta* = {report.eta_eff:.4f}, theta* = {report.theta:.4f} -> {args.out}"
@@ -307,18 +309,12 @@ def cmd_robustness(args, gen):
     builder = pps_pulse_sequence_builder(args.tau, compensated=not args.plain)
     reference = fixed_point(gen, pps_sequence(args.tau)).x_star
     result = robustness_sweep(gen, builder, grid, grid, reference=reference)
-    rows = []
-    for i, a in enumerate(result.delta_c):
-        for j, b in enumerate(result.delta_h):
-            rows.append([a, b, result.delta[i, j]])
+    rows = [[a, b, d] for a, row in zip(result.delta_c, result.delta)
+            for b, d in zip(result.delta_h, row)]
     write_csv(args.out, ["delta_c", "delta_h", "delta"], rows)
-    extra = {"max_delta": result.max_delta, "failed_cells": int(result.failed.sum()),
-             **_propagator_health(gen)}
-    # numerical health of the solved cells (null when none was solved)
-    solved = ~result.failed
-    for key, values in (("max_spectral_radius", result.spectral_radius),
-                        ("max_cond", result.cond)):
-        extra[key] = float(values[solved].max()) if solved.any() else None
+    q = result.contraction_bound
+    extra = {"max_delta": result.max_delta, "contraction_bound": q,
+             "cond_bound": cond_bound(q), **_propagator_health(gen)}
     return args.out, extra, f"max delta = {result.max_delta:.4f} -> {args.out}"
 
 

@@ -127,9 +127,9 @@ class AffineGenerator:
     r_eq : ndarray
         Relaxation fixed point.
 
-    These are the generator's only data.  The drive ``v``, like ``drift``,
-    ``drift_eig`` and ``fixed_point``, is derived from them on first use,
-    so it cannot disagree with r_eq.
+    These are the generator's only data.  The drive ``v``, like every
+    cached property below, is derived from them on first use, so it cannot
+    disagree with r_eq.
     """
 
     n: int
@@ -172,6 +172,13 @@ class AffineGenerator:
     def drift(self):
         """A = Hmat - Rmat, the homogeneous part of the ODE."""
         return _readonly(self.Hmat - self.Rmat)
+
+    @cached_property
+    def contraction_rate(self):
+        """gamma = -lambda_max((A + A^T)/2), minus the drift's logarithmic
+        2-norm: |e^{At}|_2 <= e^{-gamma t} (Dahlquist 1958; Soderlind 2006).
+        It is lambda_min(Rmat) when Hmat is exactly antisymmetric."""
+        return float(-np.linalg.eigvalsh(0.5 * (self.drift + self.drift.T))[-1])
 
     @cached_property
     def drift_eig(self):

@@ -38,7 +38,7 @@ class CertificationFailed(ReachsetError):
 
 
 class NoUniqueFixedPoint(ReachsetError):
-    """The one-period map has no attracting fixed point (rho >= 1 or I - M singular)."""
+    """No attracting fixed point is certified: the period's bound q >= 1 or (1+q)/(1-q) > 1e12."""
 
 
 def json_fields(d, what, *keys):

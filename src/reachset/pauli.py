@@ -165,7 +165,7 @@ def encode(rho):
     basis = build_basis(n)
     if rho.shape != (2 ** n, 2 ** n):
         raise ValidationError(f"expected a {2**n}x{2**n} matrix, got {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
+    if not np.allclose(rho, rho.conj().T, rtol=0, atol=1e-10):
         raise ValidationError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValidationError("density matrix does not have unit trace")
@@ -207,7 +207,7 @@ def unitary_rep(U):
     basis = build_basis(n)
     if U.shape[-2:] != (2 ** n, 2 ** n):
         raise ValidationError(f"expected a {2**n}x{2**n} matrix, got {U.shape}")
-    if not np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(2 ** n), atol=1e-10):
+    if not np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(2 ** n), rtol=0, atol=1e-10):
         raise ValidationError("matrix is not unitary")
     conj = np.einsum("...ab,jbc,...dc->...jad", U, basis.matrices, U.conj())
     rep = np.einsum("kab,...jba->...kj", basis.matrices, conj).real / 2 ** n

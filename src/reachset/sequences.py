@@ -4,7 +4,8 @@ Periodic sequences alternate instantaneous gates with periods of free
 relaxation.  One period composes, in chronological order, the exact affine
 relaxation propagators and the orthogonal gate representations into an
 affine map x -> M x + c on the full coherence space; attracting fixed
-points (spectral radius of M below one) are the engineered steady states.
+points, certified in closed form by a bound |M|_2 <= q (see
+_attracting_fixed_point), are the engineered steady states.
 simulate_sequence iterates the map and records, per period, the time, the
 full coherence vector and its projection onto and angle to a target; the
 fixed point's angle comes from the same formula.
@@ -34,7 +35,7 @@ whose fixed points come from one batched solve.  Every cell relaxes for the
 same time, so one relaxation propagator serves the whole block.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,20 +64,24 @@ class GateStep:
     """Instantaneous gate, stored as its orthogonal coherence-space action.
 
     `rep` is one (d, d) matrix, or a (..., d, d) stack holding one variant
-    of the gate per cell of a sweep.
+    of the gate per cell of a sweep; `norm_bound`, sqrt(1 + |G^T G - I|_F)
+    at its largest over a stack, bounds |G|_2 of every variant.
     """
 
     rep: np.ndarray
     name: str = "gate"
+    norm_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rep = np.asarray(self.rep, dtype=float)
         if rep.ndim < 2 or rep.shape[-2] != rep.shape[-1]:
             raise ValidationError("gate representation must be square")
-        gram = rep.swapaxes(-1, -2) @ rep
-        if not np.allclose(gram, np.eye(rep.shape[-1]), atol=1e-9):
+        excess = rep.swapaxes(-1, -2) @ rep - np.eye(rep.shape[-1])
+        if not np.allclose(excess, 0.0, rtol=0, atol=1e-9):
             raise ValidationError(f"gate {self.name!r} is not orthogonal")
         object.__setattr__(self, "rep", _readonly(rep.copy()))
+        frobenius = np.linalg.norm(excess, axis=(-2, -1)).max(initial=0.0)
+        object.__setattr__(self, "norm_bound", float(np.sqrt(1.0 + frobenius)))
 
 
 def gate_step(unitary, name="gate"):
@@ -204,39 +209,39 @@ def _one_period_map_of_one(gen, seq):
     return M, c
 
 
-def spectral_radius(M):
-    """Largest eigenvalue modulus of M, or of each map in a stack."""
-    return np.abs(np.linalg.eigvals(M)).max(axis=-1)
+def cond_bound(q):
+    """(1 + q)/(1 - q), a bound on cond_2(I - M) for every M with |M|_2 <= q < 1."""
+    return (1.0 + q) / (1.0 - q)
 
 
-def _attracting_fixed_point(M, c):
-    """Fixed points of x -> M x + c, one per map of a stack.
+def _attracting_fixed_point(gen, seq, M, c):
+    """(x, q): x solves (I - M) x = c for seq's period map, or each of a stack.
 
-    Returns (x, rho, cond, ok): rho is the spectral radius of M, cond is
-    cond(I - M), and ok marks the maps with an attracting fixed point
-    (rho < 1 and cond <= 1e12).  Where ok, x solves (I - M) x = c; elsewhere
-    it is NaN.
+    q = e^{-gamma T} prod b_g >= |M|_2, with gamma the contraction_rate, T
+    the period's total relaxation time and b_g each gate's norm_bound.
+    Unless q < 1 and cond_bound(q) <= 1e12, NoUniqueFixedPoint is raised.
     """
-    sr = spectral_radius(M)
-    eye_minus = np.eye(M.shape[-1]) - M
-    cond = np.linalg.cond(eye_minus)
-    ok = (sr < 1.0) & (cond <= 1e12)
-    x = np.full(c.shape, np.nan)
-    x[ok] = np.linalg.solve(eye_minus[ok], c[ok][..., None])[..., 0]
-    return x, sr, cond, ok
+    gates = [s.norm_bound for s in seq.steps if isinstance(s, GateStep)]
+    q = float(np.exp(-gen.contraction_rate * seq.period_duration) * np.prod(gates))
+    if not (q < 1.0 and cond_bound(q) <= 1e12):
+        raise NoUniqueFixedPoint("one-period map is not certified attracting: its "
+                                 f"bound q = {q:.15g} needs (1 + q)/(1 - q) <= 1e12")
+    return np.linalg.solve(np.eye(M.shape[-1]) - M, c[..., None])[..., 0], q
 
 
 @dataclass(frozen=True)
 class FixedPointReport:
     """Fixed point of a periodic sequence and its quality diagnostics.
 
-    eta_eff is the projection coefficient onto the target direction (None
-    without a target); theta the angle between the fixed-point deviation
-    and the target direction, radians.
+    contraction_bound is the q that certified x_star; spectral_radius, the
+    period map's, decides nothing.  eta_eff is the projection coefficient
+    onto the target direction (None without a target); theta the angle
+    between the fixed-point deviation and the target direction, radians.
     """
 
     x_star: CoherenceVector
     spectral_radius: float
+    contraction_bound: float
     eta_eff: float = None
     theta: float = None
 
@@ -256,24 +261,21 @@ def fixed_point(gen, seq, target=None, kappa_tol=0.12):
     Raises
     ------
     NoUniqueFixedPoint
-        If the fixed point is not attracting: the one-period map's spectral
-        radius is not below one or cond(I - M) exceeds 1e12.
+        If the bound q does not certify an attracting fixed point, as on
+        the bundled model for every relaxation time below about 4.6e-11 s.
     ValidationError
         If a gate of `seq` is a stack of variants (see robustness_sweep).
     """
-    x, sr, cond, ok = _attracting_fixed_point(*_one_period_map_of_one(gen, seq))
-    if not ok:
-        raise NoUniqueFixedPoint(
-            "one-period map has no attracting fixed point "
-            f"(spectral radius {sr:.6f}, cond(I - M) {cond:.3e})"
-        )
+    M, c = _one_period_map_of_one(gen, seq)
+    x, q = _attracting_fixed_point(gen, seq, M, c)
     x_star = CoherenceVector(n=gen.n, r=x)
     eta = theta = None
     if target is not None:
         eta = kappa_channel(x_star, target, tol=kappa_tol)
         theta = float(_angle(x_star.r, target))
     return FixedPointReport(
-        x_star=x_star, spectral_radius=float(sr), eta_eff=eta, theta=theta
+        x_star=x_star, spectral_radius=float(np.abs(np.linalg.eigvals(M)).max()),
+        contraction_bound=q, eta_eff=eta, theta=theta,
     )
 
 
@@ -563,22 +565,18 @@ SWEEP_CHUNK = 64
 class RobustnessResult:
     """Relative fixed-point error over an amplitude-error grid.
 
-    delta[i, j] corresponds to (delta_c[i], delta_h[j]); cells where the
-    perturbed map loses its attracting fixed point hold NaN and are flagged
-    in `failed`.  spectral_radius and cond hold, per cell, the perturbed
-    one-period map's spectral radius and cond(I - M), failed cells included.
+    delta[i, j] corresponds to (delta_c[i], delta_h[j]); contraction_bound,
+    the largest q of the sweep's chunks, bounds |M|_2 of every perturbed map.
     """
 
     delta_c: np.ndarray
     delta_h: np.ndarray
     delta: np.ndarray
-    failed: np.ndarray
-    spectral_radius: np.ndarray
-    cond: np.ndarray
+    contraction_bound: float
 
     @property
     def max_delta(self):
-        return float(np.nanmax(self.delta))
+        return float(self.delta.max())
 
 
 def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values, reference):
@@ -613,6 +611,8 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values, reference
 
     Raises
     ------
+    NoUniqueFixedPoint
+        If a chunk's bound q does not certify attraction, as in fixed_point.
     ValidationError
         If the reference is all zero.
     """
@@ -622,19 +622,14 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values, reference
     if not np.any(ref):
         raise ValidationError("reference fixed point must be nonzero")
     cells_c, cells_h = (g.ravel() for g in np.meshgrid(dc, dh, indexing="ij"))
-    count = cells_c.size
-    x = np.empty((count, gen.dim))
-    rho, cond = np.empty(count), np.empty(count)
-    ok = np.empty(count, dtype=bool)
-    for lo in range(0, count, SWEEP_CHUNK):
+    x, q = np.empty((cells_c.size, gen.dim)), 0.0
+    for lo in range(0, cells_c.size, SWEEP_CHUNK):
         chunk = slice(lo, lo + SWEEP_CHUNK)
-        M, c = one_period_map(gen, seq_builder(cells_c[chunk], cells_h[chunk]))
-        x[chunk], rho[chunk], cond[chunk], ok[chunk] = _attracting_fixed_point(M, c)
+        seq = seq_builder(cells_c[chunk], cells_h[chunk])
+        x[chunk], q_chunk = _attracting_fixed_point(gen, seq, *one_period_map(gen, seq))
+        q = max(q, q_chunk)
     e = np.frexp(np.abs(ref).max())[1]
     diff = np.ldexp(x - ref, -e)  # exact, as is the reference's scaling
     delta = np.sqrt(np.vecdot(diff, diff)) / np.linalg.norm(np.ldexp(ref, -e))
-    shape = (len(dc), len(dh))
-    return RobustnessResult(
-        delta_c=dc, delta_h=dh, delta=delta.reshape(shape), failed=~ok.reshape(shape),
-        spectral_radius=rho.reshape(shape), cond=cond.reshape(shape),
-    )
+    return RobustnessResult(delta_c=dc, delta_h=dh, delta=delta.reshape((len(dc), len(dh))),
+                            contraction_bound=q)

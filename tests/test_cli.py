@@ -481,10 +481,13 @@ def test_sidecar_contract(tmp_path, chloroform_gen, monkeypatch):
                 v: os.environ.get(v) for v in _THREAD_VARS}
             if command in ("bound", "figure1"):  # the sphere oracle's agreement
                 assert 0.0 <= meta["oracle_rel_gap"] <= 1e-6
-            if command == "robustness":  # sweep health next to failed_cells
-                assert meta["failed_cells"] == 0
-                assert 0.0 < meta["max_spectral_radius"] < 1.0
-                assert 1.0 <= meta["max_cond"] <= 1e12
+            if command in ("simulate", "robustness"):  # the bound that certified x*
+                assert 0.0 < meta["contraction_bound"] < 1.0
+            if command == "simulate":
+                assert 0.0 < meta["spectral_radius"] <= meta["contraction_bound"]
+            if command == "robustness":
+                assert 1.0 <= meta["cond_bound"] <= 1e12
+                assert not {"failed_cells", "max_spectral_radius", "max_cond"} & set(meta)
             if command in ("simulate", "robustness", "figure1"):  # how e^(At) was formed
                 assert meta["propagator"] == "eig"
                 assert meta["eigvec_cond"] == pytest.approx(1.1935, abs=1e-4)

@@ -71,6 +71,16 @@ def test_encode_rejects_bad_input():
         encode(np.eye(2))  # trace 2
 
 
+def test_encode_hermiticity_check_is_absolute():
+    # the uniform superposition's entries are all 1/4, so a relative
+    # tolerance of 1e-5 once passed a 1e-6 asymmetry
+    rho = np.full((4, 4), 0.25, dtype=complex)
+    encode(rho + np.triu(np.full((4, 4), 1e-12), 1))
+    rho[0, 1] += 1e-6
+    with pytest.raises(ValidationError, match="Hermitian"):
+        encode(rho)
+
+
 def test_decode_trivial_cases():
     np.testing.assert_allclose(
         decode(CoherenceVector(n=2, r=np.zeros(15))), np.eye(4) / 4, atol=1e-15
@@ -133,6 +143,14 @@ def test_unitary_rep_is_homomorphism(rng):
 def test_unitary_rep_rejects_nonunitary():
     with pytest.raises(ValidationError):
         unitary_rep(np.diag([1.0, 2.0]))
+
+
+def test_unitary_rep_unitarity_check_is_absolute(rng):
+    # U^dag U off by 8e-6 once passed under numpy's default rtol = 1e-5
+    U = haar_unitary(rng, 4)
+    unitary_rep(U * (1 + 1e-12))
+    with pytest.raises(ValidationError, match="not unitary"):
+        unitary_rep(U * (1 + 4e-6))
 
 
 def test_unitary_rep_of_a_stack_matches_one_by_one(rng):

@@ -27,7 +27,7 @@ from reachset import (
     unitary_rep,
 )
 from reachset.chloroform import RateSet, assemble_generator
-from reachset.dynamics import relax_propagator
+from reachset.dynamics import AffineGenerator, relax_propagator
 from reachset.sequences import (
     SWEEP_CHUNK,
     CouplingDelay,
@@ -37,8 +37,8 @@ from reachset.sequences import (
     averaging_permutation,
     bell_basis_change,
     compile_pulses,
+    cond_bound,
     gate_step,
-    spectral_radius,
 )
 
 
@@ -92,8 +92,10 @@ def test_pure_gate_period(chloroform_gen):
 
 
 def test_averaging_period_is_attracting(chloroform_gen):
-    M, _ = one_period_map(chloroform_gen, pps_sequence(1.5))
-    assert spectral_radius(M) < 1.0
+    seq = pps_sequence(1.5)
+    M, c = one_period_map(chloroform_gen, seq)
+    _, q = _attracting_fixed_point(chloroform_gen, seq, M, c)
+    assert np.linalg.norm(M, 2) <= q < 1.0
 
 
 def test_pure_gate_has_no_unique_fixed_point(chloroform_gen):
@@ -295,7 +297,7 @@ def test_robustness_sweep_compensated(chloroform_gen):
     center = result.delta[2, 2]
     assert center < 1e-9
     assert result.max_delta <= 0.1
-    assert not result.failed.any()
+    assert np.isfinite(result.delta).all()
     # smoothness across neighbouring cells
     assert np.abs(np.diff(result.delta, axis=0)).max() < 0.05
     assert np.abs(np.diff(result.delta, axis=1)).max() < 0.05
@@ -349,29 +351,25 @@ def test_stacked_period_map_matches_one_cell(chloroform_gen, compensated):
 
 
 def _cell_by_cell(gen, build, dc, dh, reference):
-    """Reference: the sweep as a loop of one-cell builds, period maps and solves."""
+    """Reference: the sweep's delta as a loop of one-cell builds, period maps and solves."""
     E, b = relax_propagator(gen, 1.5)
     eye = np.eye(gen.dim)
-    fields = ("delta", "spectral_radius", "cond")
-    out = {f: np.empty((len(dc), len(dh))) for f in fields}
+    delta = np.empty((len(dc), len(dh)))
     for i, j in np.ndindex(len(dc), len(dh)):
         relax, gate = build(dc[i], dh[j]).steps
         assert relax.tau == 1.5
         M = gate.rep @ (E @ eye)
         c = gate.rep @ (E @ np.zeros(gen.dim) + b)
         x = np.linalg.solve(eye - M, c)
-        out["delta"][i, j] = np.linalg.norm(x - reference.r) / np.linalg.norm(reference.r)
-        out["spectral_radius"][i, j] = np.abs(np.linalg.eigvals(M)).max()
-        out["cond"][i, j] = np.linalg.cond(eye - M)
-    return out
+        delta[i, j] = np.linalg.norm(x - reference.r) / np.linalg.norm(reference.r)
+    return delta
 
 
 def _assert_sweep_matches_one_cell(gen, build, dc, dh):
     reference = fixed_point(gen, pps_sequence(1.5)).x_star
     result = robustness_sweep(gen, build, dc, dh, reference)
-    assert not result.failed.any()
-    for field, want in _cell_by_cell(gen, build, dc, dh, reference).items():
-        assert np.array_equal(getattr(result, field), want), field
+    assert np.isfinite(result.delta).all()
+    assert np.array_equal(result.delta, _cell_by_cell(gen, build, dc, dh, reference))
 
 
 @pytest.mark.parametrize("compensated", [True, False])
@@ -471,20 +469,110 @@ def test_robustness_refuses_a_zero_reference(chloroform_gen):
 
 
 def test_attracting_fixed_point_flags_non_attracting_maps(chloroform_gen):
-    M_pps, c_pps = one_period_map(chloroform_gen, pps_sequence(1.5))
-    gate = unitary_rep(averaging_permutation())
-    # a bare gate and the identity (rho = 1); rho just below 1 with
-    # cond(I - M) about 5e13; rho = 1.5 with cond(I - M) = 1
-    near = np.diag([1.0 - 1e-14] + [0.5] * 14)
-    M = np.stack([M_pps, gate, M_pps, np.eye(15), near, -1.5 * np.eye(15)])
-    c = np.stack([c_pps, np.zeros(15), c_pps, np.ones(15), np.ones(15), np.ones(15)])
-    x, rho, cond, ok = _attracting_fixed_point(M, c)
-    assert ok.tolist() == [True, False, True, False, False, False]
-    assert np.isnan(x[~ok]).all()
-    assert rho[1] == pytest.approx(1.0) and cond[1] > 1e12
-    want = fixed_point(chloroform_gen, pps_sequence(1.5))
-    assert np.array_equal(x[0], want.x_star.r) and np.array_equal(x[2], want.x_star.r)
-    assert rho[0] == want.spectral_radius
+    # tau = 0 leaves the bare gate (q = 1); at 4.5e-11 s the bound on
+    # cond(I - M) is 1.01e12; at 1.5 s x* is the one solve of (I - M) x = c
+    for tau in (0.0, 4.5e-11):
+        seq = pps_sequence(tau)
+        with pytest.raises(NoUniqueFixedPoint, match="not certified attracting"):
+            _attracting_fixed_point(chloroform_gen, seq, *one_period_map(chloroform_gen, seq))
+    seq = pps_sequence(1.5)
+    M, c = one_period_map(chloroform_gen, seq)
+    x, q = _attracting_fixed_point(chloroform_gen, seq, M, c)
+    assert np.array_equal(x, np.linalg.solve(np.eye(15) - M, c))
+    want = fixed_point(chloroform_gen, seq)
+    assert np.array_equal(x, want.x_star.r) and q == want.contraction_bound
+
+
+# ---------------------------------------------------------------------------
+# the closed-form contraction bound q = e^{-gamma T} prod b_g
+
+
+def _random_generator(rng):
+    """A contracting 15-dim generator: antisymmetric H up to scale 100, R = B B^T + I/10."""
+    h = rng.normal(size=(15, 15)) * rng.uniform(0.0, 100.0)
+    b = rng.normal(size=(15, 15)) * rng.uniform(0.1, 2.0)
+    return AffineGenerator(n=2, Hmat=h - h.T, Rmat=b @ b.T + 0.1 * np.eye(15),
+                           r_eq=rng.normal(size=15))
+
+
+def _random_orthogonal(rng, *stack):
+    q, r = np.linalg.qr(rng.normal(size=(*stack, 15, 15)))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def test_contraction_bound_covers_random_period_maps():
+    rng = np.random.default_rng(3101)
+    for _ in range(20):
+        gen = _random_generator(rng)
+        steps = [GateStep(rep=_random_orthogonal(rng, 4), name="variants")]
+        for _ in range(rng.integers(1, 4)):
+            steps += [RelaxStep(rng.uniform(0.01, 0.5)), GateStep(rep=_random_orthogonal(rng))]
+        seq = PeriodicSequence(tuple(steps))
+        M, c = one_period_map(gen, seq)
+        _, q = _attracting_fixed_point(gen, seq, M, c)
+        assert q == pytest.approx(np.exp(-gen.contraction_rate * seq.period_duration),
+                                  rel=1e-13)
+        for Mk in M:
+            assert np.linalg.norm(Mk, 2) <= q
+            assert np.linalg.cond(np.eye(15) - Mk) <= cond_bound(q)
+
+
+@pytest.mark.parametrize("build", [pps_sequence, bell_sequence])
+def test_contraction_bound_on_the_bundled_model(chloroform_gen, build):
+    # the symmetric part of the drift is exactly -R, so gamma = lambda_min(R)
+    assert chloroform_gen.contraction_rate == np.linalg.eigvalsh(chloroform_gen.Rmat)[0]
+    for tau, want in ((0.1, 0.9956), (1.0, 0.9571), (1.5, 0.9364), (3.0, 0.8768)):
+        report = fixed_point(chloroform_gen, build(tau))
+        assert report.contraction_bound == pytest.approx(want, abs=5e-5)
+        M, _ = one_period_map(chloroform_gen, build(tau))
+        assert report.spectral_radius <= np.linalg.norm(M, 2) <= report.contraction_bound
+        # T is the period's total relaxation time, however it is split
+        steps = build(tau).steps
+        k = next(i for i, s in enumerate(steps) if isinstance(s, RelaxStep))
+        split = steps[:k] + (RelaxStep(tau / 2), RelaxStep(tau / 2)) + steps[k + 1:]
+        assert fixed_point(chloroform_gen, PeriodicSequence(split)).contraction_bound \
+            == pytest.approx(report.contraction_bound, rel=1e-14)
+
+
+def test_smallest_certified_relaxation_time(chloroform_gen):
+    # 2 / (gamma T) <= 1e12 needs T >= 4.57e-11 s
+    with pytest.raises(NoUniqueFixedPoint):
+        fixed_point(chloroform_gen, pps_sequence(4.5e-11))
+    fixed_point(chloroform_gen, pps_sequence(5e-11))
+    halves = PeriodicSequence((RelaxStep(2.5e-11), RelaxStep(2.5e-11),
+                               gate_step(averaging_permutation(), "V")))
+    fixed_point(chloroform_gen, halves)
+
+
+def test_contraction_bound_covers_a_gate_off_by_its_tolerance(chloroform_gen):
+    # a rep scaled by 1 + 1e-10 passes the orthogonality check, and its
+    # norm bound keeps q above |M|_2 where relaxation leaves no margin
+    rep = unitary_rep(averaging_permutation()) * (1 + 1e-10)
+    assert GateStep(rep=rep).norm_bound > 1 + 1e-10
+    for tau in (0.1, 1.5):
+        seq = PeriodicSequence((RelaxStep(tau), GateStep(rep=rep)))
+        M, c = one_period_map(chloroform_gen, seq)
+        _, q = _attracting_fixed_point(chloroform_gen, seq, M, c)
+        assert np.linalg.norm(M, 2) <= q
+
+
+def test_sweep_without_relaxation_raises(chloroform_gen):
+    reference = fixed_point(chloroform_gen, pps_sequence(1.5)).x_star
+    pulses = averaging_gate_pulses()
+
+    def gates_only(delta_c, delta_h):
+        return PeriodicSequence((gate_step(compile_pulses(pulses, delta_c, delta_h)),))
+
+    with pytest.raises(NoUniqueFixedPoint):
+        robustness_sweep(chloroform_gen, gates_only, [0.0, 0.01], [0.0], reference)
+
+
+def test_gate_orthogonality_check_is_absolute():
+    # G^T G off by 8e-6 once passed under numpy's default rtol = 1e-5
+    rep = unitary_rep(averaging_permutation())
+    GateStep(rep=rep * (1 + 1e-12))
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        GateStep(rep=rep * (1 + 4e-6))
 
 
 def test_stacks_rejected_at_the_boundary(chloroform_gen):
