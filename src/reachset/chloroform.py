@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import AffineGenerator, affine_trajectory
-from .errors import RankDeficient, ValidationError, json_floats
+from .errors import RankDeficient, ValidationError, check_count, json_floats
 from .pauli import build_basis
 from .pauli import _readonly
 
@@ -301,9 +301,10 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
         Starting rates (defaults to the chloroform fits); non-block rates
         and J pass through unchanged.
     max_iter : int
-        Simulation budget per start, Jacobian columns included: at most
-        max(1, max_iter // (len(free) + 1)) residual evaluations, so a
-        budget below len(free) + 1 returns the start unchanged.
+        Simulation budget per start, a positive integer, Jacobian columns
+        included: at most max(1, max_iter // (len(free) + 1)) residual
+        evaluations, so a budget below len(free) + 1 returns the start
+        unchanged.
 
     Returns
     -------
@@ -315,15 +316,15 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     RankDeficient
         If the data carry fewer residuals than free parameters.
     ValidationError
-        If n_starts < 1, the seed is not a non-negative integer, or the
-        rates at a start overflow on the data's time span.
+        If n_starts or max_iter is not a positive integer, the seed is not
+        a non-negative integer, or the rates at a start overflow on the
+        data's time span.
     """
     if block not in BLOCKS:
         raise ValidationError(f"unknown block {block!r}")
-    if n_starts < 1:
-        raise ValidationError(f"a fit needs n_starts >= 1, got {n_starts}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    check_count(n_starts, "n_starts")
+    check_count(max_iter, "max_iter")
+    check_count(seed, "seed", minimum=0)
     if init_guess is None:
         init_guess = CHLOROFORM
     labels = BLOCKS[block]

@@ -28,7 +28,7 @@ under the generator is dp/dt = -2^{n+1} r.Rmat.(r - r_eq); the antisymmetric
 part never contributes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,12 +57,21 @@ EIG_COND_MAX = 1e4
 
 
 def _check_positive_definite(R):
-    """Refuse a symmetric R unless its eigenvalues are positive relative to the largest."""
+    """Refuse a symmetric R unless its eigenvalues are positive relative to
+    the largest; return its smallest eigenvalue."""
     eigs = np.linalg.eigvalsh(R)
     if eigs[0] <= 1e-12 * eigs[-1]:
         raise ContractivityViolation(
             f"relaxation matrix is not positive definite (min eigenvalue {eigs[0]:.3e})"
         )
+    return float(eigs[0])
+
+
+def _exact_part(M, sign):
+    """The symmetric (sign 1) or antisymmetric (sign -1) part of M, exactly
+    so; an M that already is one keeps its bits, at every scale."""
+    upper = np.triu(M - 0.5 * (M - sign * M.T))
+    return upper + sign * np.triu(upper, 1).T
 
 
 @dataclass(frozen=True)
@@ -120,22 +129,31 @@ class AffineGenerator:
     n : int
         Qubit count; matrices are (4^n - 1) square.
     Hmat : ndarray
-        Antisymmetric coherent part, rad/s.
+        Antisymmetric coherent part, rad/s: the antisymmetric part of the
+        matrix given, whose asymmetry may be up to 1e-10 of its largest
+        entry.
     Rmat : ndarray
-        Symmetric positive definite relaxation matrix, 1/s: every analysis
-        needs the strictly contractive case.
+        Symmetric positive definite relaxation matrix, 1/s, the symmetric
+        part of the matrix given: every analysis needs the strictly
+        contractive case.
     r_eq : ndarray
         Relaxation fixed point.
+    contraction_rate : float
+        gamma = lambda_min(Rmat), from the spectrum the positive-definite
+        check computes.  Hmat is exactly antisymmetric, so gamma is minus
+        the drift's logarithmic 2-norm, -lambda_max((A + A^T)/2), and
+        |e^{At}|_2 <= e^{-gamma t} (Dahlquist 1958; Soderlind 2006).
 
-    These are the generator's only data.  The drive ``v``, like every
-    cached property below, is derived from them on first use, so it cannot
-    disagree with r_eq.
+    The first four are the generator's only data.  contraction_rate is
+    derived from them on construction, and the drive ``v``, like every
+    cached property below, on first use, so it cannot disagree with r_eq.
     """
 
     n: int
     Hmat: np.ndarray
     Rmat: np.ndarray
     r_eq: np.ndarray
+    contraction_rate: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_qubit_count(self.n)
@@ -154,10 +172,12 @@ class AffineGenerator:
             raise ValidationError("Hmat is not antisymmetric")
         if np.abs(R - R.T).max() > _SYM_TOL * np.abs(R).max():
             raise ValidationError("Rmat is not symmetric")
-        _check_positive_definite(R)
-        object.__setattr__(self, "Hmat", _readonly(H.copy()))
-        object.__setattr__(self, "Rmat", _readonly(R.copy()))
+        R = _exact_part(R, 1)
+        gamma = _check_positive_definite(R)
+        object.__setattr__(self, "Hmat", _readonly(_exact_part(H, -1)))
+        object.__setattr__(self, "Rmat", _readonly(R))
         object.__setattr__(self, "r_eq", _readonly(r_eq.copy()))
+        object.__setattr__(self, "contraction_rate", gamma)
 
     @property
     def dim(self):
@@ -172,13 +192,6 @@ class AffineGenerator:
     def drift(self):
         """A = Hmat - Rmat, the homogeneous part of the ODE."""
         return _readonly(self.Hmat - self.Rmat)
-
-    @cached_property
-    def contraction_rate(self):
-        """gamma = -lambda_max((A + A^T)/2), minus the drift's logarithmic
-        2-norm: |e^{At}|_2 <= e^{-gamma t} (Dahlquist 1958; Soderlind 2006).
-        It is lambda_min(Rmat) when Hmat is exactly antisymmetric."""
-        return float(-np.linalg.eigvalsh(0.5 * (self.drift + self.drift.T))[-1])
 
     @cached_property
     def drift_eig(self):

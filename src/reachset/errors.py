@@ -1,4 +1,6 @@
-"""Exception types shared across the library, and the JSON field checks."""
+"""Exception types shared across the library, and the count and JSON field checks."""
+
+from numbers import Integral
 
 
 class ReachsetError(Exception):
@@ -39,6 +41,17 @@ class CertificationFailed(ReachsetError):
 
 class NoUniqueFixedPoint(ReachsetError):
     """No attracting fixed point is certified: the period's bound q >= 1 or (1+q)/(1-q) > 1e12."""
+
+
+def check_count(value, what, minimum=1):
+    """value as an int, refused with ValidationError unless it is an
+    integer (a Python or numpy one, not a bool) of at least `minimum`, 0 or
+    1; `what` names it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        kind = "non-negative" if minimum == 0 else "positive"
+        raise ValidationError(f"{what} must be a {kind} integer ({what} >= {minimum}), "
+                              f"got {value!r}")
+    return int(value)
 
 
 def json_fields(d, what, *keys):

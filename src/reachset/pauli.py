@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ValidationError, json_fields, json_floats
+from .errors import ValidationError, check_count, json_fields, json_floats
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -78,8 +78,7 @@ class PauliBasis:
 
 def _check_qubit_count(n):
     """Refuse a qubit count that is not an integer in [1, MAX_QUBITS], before any 4^n."""
-    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-    if not (integer and 1 <= n <= MAX_QUBITS):
+    if check_count(n, "qubit count") > MAX_QUBITS:
         raise ValidationError(
             f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n!r}"
         )

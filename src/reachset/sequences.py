@@ -41,7 +41,7 @@ import numpy as np
 
 from .diagonal import DiagonalVector, diag_slots
 from .dynamics import _check_relaxation_time, relax_propagator
-from .errors import NoUniqueFixedPoint, ValidationError, ldexp_normal
+from .errors import NoUniqueFixedPoint, ValidationError, check_count, ldexp_normal
 from .pauli import CoherenceVector, build_basis, unitary_rep, _readonly
 from .unitary_bound import kappa_channel
 
@@ -91,7 +91,8 @@ def gate_step(unitary, name="gate"):
 
 @dataclass(frozen=True)
 class PeriodicSequence:
-    """Ordered steps of one period, iterated `repeat` times."""
+    """Ordered steps of one period, iterated `repeat` times (a positive
+    integer)."""
 
     steps: tuple
     repeat: int = 1
@@ -103,8 +104,7 @@ class PeriodicSequence:
         for s in steps:
             if not isinstance(s, (RelaxStep, GateStep)):
                 raise ValidationError(f"unsupported step {s!r}")
-        if self.repeat < 1:
-            raise ValidationError("repeat count must be >= 1")
+        object.__setattr__(self, "repeat", check_count(self.repeat, "repeat count"))
         object.__setattr__(self, "steps", steps)
 
     @property
@@ -316,7 +316,8 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
         `seq.repeat` is the number of periods simulated.
     start : CoherenceVector
     record_every : int
-        Record every k-th period (the final period is always recorded).
+        Record every k-th period, k a positive integer (the final period is
+        always recorded).
     target : CoherenceVector, optional
         Direction for the per-period (eta, theta) diagnostics; eta here is
         the plain projection coefficient (no proportionality requirement).
@@ -335,8 +336,7 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
         and the target scaled by the powers of two that bring their largest
         |entry| into [1/2, 1), so it does not overflow on the way.
     """
-    if record_every < 1:
-        raise ValidationError("record_every must be >= 1")
+    check_count(record_every, "record_every")
     dt = seq.period_duration if seq.period_duration > 0 else 1.0
     if not np.isfinite(seq.repeat * dt):
         raise ValidationError(f"{seq.repeat} periods of {dt:g} s overflow the time axis")

@@ -4,27 +4,27 @@ Restricting the instantaneous controls to the 2^n! permutations of the
 diagonal entries yields, at each spectral point x, a finite set of
 admissible evolution directions.  The point is small-time locally
 controllable (STLC) exactly when the convex cone of those directions is all
-of R^{2^n - 1}.  By the separating-hyperplane characterization, the cone
-fails to be full iff some hyperplane spanned by directions from the set has
-every direction on one side.
+of R^{2^n - 1}: when the directions positively span the space (Regis 2016),
+that is, when the origin lies inside their convex hull.
 
 Two implementations are provided and cross-validated.  Each answers with
 a ``ConeVerdict``: the verdict, a certified depth and the tetrahedron of
 directions that certifies it (0 and none from the LP).
 
-* ``stlc_test_3d`` - the run-time test, so tracing is two-qubit only: for
-  each unordered pair (i, j), c_k = (v_i x v_j) . v_k must change sign.
+* ``stlc_test_3d`` - the run-time test, so tracing is two-qubit only.  It
+  calls a set full when the hull of its directions holds the origin at
+  least 5e-9 V deep, V the largest direction norm, so a set whose hull
+  holds it less deep, or touches it, counts as not STLC: conservative for
+  an inner bound.
 * ``stlc_test_lp`` - its oracle, a linear-programming membership test in
   any dimension: the cone is full iff every +-unit coordinate target
   admits a nonnegative conical decomposition.
 
-Both classify degenerate configurations conservatively: a hyperplane with
-all products inside +-1e-12 counts as separating.  The free equilibrium of
-the bundled chloroform model does not depend on that band: the identity
-field vanishes there, and planes spanned by pairs of the other 23 fields
-have every remaining field strictly on one side, so the cone is not full.
-Points just toward the origin (0.999 x_eq) are STLC, which makes the
-equilibrium a boundary point of the STLC set.
+At the free equilibrium of the bundled chloroform model the identity field
+vanishes, and planes spanned by pairs of the other 23 fields have every
+remaining field strictly on one side, so the cone is not full.  Points just
+toward the origin (0.999 x_eq) are STLC, which makes the equilibrium a
+boundary point of the STLC set.
 
 The boundary of the STLC set is traced by marching along rays from a
 verified interior point and bisecting the first sign change; the reported
@@ -42,9 +42,10 @@ would test "full".  For the same reason each ray hands the tetrahedron
 that certified its farthest point to its next cone test as a start, in
 place of the axis-extreme tetrahedra a set without a start scans.  Past
 the exit, the vertex exchange that searches for a certifying tetrahedron
-finds a facet plane with the origin on one side and every field on the
-other, which answers "not full"; so of the 826.6 sets of a 20-ray fan of
-the benchmark, 119.5 are answered that way and 1.9 go to the plane sweep.
+finds a facet plane with the origin beyond it and no field across it,
+which answers "not full"; so of the 826.6 sets of a 20-ray fan of the
+benchmark, 121.4 are answered that way and none is left to the exhaustive
+test on every plane through three fields.
 """
 
 from dataclasses import dataclass
@@ -54,14 +55,12 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .diagonal import projected_field_stack, stacked_directions
-from .errors import OriginNotControllable, ValidationError
+from .errors import OriginNotControllable, ValidationError, check_count
 from .pauli import _readonly, unitary_rep
 
-#: Products inside this band count as "on the hyperplane".
-DEGENERACY_TOL = 1e-12
-
-#: Most direction sets a stacked cone test evaluates at once: the
-#: (CHUNK, 276, 24) triple products of 24 fields take about 3.4 MB.
+#: Most direction sets a stacked cone test evaluates at once: a chunk of
+#: 24-field sets takes under 1 MB, or 2.3 MB where some reach the
+#: exhaustive rule (``_hull_depth``).
 CHUNK = 64
 
 
@@ -104,17 +103,19 @@ def build_permutation_set(n):
 class ConeVerdict:
     """Outcome of a cone-fullness test: a verdict, a depth and a tetrahedron.
 
-    ``is_full`` says whether the cone of the directions is all of R^m.
-    ``depth`` is the radius of a ball about the origin that the hull of the
-    directions is certified to hold, in the directions' units: 0.88 times
-    the smallest facet distance of the one tetrahedron that certifies the
-    set (see ``_cone_verdicts``), and 0 where it does not, so always 0 when
-    the cone is not full and for the LP test.  ``tetrahedron`` holds the
+    ``is_full`` says whether the cone of the directions is all of R^m; for
+    ``stlc_test_3d``, whether the hull of the directions holds the origin
+    at least 5e-9 V deep, V the largest direction norm.  ``depth`` is the
+    radius of a ball about the origin that the hull of the directions is
+    certified to hold, in the directions' units: 0.88 times the smallest
+    facet distance of the one tetrahedron that certifies the set (see
+    ``_cone_verdicts``), and 0 where it does not, so always 0 when the
+    cone is not full and for the LP test.  ``tetrahedron`` holds the
     indices of that tetrahedron's four directions (the caller's start, or
     for a set without one the deepest axis-extreme tetrahedron, after the
     vertex exchange), and -1 four times where it does not certify.  A set
-    that a facet plane separates from the origin, which answers "not full"
-    without the plane sweep, reports depth 0 and tetrahedron -1 too.
+    that no tetrahedron certifies reports depth 0 and tetrahedron -1,
+    whichever rule answers it.
     """
 
     is_full: bool
@@ -123,7 +124,16 @@ class ConeVerdict:
 
 
 def stlc_test_3d(directions, start=None):
-    """Triple-product cone test in three dimensions.
+    """Cone test in three dimensions: whether the directions' cone is full.
+
+    A set is full when the convex hull of its directions holds the origin
+    at least 5e-9 V deep, V the largest direction norm: every plane through
+    three directions with all of them on one side lies at least that far
+    from the origin, on their side.  A set whose hull holds the origin less
+    deep, touches it or misses it is not full.  A tetrahedron of
+    directions that holds the origin deep, or a facet plane that separates
+    it from them, answers most sets; the rest are decided from all the
+    planes through three directions (see ``_cone_verdicts``).
 
     Parameters
     ----------
@@ -135,8 +145,9 @@ def stlc_test_3d(directions, start=None):
         Per set, the indices of four directions to try as a certifying
         tetrahedron in place of the axis-extreme ones, or -1 four times for
         none; typically the tetrahedron that certified a nearby set.  It
-        can change the depth and the tetrahedron reported, never the
-        verdict, and the caller's array is not modified.
+        can change the depth and the tetrahedron reported, not the verdict
+        (barring the exception ``_hull_depth`` names), and the caller's
+        array is not modified.
 
     Returns
     -------
@@ -180,94 +191,52 @@ def stlc_test_3d(directions, start=None):
 
 
 def _cone_verdicts(v, start=None):
-    """Verdicts, depths and certifying tetrahedra of the triple-product test
-    on (N, K, 3) sets, with optional (N, 4) start tetrahedra.
+    """Verdicts, depths and certifying tetrahedra of the cone test on
+    (N, K, 3) sets, with optional (N, 4) start tetrahedra.
 
-    Each set is first scaled by the power of two that brings its largest
-    |entry| into [1/2, 1): exact (an entry below 2^-1021 times the largest
-    may round, deep inside every band), safe from overflow, and unseen by
-    the thresholds below, which are all homogeneous; so a set and an exact
-    2^k multiple of it get the same bits.  A set whose directions do not
-    span R^3 is not full.  Otherwise the cone is not full iff some valid
-    plane (v_i x v_j, |v_i x v_j| above 1e-12 |v_i| |v_j|) has every
-    product c_k = (v_i x v_j) . v_k on one side of the band
-    +-DEGENERACY_TOL |v_i x v_j| |v_k|; ``_sweep`` applies these rules.
+    A set is full when the hull of its fields holds the origin at least
+    delta / 2 deep, delta = 1e-8 V, V = max_k |v_k|: min_m max_k m . v_k
+    >= delta / 2 over unit vectors m.  Each set is first scaled by the
+    power of two that brings its largest |entry| into [1/2, 1): exact (an
+    entry below 2^-1021 times the largest may round, far below delta),
+    safe from overflow, and unseen by the thresholds below, which are all
+    homogeneous; so a set and an exact 2^k multiple of it get the same
+    bits.  Three rules decide, in order.
 
-    Two sound certificates answer most sets without the sweep.  First, a
-    set is full, with no plane swept, when some tetrahedron of its fields
-    holds the origin at depth at least delta = 1e-8 max|v_k| (``_certify``
-    applies these rules): its four signed volumes, the barycentric weights
-    by Cramer's rule, share a strict sign, and each facet (a, b, c) lies at
-    distance |det(a, b, c)| / |a x b + b x c + c x a| >= delta, with that
-    normal above 1e-6 (|a||b| + |b||c| + |c||a|) and each vertex at least
-    delta from the origin.  Then each volume exceeds 1e-14 |a||b||c|, ten
-    times its rounding, so the computed signs are exact and each computed
-    facet distance is within 12% of the exact one.  The ball of radius 0.88
-    times the tetrahedron's smallest computed facet distance, at least 0.88
-    delta, lies in the hull of the set's fields.  So for every n, each
-    computed plane normal included, max_k n . v_k >= 0.88 delta |n| and
-    min_k n . v_k <= -0.88 delta |n|: 2000 times the widest band, and far
-    beyond matmul rounding near 1e-15 |n| |v_k|.  Every valid plane thus
-    passes the sweep's first prefilter, and the smallest singular value, at
-    least 0.88 delta, is far above the rank tolerance, so the sweep would
-    answer "full" too.  The argument holds for any four fields, so which
-    tetrahedron is tried changes the depth, never the verdict.  Each set
-    gets one: its start, or, for a set without one, the deepest certifying
-    tetrahedron of its six axis-extreme fields (the argmax and argmin of
-    each coordinate; the last of the 15 where none certifies).
-    ``_exchange`` improves it from its first evaluation, keeping a
-    tetrahedron that holds the origin, and the tetrahedron it ends on is
-    checked once.
+    1. Certificate: full, with a depth and a tetrahedron, when some
+       tetrahedron of its fields holds the origin at least delta deep
+       (``_certify``): its four signed volumes, the barycentric weights by
+       Cramer's rule, share a strict sign, and each facet (a, b, c) lies at
+       distance |det(a, b, c)| / |a x b + b x c + c x a| >= delta, with that
+       normal above 1e-6 (|a||b| + |b||c| + |c||a|) and each vertex at least
+       delta from the origin.  Then each volume exceeds 1e-14 |a||b||c|, ten
+       times its rounding, so the computed signs are exact and each computed
+       facet distance is within 12% of the exact one: the hull holds the
+       ball of radius 0.88 times the smallest, the reported depth.  Each set
+       tries one tetrahedron: its start, or, for a set without one, the
+       deepest certifying tetrahedron of its six axis-extreme fields (the
+       argmax and argmin of each coordinate; the last of the 15 where none
+       certifies), which ``_exchange`` improves, keeping a tetrahedron that
+       holds the origin; the one it ends on is checked once.
+    2. Facet: not full when one of the exchange's evaluations finds a
+       facet plane n . x = det with the origin beyond it and no field more
+       than 1e-12 V across it: g(0) < 0 and g(v_k) >= -1e-12 |n| V for
+       every k, with g(x) = +-(n . x - det) signed as the exchange computes
+       x's barycentric weight for the fourth vertex.  Taking the computed n
+       and det as exact, g(0) is the computed weight and each g(v_k) errs
+       by under 4e-16 |n| V, so the fields lie within 1.001e-12 V of a half
+       space that misses the origin: for its inward unit normal m,
+       max_k (-m) . v_k < 1.001e-12 V, and the depth is below that.
+    3. Hull depth: every other set, none on the benchmark's fans, goes to
+       ``_hull_depth``, which decides it from the planes through every
+       three fields, C(24, 3) = 2,024 of them.
 
-    Second, a set is not full, with depth 0 and tetrahedron -1, when one of
-    the exchange's evaluations finds a facet plane n . x = det that passes
-    three rules (``_exchange`` applies them to the computed values).  With
-    V = max_k |v_k| and g(x) = +-(n . x - det), signed as the exchange
-    computes x's barycentric weight for the tetrahedron's fourth vertex
-    (times the total weight):
-
-    * the origin lies more than 1e-6 V from the plane, on the far side:
-      g(0) < -1e-6 |n| V;
-    * no field, the four vertices included, lies more than 1e-12 V across
-      it: g(v_k) >= -1e-12 |n| V;
-    * the facet is not thin: |n| >= 5e-4 K V^2.
-
-    The sweep answers such a set "not full" too.  Each g(v_k) is a dot
-    product with the computed n minus the computed det, which errs by under
-    4e-16 |n| V, so the unit vector m = +-n/|n| has m . v_k >= h for every
-    k, with h > (1e-6 - 1.1e-12) V: the cone lies in an open half space, and
-    each |v_k| >= h, so no product below comes near underflow.  Project the
-    fields centrally onto the plane m . x = h: u_k = h v_k / (m . v_k), with
-    |u_k| <= |v_k| <= V.  The computed n and det err by at most 1.7e-15 V^2
-    and 6.5e-16 V^3, so the facet's vertices lie within
-    2.3e-15 V^3 / |n| <= 1.6e-12 V of the computed plane (|n| is nonzero
-    only for three distinct fields, so K >= 3).  They project with factors
-    within 3e-6 of 1, onto a triangle of doubled area at least 0.98 |n|.
-    The hull of the u_k holds that triangle and has at most K edges, and
-    over its edges the sum of edge length times the distance r from h m to
-    the edge's line is at least twice its area; so some edge (u_i, u_j) has
-    |u_i - u_j| r >= 0.98 |n| / K.  Its line lies at least r from the
-    origin, so |u_i x u_j| >= |u_i - u_j| r, and
-    sin angle(v_i, v_j) = |u_i x u_j| / (|u_i| |u_j|) >= 0.98 |n| / (K V^2),
-    at least 4.9e-4: the plane v_i x v_j is valid.  Every u_k lies on one
-    side of the edge's line, so every exact product c_k of that plane has
-    one sign or is 0.  The computed cross product errs by at most
-    3.2e-16 |v_i| |v_j|, under 6.5e-13 |v_i x v_j|, and the products by
-    3.4e-16 |v_i x v_j| |v_k| more in any summation order, with or without
-    fused multiply-adds; entries that underflow add far less.  So every
-    computed c_k lies on its side of the band
-    +-DEGENERACY_TOL |v_i x v_j| |v_k|, which the computed norms move by a
-    few ulps.  The plane passes the first prefilter and hits, and the rank
-    check only adds "not full" answers, so the sweep answers "not full".
-    Sets that are not full only through the band, or whose hull misses the
-    origin by less than the margin, are never separated: they go to the
-    sweep.
-
-    The sweep has two prefilters of its own.  A plane with products beyond
-    four times the widest band on both sides cannot separate, and a set with
-    some |c_k| above twice |V|_F^2 times the rank tolerance 1e-12 has rank
-    3 (by Cauchy-Binet, every 3x3 minor is at most s1^2 s3), so only the
-    other sets take the SVD.
+    Rule 3 answers every set as rules 1 and 2 do: those are at least
+    0.88 delta and under 1.001e-12 V deep, and its depth is never above the
+    exact one and less than 0.25 delta below it (``_hull_depth`` names the
+    one exception).  So a start, which changes the tetrahedron tried and so
+    the rule that answers, changes the depth and the tetrahedron, not the
+    verdict.  Uncertified sets report depth 0 and tetrahedron -1.
     """
     _, e = np.frexp(np.abs(v).max(axis=(1, 2)))
     v = np.ldexp(v, -e[:, None, None])  # exact: every |entry| now below 1
@@ -289,10 +258,10 @@ def _cone_verdicts(v, start=None):
     tet, det, normal, separated = _exchange(w, tet, top)
     depth = _certify(det, normal, norms[np.arange(len(v))[:, None], tet], delta)
     tetrahedron = np.where((depth > 0)[:, None], tet, -1)
-    full = ~separated
-    rest = np.flatnonzero((depth == 0) & ~separated)
+    full = depth > 0
+    rest = np.flatnonzero(~full & ~separated)
     if rest.size:
-        full[rest] = _sweep(v[rest], norms[rest])
+        full[rest] = _hull_depth(v[rest], top[rest])
     return full, np.ldexp(depth, e), tetrahedron
 
 
@@ -310,18 +279,18 @@ _FACETS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 _FACET_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
 
 #: Most vertex exchanges the search for a containing tetrahedron or a
-#: separating facet makes.  On the benchmark's fans, two leave 2.8 sets per
-#: fan to the sweep (12 on one fan), three leave 1.9 (at most 7), and a
-#: fourth changes no count.
+#: separating facet makes.  On the benchmark's fans three leave no set to
+#: ``_hull_depth``.
 _EXCHANGES = 3
 
-#: The separation rules of ``_cone_verdicts``, for a facet plane n . x = det
-#: of a set of K fields with V = max_k |v_k|: the origin lies more than
-#: _ORIGIN_MARGIN V from the plane, no field more than _FIELD_TOL V across
-#: it, and |n| is at least _FACET_FLOOR K V^2.
-_ORIGIN_MARGIN = 1e-6
+#: How far, in units of V = max_k |v_k|, a field may lie across the
+#: separating facet of ``_cone_verdicts``'s second rule.
 _FIELD_TOL = 1e-12
-_FACET_FLOOR = 5e-4
+
+#: Direction sets that ``_hull_depth`` evaluates at once: the products of
+#: 24 fields with their 2,024 triple planes and the planes themselves take
+#: about 1.1 MB per set.
+_HULL_SETS = 2
 
 
 def _cross(a, b):
@@ -372,11 +341,11 @@ def _exchange(w, tet, top):
     weight, swap that vertex for the field farthest beyond the facet, at
     most _EXCHANGES times, so _EXCHANGES + 1 evaluations.  A set stops once
     its tetrahedron holds the origin, is flat, has no field beyond that
-    facet, or is separated: that facet's plane has the origin and the
-    fields on its two sides by the margins of ``_cone_verdicts``.  Returns
-    the final tetrahedra (``tet``, updated in place), their facet volumes
-    (N, 4) and normals (3, N, 4), facet q omitting vertex q, and the (N,)
-    mask of separated sets.
+    facet, or is separated: that facet's plane has the origin beyond it and
+    no field more than _FIELD_TOL V across it (``_cone_verdicts``, rule 2).
+    Returns the final tetrahedra (``tet``, updated in place), their facet
+    volumes (N, 4) and normals (3, N, 4), facet q omitting vertex q, and
+    the (N,) mask of separated sets.
     """
     det, normal = np.empty(tet.shape), np.empty((3,) + tet.shape)
     separated = np.zeros(len(tet), dtype=bool)
@@ -393,13 +362,11 @@ def _exchange(w, tet, top):
         # facet's plane is n . x = det, and vertex q lies on its other side
         beyond = (-_FACET_SIGNS[q] * sign)[:, None] * (
             (w[:, live] * n[..., None]).sum(axis=0) - det[live, q][:, None])
-        # the facet's plane separates the origin from every field, the
-        # vertices included; weights[rows, q] is the origin's weight
+        # the origin beyond the facet's plane, and no field, the vertices
+        # included, across it; weights[rows, q] is the origin's weight
         n0, n1, n2 = n
         unit = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) * top[live]  # |n| V
-        apart = ((weights[rows, q] < -_ORIGIN_MARGIN * unit)
-                 & (beyond.min(axis=1) >= -_FIELD_TOL * unit)
-                 & (unit >= _FACET_FLOOR * w.shape[2] * top[live] ** 3))
+        apart = (weights[rows, q] < 0) & (beyond.min(axis=1) >= -_FIELD_TOL * unit)
         separated[live[apart]] = True
         beyond[rows[:, None], tet[live]] = np.inf  # the vertices stay out
         k = beyond.argmin(axis=1)
@@ -413,39 +380,65 @@ def _exchange(w, tet, top):
 
 
 @lru_cache(maxsize=None)
-def _planes(k):
-    """Read-only index arrays (i, j), i < j, of the planes v_i x v_j."""
-    return tuple(_readonly(a) for a in np.triu_indices(k, k=1))
+def _triples(count):
+    """Read-only index arrays (i, j, k), i < j < k, of the planes through
+    three of `count` fields."""
+    index = np.array(list(combinations(range(count), 3)), dtype=np.intp).reshape(-1, 3)
+    return tuple(_readonly(a) for a in index.T)
 
 
-def _sweep(v, norms):
-    """The verdicts of the plane sweep and rank check of ``_cone_verdicts``
-    on scaled (N, K, 3) sets with their (N, K) field norms."""
-    i, j = _planes(v.shape[1])  # each unordered plane once
-    w = v.transpose(2, 0, 1)
-    (a0, a1, a2), (b0, b1, b2) = w[:, :, i], w[:, :, j]  # np.cross, term by term
-    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    crosses = np.stack([c0, c1, c2], axis=1)
-    cross_norms = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)  # (N, pairs)
-    prods = v @ crosses  # (N, K, pairs): (v_i x v_j) . v_k
-    top, bottom = prods.max(axis=1), prods.min(axis=1)
-    band = 4 * DEGENERACY_TOL * np.maximum(
-        cross_norms * norms.max(axis=-1, keepdims=True), 1e-300)
-    valid = cross_norms > 1e-12 * (norms[:, i] * norms[:, j])
-    rows, pairs = np.nonzero(valid & ~((top > band) & (bottom < -band)))
-    c = prods[rows, :, pairs]
-    scale = np.maximum(cross_norms[rows, pairs][:, None] * norms[rows], 1e-300)
-    hit = ((c <= DEGENERACY_TOL * scale).all(axis=1)
-           | (c >= -DEGENERACY_TOL * scale).all(axis=1))
-    full = np.ones(len(v), dtype=bool)
-    full[rows[hit]] = False
+def _hull_depth(v, top):
+    """Whether the hull of each power-of-two-scaled (N, K, 3) set holds the
+    origin at least delta / 2 deep, delta = 1e-8 V, V = top (N,) its
+    largest field norm: rule 3 of ``_cone_verdicts``, (N,) bools.
 
-    rank_tol = 1e-12
-    widest = np.maximum(top.max(axis=1, initial=0.0), -bottom.min(axis=1, initial=0.0))
-    frobenius_sq = (v * v).sum(axis=(1, 2))
-    unsure = np.flatnonzero(~(widest > 2.0 * frobenius_sq * rank_tol))
-    if unsure.size:
-        full[unsure[np.linalg.matrix_rank(v[unsure], tol=rank_tol) < 3]] = False
+    The depth is the origin's smallest distance to a facet plane of the
+    hull, negative beyond one, and each facet plane passes through three
+    fields.  For a triple (a, b, c), n = (b - a) x (c - a) errs by at most
+    5.4e-16 |b - a| |c - a| and p_k = n . v_k - n . a by 9e-16 |n| V more,
+    so with t = 3e-15 |b - a| |c - a| V the plane is kept when every
+    p_k <= t, or every p_k >= -t: every facet plane is kept, and the hull
+    lies within 1.3 t / |n| of each kept plane's side.  The set's depth is
+    the origin's smallest distance to a kept plane, on the fields' side
+    (the lesser where both sides qualify), less t / |n|, the most a facet
+    plane's computed distance can exceed the exact one; the set is full
+    when it is at least delta / 2.  So a "full" holds the origin that deep
+    in every facet plane, and the depth is at most 2.41 t / |n| below the
+    exact one: under 0.25 delta unless a kept plane has t / |n| >
+    delta / 10, which takes three fields on the hull's boundary collinear
+    to within 3e-6, the one case where rule 3 may answer a set of rule 1
+    otherwise.
+
+    A triple with |n| <= 1e-12 |b - a| |c - a|, collinear to within 1e-12,
+    is skipped: its normal may point anywhere, and the tolerance would keep
+    its plane through any edge of the hull.  A facet is lost only when all
+    its vertex triples are, a sliver whose vertices lie within
+    1e-12 D <= 2e-12 V of the chord between its two farthest ones; the
+    kept planes of the facets around it close any pocket between them and
+    the sliver within that width, far below delta.  A set with no kept
+    plane (collinear fields, or fewer than three) is not full.  The sets
+    are taken _HULL_SETS at a time.
+    """
+    i, j, k = _triples(v.shape[1])
+    full = np.zeros(len(v), dtype=bool)
+    for s in range(0, len(v), _HULL_SETS):
+        sets, V = v[s:s + _HULL_SETS], top[s:s + _HULL_SETS, None]
+        w = sets.transpose(2, 0, 1)
+        a = w[:, :, i]
+        e1, e2 = w[:, :, j] - a, w[:, :, k] - a
+        n = _cross(e1, e2)  # (3, n, T)
+        size = np.sqrt((n * n).sum(axis=0))
+        spread = np.sqrt((e1 * e1).sum(axis=0) * (e2 * e2).sum(axis=0))
+        tol = 3e-15 * spread * V
+        d = (n * a).sum(axis=0)  # each plane is n . x = d
+        prods = sets @ n.transpose(1, 0, 2)  # (n, K, T): n . v_k
+        prods -= d[:, None]
+        below, above = prods.max(axis=1) <= tol, prods.min(axis=1) >= -tol
+        kept = (below | above) & (size > 1e-12 * spread)
+        inside = np.minimum(np.where(below, d, np.inf), np.where(above, -d, np.inf)) - tol
+        depth = np.divide(inside, size, out=np.full_like(d, np.inf), where=kept)
+        full[s:s + _HULL_SETS] = (kept.any(axis=1)
+                                  & (depth.min(axis=1, initial=np.inf) >= 5e-9 * V[:, 0]))
     return full
 
 
@@ -527,15 +520,16 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
     therefore skipped only where rho - s L_d > 2e-8 S, computed as
     (rho + t L_d) - (t + s) L_d over the round's tested radii t: the set at
     x' then holds a ball of radius above 2e-8 S - 1e-14 S, more than
-    1e-8 max_k |v_k(x')|, the depth past which ``_cone_verdicts`` shows
-    that the plane sweep answers "full".  The test runs
-    on A and b scaled by a power of two, so no norm in it under- or
-    overflows, and every term scales alike.
+    1e-8 max_k |v_k(x')|: at least 0.75 times that depth is enough for
+    ``_cone_verdicts`` to answer "full" (barring the exception its
+    ``_hull_depth`` names).  The test runs on A and b scaled by a power of
+    two, so no norm in it under- or overflows, and every term scales
+    alike.
 
     Each ray also carries the tetrahedron that certified its farthest
     passing point of the round (``ConeVerdict.tetrahedron``) into the next
     round, as the start of all its sets there.  A start can change a depth,
-    and so which radii are skipped, but never a verdict, so the radii are
+    and so which radii are skipped, but not a verdict, so the radii are
     still those of the lone march.
     """
     lo = np.zeros(len(dirs))
@@ -629,8 +623,8 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
     origin : ndarray, shape (3,)
         Base point, keyword only, finite; it must test STLC.  For the chloroform
         model the free equilibrium is a boundary point of the STLC set: its
-        cone fails strictly, not through the degeneracy band, while points
-        just toward the origin pass.  Chloroform scans are therefore
+        cone fails strictly, the origin a vertex of the fields' hull, while
+        points just toward the origin pass.  Chloroform scans are therefore
         anchored at the maximally mixed state, np.zeros(3).
     workers : int
         Processes to trace with, a positive integer (1 = serial).  Workers
@@ -669,13 +663,14 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
     are those of testing every march point.  Each ray hands the
     tetrahedron that certified its farthest point to its next round's cone
     test as a start, and past the exit a facet of the vertex exchange
-    separates most sets from the origin, so the plane sweep runs on few
-    sets: on fibonacci_sphere(20) from the origin at tol 1e-3 the trace
-    makes 19 stacked calls on 820 sets, 112 of them separated and none
-    swept, where the axis-extreme certificate alone made 20 calls on 888
-    sets with 507 swept, and testing every march point 34 calls on 1705
-    sets.  Points are evaluated CHUNK at a time so memory stays near 3.4 MB
-    per chunk whatever the fan size.  With
+    separates most sets from the origin, so the exhaustive rule
+    (``_hull_depth``) runs on few sets: on fibonacci_sphere(20) from the
+    origin at tol 1e-3 the trace makes 19 stacked calls on 820 sets, 112
+    of them separated and none left to that rule, where the axis-extreme
+    certificate alone made 20 calls on 888 sets, and testing every march
+    point 34 calls on 1705 sets.  Points are evaluated CHUNK at a time so
+    memory stays under 1 MB per chunk (2.3 MB where the exhaustive rule
+    runs) whatever the fan size.  With
     workers > 1 the fan is split into contiguous parts, one per process
     (at most the CPUs available), each traced in lockstep, and the radii
     are joined in ray order; every ray's radius equals that of tracing it
@@ -685,8 +680,7 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
         raise ValidationError(f"boundary tracing is implemented for n=2, got n={gen.n}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"bisection tol must be finite and positive, got {tol}")
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    workers = check_count(workers, "workers")
     dirs = np.asarray(ray_dirs, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) < 1:
         raise ValidationError("ray directions must be (R, 3) with R >= 1")
@@ -717,9 +711,9 @@ def stlc_boundary_rays(gen, controls, ray_dirs, tol=1e-3, *, origin, workers=1):
 
 
 def fibonacci_sphere(count):
-    """Deterministic quasi-uniform unit vectors on S^2 (golden-angle spiral)."""
-    if count < 1:
-        raise ValidationError("need at least one direction")
+    """Deterministic quasi-uniform unit vectors on S^2 (golden-angle spiral);
+    count is a positive integer."""
+    count = check_count(count, "direction count")
     i = np.arange(count, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / count
     radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))

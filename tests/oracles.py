@@ -3,9 +3,9 @@
 Kept outside the library on purpose: the production propagator is the
 exact matrix-exponential solution, the unitary ray exit is a closed form,
 boundary rays are traced in lockstep and the sphere oracle runs its
-starts in lockstep, the cone test certifies deep sets before its plane
-sweep, and these slower/brute-force routes exist to check them from a
-different direction.
+starts in lockstep, the cone test answers most sets by a tetrahedron or a
+facet before it looks at every plane through three fields, and these
+slower/brute-force routes exist to check them from a different direction.
 """
 
 import numpy as np
@@ -18,7 +18,9 @@ from reachset.over_approx import (
     ORACLE_STARTS,
     ORACLE_STEP_TOL,
 )
-from reachset.under_approx import DEGENERACY_TOL
+
+#: The sweep's band: products inside it count as "on the hyperplane".
+DEGENERACY_TOL = 1e-12
 
 
 def rk4_evolve(gen, r0, t, n_steps):
@@ -133,14 +135,33 @@ def boundary_rays_one_by_one(gen, controls, ray_dirs, tol, origin):
                      for d in np.asarray(ray_dirs, dtype=float)])
 
 
-def cone_verdicts_sweep(v):
-    """Verdicts of the triple-product cone test with every set swept, on
-    (N, K, 3) sets.
+def hull_depth(v):
+    """Depth of the origin in the convex hull of the (K, 3) rows of v, in
+    units of the largest row norm: its smallest distance to a facet plane,
+    negative where it lies outside, and 0 for a hull that is not
+    three-dimensional.  The facets come from scipy's Quickhull (Barber,
+    Dobkin & Huhdanpaa 1996)."""
+    from scipy.spatial import ConvexHull, QhullError
 
-    The library's ``_cone_verdicts`` before its tetrahedron certificate:
-    the power-of-two rescale, every plane's products, the two prefilters
-    and the rank check, kept as the reference that the certificate must
-    match bit for bit.
+    v = np.asarray(v, dtype=float)
+    top = np.linalg.norm(v, axis=1).max()
+    if len(v) < 4 or top == 0 or np.linalg.matrix_rank(v - v[0], tol=1e-12 * top) < 3:
+        return 0.0
+    try:
+        hull = ConvexHull(v / top)
+    except QhullError:
+        return 0.0
+    return float(-hull.equations[:, 3].max())  # outward unit normals: n . x + c <= 0
+
+
+def cone_verdicts_sweep(v):
+    """Verdicts of the triple-product plane sweep on (N, K, 3) sets.
+
+    The library's cone test before its tetrahedron certificate: the
+    power-of-two rescale, every plane v_i x v_j with its products inside a
+    band of +-1e-12 counted as on the plane, two prefilters and a rank
+    check.  That band answers "full" for sets whose hull holds the origin
+    only a rounding error deep, which the library now answers "not full".
     """
     _, e = np.frexp(np.abs(v).max(axis=(1, 2)))
     v = np.ldexp(v, -e[:, None, None])  # exact: every |entry| now below 1

@@ -244,3 +244,13 @@ def test_rates_json_round_trip():
     for key, value in (("J_hz", True), ("J_hz", [False]), ("r", [True] + d["r"][1:])):
         with pytest.raises(ValidationError, match=repr(key)):
             RateSet.from_json_dict({**d, key: value})
+
+
+@pytest.mark.parametrize("name, value", [("n_starts", 2.5), ("n_starts", True),
+                                         ("max_iter", -5), ("max_iter", 0), ("max_iter", 2.5),
+                                         ("max_iter", True), ("seed", True)])
+def test_fit_counts_are_integers(name, value):
+    # n_starts = 2.5 once raised a raw TypeError, and max_iter = -5 ran
+    trajs = _synthesize("population")
+    with pytest.raises(ValidationError, match=name):
+        fit_rates(trajs, "population", **{name: value})

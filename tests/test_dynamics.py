@@ -359,6 +359,39 @@ def test_contractivity_quadratic_form(chloroform_gen, rng):
         assert (r - r_eq) @ (R @ (r - r_eq)) > 0
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -1060, 1e-300, 1.0, 1e300, 2.0 ** 1020])
+def test_exact_parts_keep_their_bits(rng, scale):
+    # an exactly antisymmetric Hmat and an exactly symmetric Rmat are stored
+    # as given, subnormal or near the float range alike
+    X = rng.normal(size=(15, 15))
+    H = scale * (X - X.T)
+    R = scale * (np.eye(15) + 0.01 * (X + X.T))
+    gen = AffineGenerator(n=2, Hmat=H, Rmat=R, r_eq=np.zeros(15))
+    assert gen.Hmat.tobytes() == H.tobytes() and gen.Rmat.tobytes() == R.tobytes()
+    assert gen.contraction_rate == np.linalg.eigvalsh(R)[0]
+
+
+def test_nearly_antisymmetric_hmat_keeps_the_generator_contractive(chloroform_gen):
+    # one entry of an Hmat of scale 1e6 off by 0.9e-10 of its largest entry,
+    # within the accepted asymmetry, against R = 1e-5 I: stored as given,
+    # the drift's symmetric part had an eigenvalue of +1.4e-4, and no
+    # period map could be certified to attract
+    from reachset import fixed_point, pps_sequence
+
+    X = np.random.default_rng(0).normal(size=(15, 15))
+    H = 1e6 * (X - X.T)
+    H[0, 1] += 0.9e-10 * np.abs(H).max()
+    R = 1e-5 * np.eye(15)
+    gen = AffineGenerator(n=2, Hmat=H, Rmat=R, r_eq=chloroform_gen.r_eq)
+    assert np.array_equal(gen.Hmat, -gen.Hmat.T) and np.array_equal(gen.Rmat, R)
+    assert np.abs(gen.Hmat - H).max() <= 0.5e-10 * np.abs(H).max()
+    assert gen.contraction_rate == 1e-5
+    symmetric = 0.5 * (gen.drift + gen.drift.T)
+    assert np.linalg.eigvalsh(symmetric)[-1] == pytest.approx(-1e-5, rel=1e-6)
+    report = fixed_point(gen, pps_sequence(1.0))
+    assert report.contraction_bound < 1.0
+
+
 def test_generator_validation():
     eye = np.eye(3)
     with pytest.raises(ValidationError):

@@ -34,9 +34,9 @@ def test_gram_matrix_is_identity():
     np.testing.assert_allclose(gram, np.eye(16), atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("n", [0, 5, 2.5, True, np.float64(2.0)])
 def test_basis_size_guard(n):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="qubit count"):
         build_basis(n)
 
 

@@ -606,3 +606,20 @@ def test_sequence_validation():
         PeriodicSequence((RelaxStep(1.0),), repeat=0)
     with pytest.raises(ValidationError, match="channel"):
         compile_pulses([ZPulse("N", 0.5)])
+
+
+@pytest.mark.parametrize("repeat", [2.5, True, 0, np.float64(2.0)])
+def test_repeat_is_a_positive_integer(repeat):
+    # 2.5 was once accepted, and simulate_sequence then raised a raw TypeError
+    with pytest.raises(ValidationError, match="repeat count"):
+        pps_sequence(1.5, repeat=repeat)
+    seq = pps_sequence(1.5, repeat=np.int64(2))
+    assert seq.repeat == 2 and type(seq.repeat) is int
+
+
+@pytest.mark.parametrize("every", [2.5, True, 0, -1])
+def test_record_every_is_a_positive_integer(chloroform_gen, every):
+    # 2.5 once recorded the last period alone
+    with pytest.raises(ValidationError, match="record_every"):
+        simulate_sequence(chloroform_gen, pps_sequence(1.5, repeat=4), thermal(chloroform_gen),
+                          record_every=every)

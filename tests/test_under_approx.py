@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from reachset import (
 )
 from reachset import parallel, under_approx
 from reachset.diagonal import projected_field_stack, stacked_directions
-from oracles import boundary_rays_one_by_one, cone_verdicts_sweep, first_exit
+from oracles import boundary_rays_one_by_one, cone_verdicts_sweep, first_exit, hull_depth
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +236,19 @@ def test_stacked_cone_test_rank_deficient_sets(rng):
 @settings(max_examples=30, deadline=None)
 @given(factor=st.floats(-8.0, 8.0), count=st.sampled_from([1, 65]))
 def test_stacked_cone_test_products_at_the_band(factor, count):
-    # +-x and +-y, fields above the xy plane and one just below it: the
-    # xy plane separates exactly when the last product lies within the band
+    # +-x and +-y, fields above the xy plane and one within 8e-12 of it:
+    # the old plane sweep's band of 1e-12 called the set full once the last
+    # field lay a band below the plane, but the hull then holds the origin
+    # only about 1e-12 deep, far below the 5e-9 that "full" asks for
     rng = np.random.default_rng(7)
     up = np.column_stack([rng.uniform(-1, 1, size=(19, 2)), rng.uniform(0.1, 1, 19)])
     low = np.array([0.5, 0.5, 0.0])
     low[2] = factor * 1e-12 * np.linalg.norm(low)
     base = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], up, low])
+    assert abs(hull_depth(base)) < 1e-11
     sets = np.repeat(base[None], count, axis=0)
     stacked = _assert_rows_match_one_set_calls(sets)
-    _assert_matches_the_sweep(sets)
-    if factor >= -0.99:
-        assert not stacked.is_full.any()
-    elif factor <= -1.01:
-        assert stacked.is_full.all()
+    assert not stacked.is_full.any()
 
 
 def test_stacked_cone_test_chunk_sizes_and_shapes(rng):
@@ -354,24 +354,37 @@ def _count_certified(monkeypatch):
     return counts
 
 
-def _count_swept_and_separated(monkeypatch):
-    """Patch the cone test's last two stages to append, per call, the sets
-    swept and the sets the exchange's facet separates; return both lists."""
-    swept, separated = [], []
-    sweep, exchange = under_approx._sweep, under_approx._exchange
+def _count_hull_and_separated(monkeypatch):
+    """Patch the cone test's last two rules to append, per call, the sets
+    that ``_hull_depth`` decides and the sets the exchange's facet
+    separates; return both lists."""
+    decided, separated = [], []
+    depth, exchange = under_approx._hull_depth, under_approx._exchange
 
-    def sweeping(v, norms):
-        swept.append(len(v))
-        return sweep(v, norms)
+    def deciding(v, top):
+        decided.append(len(v))
+        return depth(v, top)
 
     def exchanging(*args):
         found = exchange(*args)
         separated.append(int(found[3].sum()))
         return found
 
-    monkeypatch.setattr(under_approx, "_sweep", sweeping)
+    monkeypatch.setattr(under_approx, "_hull_depth", deciding)
     monkeypatch.setattr(under_approx, "_exchange", exchanging)
-    return swept, separated
+    return decided, separated
+
+
+def _assert_matches_the_hull(sets):
+    """Each set's verdict against the hull depth of scipy's Quickhull, in
+    units of its largest field norm: full where that is at least 2e-8,
+    twice delta, and not full where it is below 4e-9, under the 5e-9 that
+    "full" asks for; return the verdicts and the depths."""
+    sets = np.asarray(sets, dtype=float).reshape(-1, *np.shape(sets)[-2:])
+    full = stlc_test_3d(sets).is_full
+    depth = np.array([hull_depth(v) for v in sets])
+    assert full[depth >= 2e-8].all() and not full[depth < 4e-9].any()
+    return full, depth
 
 
 def _traced_fan(gen, controls, monkeypatch):
@@ -391,7 +404,7 @@ def _traced_fan(gen, controls, monkeypatch):
 
 def test_cone_test_matches_the_sweep_on_random_stacks(rng, monkeypatch):
     counts = _count_certified(monkeypatch)
-    swept, separated = _count_swept_and_separated(monkeypatch)
+    decided, separated = _count_hull_and_separated(monkeypatch)
     deep = rng.normal(size=(64, 24, 3))
     # +-y, +-z and (-t, 0.6, 0.8) in or just across the plane x = 0, the
     # rest beyond it: full at a depth near t once t leaves the band
@@ -411,14 +424,18 @@ def test_cone_test_matches_the_sweep_on_random_stacks(rng, monkeypatch):
                                 [[0.5, 0.5, 0.0]]])[None], 17, axis=0)
     band[:, -1, 2] = np.linspace(-8, 8, 17) * 1e-12 * np.sqrt(0.5)
     sets = np.concatenate([deep, shallow, half, planar, np.zeros((2, 24, 3)), line, band])
-    full = _assert_matches_the_sweep(sets)
+    full, depth = _assert_matches_the_hull(sets)
     assert full[64:128].any() and not full[64:128].all()
+    # the old plane sweep answers alike but for sets that the hull holds
+    # the origin less than 5e-9 deep, which it called full
+    sweep = cone_verdicts_sweep(sets)
+    assert (sweep[full]).all() and (depth[sweep & ~full] < 5e-9).all()
     for few in (1, 3, 5):  # fewer than six fields: the extremes repeat
-        _assert_matches_the_sweep(rng.normal(size=(16, few, 3)))
+        _assert_matches_the_hull(rng.normal(size=(16, few, 3)))
     answered = sum(a for a, _ in counts)
     assert 0 < answered < full.sum()
-    # the half-space sets are separated, the in-band ones swept
-    assert sum(separated) >= 32 and sum(swept) >= 17
+    # the half-space sets are separated, the in-band ones decided by the hull
+    assert sum(separated) >= 32 and sum(decided) >= 17
 
 
 def test_cone_test_matches_the_sweep_on_traced_stacks(chloroform_gen, two_qubit_controls,
@@ -458,9 +475,9 @@ def test_certificate_answers_most_traced_sets(chloroform_gen, two_qubit_controls
 
 def test_certificate_leaves_a_tetrahedron_inside_the_band_to_the_sweep():
     # the axis-extreme tetrahedron (e3, -e1, -e2, low) holds the origin, but
-    # only about 1e-13 deep: the xy plane separates within the band, so the
-    # test answers "not full", and the certificate, which needs a depth of
-    # 1e-8 max|v_k|, must not answer it
+    # only about 1e-13 deep, far below the 5e-9 max|v_k| that "full" asks
+    # for: the certificate, which needs 1e-8 max|v_k|, must not answer it,
+    # and the hull depth answers "not full", as the old sweep's band did
     low = np.array([0.5, 0.5, -1e-13])
     dirs = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], [[0.0, 0.0, 1.0]], low])
     facet = dirs[[2, 3, 5]]
@@ -475,23 +492,24 @@ def test_certificate_leaves_a_tetrahedron_inside_the_band_to_the_sweep():
 def test_depth_is_a_ball_inside_the_hull(chloroform_gen, two_qubit_controls, rng,
                                          monkeypatch):
     # a certified depth rho means every support value max_k n . v_k is at
-    # least rho; a set the sweep answers reports 0
+    # least rho; a set the certificate leaves reports 0
     A, b = projected_field_stack(chloroform_gen, two_qubit_controls.reps_full)
     points = rng.normal(size=(150, 3)) * rng.uniform(0.5, 5.0, size=(150, 1))
     sets = np.concatenate([stacked_directions(A, b, points), rng.normal(size=(50, 24, 3)),
                            rng.normal(size=(20, 24, 3)) + [0.0, 0.0, 1.5]])
-    swept, separated = _count_swept_and_separated(monkeypatch)
+    decided, separated = _count_hull_and_separated(monkeypatch)
     verdict = stlc_test_3d(sets)
     certified = verdict.depth > 0
-    # each set the certificate leaves is either swept or separated, and a
-    # separated set, which never reaches the sweep, is not full
-    assert sum(swept) + sum(separated) == (~certified).sum()
+    # each set the certificate leaves is either decided by the hull or
+    # separated, and a separated set, which never reaches the hull, is not
+    # full
+    assert sum(decided) + sum(separated) == (~certified).sum()
     count = sum(separated)
     alone = 0
     for i in np.flatnonzero(~certified):
-        swept.clear()
+        decided.clear()
         one = stlc_test_3d(sets[i])
-        if not swept:  # separated
+        if not decided:  # separated
             assert not one.is_full, i
             alone += 1
     assert alone == count > 0
@@ -610,16 +628,17 @@ def test_certificates_on_the_bounds_fans_match_the_sweep(chloroform_gen, two_qub
 
 def test_the_sweep_answers_few_sets_of_the_bounds_fans(chloroform_gen, two_qubit_controls,
                                                       monkeypatch):
-    # a guard on the work: the certificates leave at most 10 sets per fan to
-    # the plane sweep (1.9 per fan and at most 7 when this was written,
-    # against 122 per fan before the separating facet)
-    swept, separated = _count_swept_and_separated(monkeypatch)
+    # a guard on the work: the certificate and the facet leave at most 2
+    # sets per fan to the hull depth over every triple of fields (none when
+    # this was written, against 1.9 per fan for the plane sweep it replaced
+    # and 122 per fan before the separating facet)
+    decided, separated = _count_hull_and_separated(monkeypatch)
     for seed in range(101, 109):
-        swept.clear()
+        decided.clear()
         separated.clear()
         stlc_boundary_rays(chloroform_gen, two_qubit_controls,
                            fibonacci_sphere(20) @ _rotation(seed).T, tol=1e-3, origin=np.zeros(3))
-        assert sum(swept) <= 10 and sum(separated) > 100, seed
+        assert sum(decided) <= 2 and sum(separated) > 100, seed
 
 
 def test_start_never_changes_the_verdict(chloroform_gen, two_qubit_controls, rng):
@@ -770,38 +789,133 @@ def test_exchange_separates_by_a_facet_with_no_field_beyond(monkeypatch):
         assert _exchange_one_set(_slab(1e-3, 1e-13), start) == (start, True)
         # one across it by 1e-9 V is not: the facet no longer separates
         assert _exchange_one_set(_slab(1e-3, 1e-9), start) == (start, False)
-        # nor does a facet closer to the origin than the margin 1e-6 V
-        assert _exchange_one_set(_slab(1e-8), start) == (start, False)
+        # the origin may lie any distance beyond the facet: the hull then
+        # holds it less than 1e-12 V deep, whatever its shape
+        assert _exchange_one_set(_slab(1e-8), start) == (start, True)
+        # but not on its plane or inside it
+        assert _exchange_one_set(_slab(0.0), start) == (start, False)
         assert _exchange_one_set(_slab(-1e-3), start) == (start, False)
     # the exchange swaps the field across the plane in, and a facet through
-    # it separates; with the origin inside the margin the set is swept, and
-    # the sweep answers "not full" too
+    # it separates; no set is left to the hull depth
     assert _exchange_one_set(_slab(1e-3, 1e-9), start) == ([0, 1, 2, 23], True)
-    swept, separated = _count_swept_and_separated(monkeypatch)
-    for height, across, sweeps in ((1e-3, None, 0), (1e-3, 1e-9, 0), (1e-8, None, 1)):
-        swept.clear()
+    decided, separated = _count_hull_and_separated(monkeypatch)
+    for height, across in ((1e-3, None), (1e-3, 1e-9), (1e-8, None)):
+        decided.clear()
         verdict = stlc_test_3d(_slab(height, across), start=start)
         assert not verdict.is_full and verdict.depth == 0.0
-        assert verdict.tetrahedron == (-1, -1, -1, -1) and sum(swept) == sweeps
-        _assert_matches_the_sweep(_slab(height, across))
+        assert verdict.tetrahedron == (-1, -1, -1, -1) and not decided
+        assert hull_depth(_slab(height, across)) < 0
 
 
 @pytest.mark.parametrize("height", [1e-3, 2e-6, 5e-7, 1e-12, 0.0, -1e-6, -1e-3])
 def test_separation_matches_the_sweep_on_straddling_sets(height, monkeypatch):
     # the slab's triangle `height` above the origin and one field beyond or
-    # across its plane by 1, 10 and 100 tolerances 1e-12 V (DEGENERACY_TOL),
-    # in 10 rotations: whichever sets a facet separates, each verdict is
-    # the sweep's
+    # across its plane by 1, 10 and 100 times 1e-12 V, in 10 rotations:
+    # whichever sets a facet separates, each verdict is the hull depth's
     offsets = [sign * bands * 1e-12 for bands in (1, 10, 100) for sign in (1, -1)]
     sets = np.array([_slab(height, across) @ _rotation(seed).T
                      for across in offsets for seed in range(10)])
-    swept, separated = _count_swept_and_separated(monkeypatch)
-    full = _assert_matches_the_sweep(sets)
-    if height >= 2e-6:  # the origin lies beyond the margin 1e-6 V
+    decided, separated = _count_hull_and_separated(monkeypatch)
+    full, depth = _assert_matches_the_hull(sets)
+    if height > 1e-10:  # the origin lies beyond every field's side of the plane
         assert not full.any() and sum(separated) > len(sets) / 2
-    else:  # the hull comes within the margin of the origin, or holds it
-        assert sum(separated) == 0
+    elif height >= 0:  # the hull holds the origin at most 1e-10 deep
+        assert not full.any() and (np.abs(depth) <= 1e-10).all()
+    else:  # the hull holds the origin about |height| deep
+        assert full.all() and sum(separated) == 0
     _assert_rows_match_one_set_calls(sets[::7])
+
+
+def _octahedra(count, seed, scales=(1.0,)):
+    """`count` randomly rotated sets of the six +-unit axes, each taken at
+    every one of `scales`: the origin lies on an edge of every tetrahedron
+    of them and inside their hull, 1/sqrt(3) deep, so neither the
+    certificate nor a facet answers them."""
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    fields = np.vstack([scale * axes for scale in scales])
+    return np.array([fields @ _rotation(seed + i).T for i in range(count)])
+
+
+def _random_families(rng):
+    """Direction sets of five kinds, most of them near the cone test's
+    boundary: shifted Gaussian sets, Gaussian sets, sets of 4 to 8 fields,
+    flattened sets, and sets moved so that the origin lies 1e-7 to 1e-1
+    inside or outside a facet of their hull."""
+    from scipy.spatial import ConvexHull
+
+    shifted = rng.normal(size=(600, 24, 3)) + rng.normal(size=(600, 1, 3))
+    gaussian = rng.normal(size=(200, 24, 3))
+    few = [rng.normal(size=(k, 3)) + rng.normal(size=(1, 3)) for k in rng.integers(4, 9, 200)]
+    flat = rng.normal(size=(200, 24, 3)) * [1.0, 1.0, 1e-6] + rng.normal(size=(200, 1, 3)) * 1e-6
+    near = []
+    for height in np.logspace(-7, -1, 100)[:, None] * [1.0, -1.0]:
+        for h in height:
+            v = rng.normal(size=(24, 3))
+            facet = ConvexHull(v).equations[0]  # n . x + c <= 0 inside, |n| = 1
+            near.append(v + (facet[3] + h) * facet[:3])  # the origin h inside the facet
+    return list(shifted) + list(gaussian) + few + list(flat) + near
+
+
+def test_cone_test_matches_the_hull_depth_on_random_families(rng):
+    # full where scipy's Quickhull puts the origin at least 2e-8 V deep, not
+    # full where it is less than 4e-9 V deep or outside
+    sets = _random_families(rng) + list(_octahedra(4, 11))
+    full = np.array([stlc_test_3d(v).is_full for v in sets])
+    depth = np.array([hull_depth(v) for v in sets])
+    assert full[depth >= 2e-8].all() and not full[depth < 4e-9].any()
+    assert 100 < full.sum() < len(sets) - 100 and full[-4:].all()
+    # the stacked call agrees with the one-set calls
+    stacked = np.array(sets[:800])
+    assert stlc_test_3d(stacked).is_full.tobytes() == full[:800].tobytes()
+
+
+@pytest.mark.parametrize("angle", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_pointed_cones_are_not_full(angle):
+    # 24 unit fields within about `angle` rad of one direction lie in an
+    # open half space; the old plane sweep's band called 1 of 200 such sets
+    # full at 1e-6 rad
+    rng = np.random.default_rng(70)
+    axis = rng.normal(size=(200, 1, 3))
+    fields = axis / np.linalg.norm(axis, axis=2, keepdims=True)
+    fields = fields + angle * rng.normal(size=(200, 24, 3))
+    fields /= np.linalg.norm(fields, axis=2, keepdims=True)
+    assert not stlc_test_3d(fields).is_full.any()
+
+
+@pytest.mark.parametrize("depth, full", [(1e-12, False), (1e-10, False), (2e-9, False),
+                                         (2e-8, True), (1e-6, True)])
+def test_hull_depth_decides_at_half_delta(depth, full, monkeypatch):
+    # rotated octahedra moved so that the origin lies `depth` inside the
+    # facet (e1, e2, e3), with largest field norm sqrt(2): below
+    # 5e-9 sqrt(2) the set is not full, though its hull holds the origin,
+    # and no certificate answers it there
+    decided, _ = _count_hull_and_separated(monkeypatch)
+    normal = np.ones(3) / np.sqrt(3)
+    sets = np.array([(np.vstack([np.eye(3), -np.eye(3)]) - (normal / np.sqrt(3) - depth * normal))
+                     @ _rotation(seed).T for seed in range(8)])
+    deep = [hull_depth(v) * np.linalg.norm(v, axis=1).max() for v in sets]
+    assert deep == pytest.approx([depth] * 8, rel=1e-6)
+    verdict = stlc_test_3d(sets)
+    assert (verdict.is_full == full).all()
+    if not full:
+        assert sum(decided) == 8
+
+
+def test_hull_depth_of_a_chunk_stays_small(monkeypatch):
+    # a guard on memory: 64 sets of 24 fields that all reach the hull depth
+    # (2,024 planes each) stay within 4 MB, as the plane sweep's 3.4 MB did
+    sets = _octahedra(64, 20, scales=(1.0, 0.75, 0.5, 0.25))
+    decided, _ = _count_hull_and_separated(monkeypatch)
+    stlc_test_3d(sets[0])  # builds the triple index once
+    decided.clear()
+    tracemalloc.start()
+    try:
+        verdict = stlc_test_3d(sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_full.all() and sum(decided) == 64
+    assert peak <= 4e6
 
 
 def _rotation(seed):
@@ -1052,7 +1166,7 @@ def test_parallel_rays_match_serial(chloroform_gen, two_qubit_controls):
 
 
 def test_worker_count_validated(chloroform_gen, two_qubit_controls):
-    for workers in (0, -3, 1.5, "2", None):
+    for workers in (0, -3, 1.5, "2", None, True, np.float64(1.0)):
         with pytest.raises(ValidationError, match="workers"):
             stlc_boundary_rays(chloroform_gen, two_qubit_controls, fibonacci_sphere(1),
                                origin=np.zeros(3), workers=workers)
@@ -1198,5 +1312,9 @@ def test_fibonacci_sphere_properties():
     assert dirs.shape == (50, 3)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(dirs, fibonacci_sphere(50))
-    with pytest.raises(ValidationError):
-        fibonacci_sphere(0)
+    # 2.5 once gave 3 directions, and True one
+    for count in (0, -1, 2.5, True, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="direction count"):
+            fibonacci_sphere(count)
+    assert fibonacci_sphere(np.int64(3)).tobytes() == fibonacci_sphere(3).tobytes()
+

@@ -14,15 +14,16 @@ test, the origin's call included, and how each set was answered:
   only a set without a start tries;
 * ``exchange``: certified by the tetrahedron the vertex exchange found;
 * ``separated``: not full by a facet plane of the vertex exchange that has
-  the origin on one side and every field on the other;
-* ``swept``: neither, so answered by the plane sweep (``_sweep``).
+  the origin beyond it and no field across it;
+* ``hull``: neither, so decided from the planes through every triple of
+  its fields (``_hull_depth``).
 
 A certified set counts under the first of these that its reported
 tetrahedron matches, so a start that the exchange leaves unchanged counts
-as carried; an uncertified set counts as swept when it reaches
-``_sweep``, and as separated otherwise.  The last column is the SHA-256 of
-the radii, to compare two checkouts.  The counts are deterministic and
-repeat exactly.
+as carried; an uncertified set counts under hull when it reaches
+``_hull_depth``, and as separated otherwise.  The last column is the
+SHA-256 of the radii, to compare two checkouts.  The counts are
+deterministic and repeat exactly.
 """
 
 import hashlib
@@ -37,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import reachset as rs  # noqa: E402
 from reachset import under_approx  # noqa: E402
 
-SOURCES = ("carried", "axis", "exchange", "separated", "swept")
+SOURCES = ("carried", "axis", "exchange", "separated", "hull")
 EXTREME_TETRAHEDRA = list(combinations(range(6), 4))
 
 
@@ -52,9 +53,9 @@ def rotation(seed):
 
 
 def source_counts(sets, start, tetrahedra):
-    """Sets answered by each of SOURCES but the sweep, from (N, K, 3) sets,
-    their (N, 4) starts (-1 for none) and the (N, 4) tetrahedra that
-    certified them; an uncertified set counts as separated."""
+    """Sets answered by each of SOURCES but hull, from (N, K, 3) sets, their
+    (N, 4) starts (-1 for none) and the (N, 4) tetrahedra that certified
+    them; an uncertified set counts as separated."""
     counts = dict.fromkeys(SOURCES, 0)
     extremes = np.concatenate([sets.argmax(axis=1), sets.argmin(axis=1)], axis=1)
     for ext, given, tet in zip(extremes, start, tetrahedra):
@@ -73,13 +74,13 @@ def source_counts(sets, start, tetrahedra):
 def trace(gen, controls, rays):
     """(radii, counts) of one traced fan, counting through the module
     attributes the tracer and the cone test call."""
-    test, sweep = under_approx.stlc_test_3d, under_approx._sweep
+    test, hull_depth = under_approx.stlc_test_3d, under_approx._hull_depth
     counts = dict.fromkeys(("calls", "sets") + SOURCES, 0)
 
-    def sweeping(v, norms):
-        counts["swept"] += len(v)
+    def deciding(v, top):
+        counts["hull"] += len(v)
         counts["separated"] -= len(v)  # source_counts counts them as separated
-        return sweep(v, norms)
+        return hull_depth(v, top)
 
     def counting(directions, start=None):
         verdict = test(directions, start=start)
@@ -92,11 +93,11 @@ def trace(gen, controls, rays):
             counts[name] += count
         return verdict
 
-    under_approx.stlc_test_3d, under_approx._sweep = counting, sweeping
+    under_approx.stlc_test_3d, under_approx._hull_depth = counting, deciding
     try:
         radii = rs.stlc_boundary_rays(gen, controls, rays, tol=1e-3, origin=np.zeros(3))
     finally:
-        under_approx.stlc_test_3d, under_approx._sweep = test, sweep
+        under_approx.stlc_test_3d, under_approx._hull_depth = test, hull_depth
     return radii, counts
 
 
