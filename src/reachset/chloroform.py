@@ -160,17 +160,23 @@ def _multi_quantum_matrix(rs):
     )
 
 
+def _block_labels(block):
+    """The observable labels of a block; an unknown block name is refused."""
+    if not isinstance(block, str) or block not in BLOCKS:
+        raise ValidationError(f"unknown block {block!r}")
+    return BLOCKS[block]
+
+
 def block_matrices(rs, block):
     """(R_sym, H_antisym) for one secular block, in block-row order."""
+    _block_labels(block)
     if block == "population":
         return _population_matrix(rs), np.zeros((3, 3))
     if block == "carbon_coherence":
         return _one_quantum_matrices(rs.r7, rs.r8, rs.r9, rs.J)
     if block == "proton_coherence":
         return _one_quantum_matrices(rs.r10, rs.r11, rs.r12, rs.J)
-    if block == "multi_quantum":
-        return _multi_quantum_matrix(rs), np.zeros((4, 4))
-    raise ValidationError(f"unknown block {block!r}")
+    return _multi_quantum_matrix(rs), np.zeros((4, 4))
 
 
 def _block_fixed_point(rs, block):
@@ -243,8 +249,11 @@ class TrajectorySample:
 
 
 def simulate_block(rates, block, x0, times):
-    """Exact trajectory of one secular block from initial coordinates x0."""
-    labels = BLOCKS[block]
+    """Exact trajectory of one secular block from initial coordinates x0.
+
+    Times must be finite and >= 0.
+    """
+    labels = _block_labels(block)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(labels),):
         raise ValidationError(f"initial state must have length {len(labels)}")
@@ -259,9 +268,11 @@ def synthesize_trajectories(
     """Generate trajectory samples from known rates (optionally noisy).
 
     noise is the Gaussian standard deviation relative to the largest
-    absolute signal value of each trajectory.
+    absolute signal value of each trajectory, finite and >= 0.
     """
-    labels = BLOCKS[block]
+    labels = _block_labels(block)
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValidationError(f"noise must be finite and >= 0, got {noise!r}")
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(seed)
     samples = []
@@ -316,18 +327,16 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     RankDeficient
         If the data carry fewer residuals than free parameters.
     ValidationError
-        If n_starts or max_iter is not a positive integer, the seed is not
-        a non-negative integer, or the rates at a start overflow on the
-        data's time span.
+        If the block is unknown, n_starts or max_iter is not a positive
+        integer, the seed is not a non-negative integer, or the rates at a
+        start overflow on the data's time span.
     """
-    if block not in BLOCKS:
-        raise ValidationError(f"unknown block {block!r}")
+    labels = _block_labels(block)
     check_count(n_starts, "n_starts")
     check_count(max_iter, "max_iter")
     check_count(seed, "seed", minimum=0)
     if init_guess is None:
         init_guess = CHLOROFORM
-    labels = BLOCKS[block]
     free = BLOCK_RATES[block]
 
     prepared = []
@@ -373,9 +382,7 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
         factors = np.exp(rng.uniform(-0.7, 0.7, size=len(base)))
         starts.append(base * factors + rng.normal(scale=1e-3, size=len(base)))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
-        finite = all(np.isfinite(residuals(s)).all() for s in starts)
-    if not finite:
+    if not all(np.isfinite(residuals(s)).all() for s in starts):
         raise ValidationError("start rates give a non-finite trajectory")
     from scipy.optimize import least_squares
 

@@ -12,16 +12,15 @@ eigenvalue, so r_eq = Rmat^{-1} v is unique, where v is the inhomogeneous
 drive generated by the action of D on the identity.
 
 Propagation is exact: with A = Hmat - Rmat and full fixed point
-r* = A^{-1}(-v), the solution is r(t) = e^{At} (r0 - r*) + r*.  The matrix
-exponential comes from one eigendecomposition A = V diag(w) V^{-1}, cached
-on the generator: every t then costs one exp of the eigenvalues and one
-product, e^{At} = V diag(e^{wt}) V^{-1}.  This is accurate only while the
-eigenvectors are well conditioned (Moler & Van Loan 2003, "Nineteen dubious
-ways", method 14), so a drift whose cond(V) exceeds EIG_COND_MAX, near a
-defective one, takes scipy's scaling-and-squaring expm instead; scipy is
-imported on that path only.  A fixed-step Runge-Kutta integrator is
-deliberately not provided here; the test suite carries one as an
-independent oracle.
+r* = A^{-1}(-v), the solution is r(t) = e^{At} (r0 - r*) + r*.  Every e^{At}
+here, of the drift (whose decomposition the generator caches) or of any
+real A, is `Eigensystem.exp`: from A = V diag(w) V^{-1}, by eigh for an
+exactly symmetric A and eig otherwise, every t costs one exp of the
+eigenvalues and one product.  This is accurate only while V is well
+conditioned (Moler & Van Loan 2003, "Nineteen dubious ways", method 14), so
+an A whose cond(V) exceeds EIG_COND_MAX, near a defective one, takes
+scipy's scaling-and-squaring expm, imported on that path only.  The test
+suite carries a fixed-step Runge-Kutta integrator as an independent oracle.
 
 Purity bookkeeping: p = Tr rho^2 = 1/2^n + 2^n r.r, and its time derivative
 under the generator is dp/dt = -2^{n+1} r.Rmat.(r - r_eq); the antisymmetric
@@ -40,19 +39,18 @@ from .pauli import build_basis, _check_qubit_count, _readonly
 #: Largest asymmetry of Hmat and Rmat, relative to their largest entry.
 _SYM_TOL = 1e-10
 
-#: Largest cond(V), V the unit-column eigenvector matrix of a drift A, for
+#: Largest cond(V), V the unit-column eigenvector matrix of a real A, for
 #: which e^{At} comes from the eigendecomposition.  That form's error in the
 #: max norm is of order u cond(V) (d + |A|_2 t), u = 1.1e-16: rounding in the
 #: two d-term products with V and V^{-1}, and the eigenvalues' backward error
 #: u |A|_2, amplified by up to cond(V) and carried over the time t; each
-#: |e^{wt}| is at most 1 for a contracting drift.  On random contracting
-#: drifts it stays within 4 times that (tests); scipy's expm errs by about
-#: u |A|_2 t.  At the guard the eig form may err by up to about
-#: 4e4 u (d + |A|_2 t), 7e-11 for d = 15 and a short t, so it is kept for
-#: drifts far below: the bundled one has cond(V) = 1.19 (at t = 0.1 s the
-#: eig form errs by 4.1e-14, expm by 8.1e-13) and random contracting
-#: 15-dimensional drifts reach about 700.  A defective 2x2 block (an
-#: exceptional point) gives about 1e8 and takes expm.
+#: |e^{wt}| is at most 1 for a contracting A.  On random contracting drifts it
+#: stays within 4 times that (tests); scipy's expm errs by about u |A|_2 t.
+#: At the guard the eig form may err by up to about 4e4 u (d + |A|_2 t),
+#: 7e-11 for d = 15 and a short t, so it is kept for A far below: the bundled
+#: drift has cond(V) = 1.19 (at t = 0.1 s the eig form errs by 4.1e-14, expm
+#: by 8.1e-13) and random contracting 15-dimensional drifts reach about 700.
+#: A defective 2x2 block (an exceptional point) gives about 1e8 and takes expm.
 EIG_COND_MAX = 1e4
 
 
@@ -76,13 +74,16 @@ def _exact_part(M, sign):
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Read-only eigendecomposition A = V diag(w) V^{-1} of a real square A.
+    """Eigendecomposition A = V diag(w) V^{-1} of a real square A, the one
+    place that forms e^{At}.
 
-    V has unit columns, as numpy's eig returns them; cond is its 2-norm
-    condition number.  Vinv is None when cond exceeds EIG_COND_MAX, where
-    propagators leave the decomposition for expm (see `path`).
+    w, V and Vinv are read-only; V has unit columns and cond is its 2-norm
+    condition number, 1 for the orthogonal V of an exactly symmetric A
+    (Vinv = V^T).  Vinv is None when cond exceeds EIG_COND_MAX, where `exp`
+    takes scipy's expm of A instead (see `path`).
     """
 
+    A: np.ndarray
     w: np.ndarray
     V: np.ndarray
     Vinv: np.ndarray
@@ -93,13 +94,37 @@ class Eigensystem:
         """How e^{At} is formed: "eig" from this decomposition, else "expm"."""
         return "eig" if self.Vinv is not None else "expm"
 
+    def exp(self, t, x=None):
+        """e^{At}, or e^{At} x, at a time t or along a vector of times.
+
+        On the "eig" path (V diag(e^{wt}) V^{-1}).real or
+        (V diag(e^{wt}) (V^{-1} x)).real.  A mode that underflows is exactly
+        0, so on a contracting A the result is finite for every finite
+        t >= 0; a non-finite result is returned for the caller to refuse.
+        A negative or non-finite time raises ValidationError.
+        """
+        _check_relaxation_time(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.Vinv is None:
+                from scipy.linalg import expm
+
+                E = expm(np.multiply.outer(t, self.A))
+                return E if x is None else E @ x
+            right = self.Vinv if x is None else (self.Vinv @ x)[:, None]
+            out = (self.V * _exp_modes(self.w, t)[..., None, :] @ right).real
+        return out if x is None else out[..., 0]
+
 
 def _eigensystem(A):
-    """Eigensystem of A, inverting V only where its condition passes the guard."""
+    """Eigensystem of A: eigh when A is exactly symmetric, else eig,
+    inverting V only where its condition passes the guard."""
+    if np.array_equal(A, A.T):
+        w, V = np.linalg.eigh(A)
+        return Eigensystem(A=A, w=_readonly(w), V=_readonly(V), Vinv=V.T, cond=1.0)
     w, V = np.linalg.eig(A)
     cond = float(np.linalg.cond(V))
     Vinv = _readonly(np.linalg.inv(V)) if cond <= EIG_COND_MAX else None
-    return Eigensystem(w=_readonly(w), V=_readonly(V), Vinv=Vinv, cond=cond)
+    return Eigensystem(A=A, w=_readonly(w), V=_readonly(V), Vinv=Vinv, cond=cond)
 
 
 def _exp_modes(w, t):
@@ -109,14 +134,14 @@ def _exp_modes(w, t):
     float range, w t of a complex w overflows in its imaginary part and
     e^{wt} is NaN, yet the mode's limit is 0 whatever its phase.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        wt = np.multiply.outer(t, w)
-        return np.where(np.exp(wt.real) == 0.0, 0.0, np.exp(wt))
+    wt = np.multiply.outer(t, w)
+    return np.where(np.exp(wt.real) == 0.0, 0.0, np.exp(wt))
 
 
 def _check_relaxation_time(t):
-    """Refuse a relaxation time that is negative, infinite or NaN."""
-    if not (np.isfinite(t) and t >= 0):
+    """Refuse relaxation times that are negative, infinite or NaN."""
+    t = np.asarray(t, dtype=float)
+    if not (np.isfinite(t) & (t >= 0)).all():
         raise ValidationError("relaxation time must be finite and >= 0")
 
 
@@ -287,34 +312,25 @@ def lindblad_to_bloch(hamiltonian, dissipator):
         raise ValidationError("relaxation part is not symmetric")
     v = np.einsum("kab,ba->k", basis.matrices[1:], images[0]).real / 4 ** n
 
-    _check_positive_definite(Rmat)
     # solve() gives -0.0 entries for a zero drive; the equilibrium is +0.0
-    r_eq = np.linalg.solve(Rmat, v) if np.any(v) else np.zeros(basis.dim)
+    try:
+        r_eq = np.linalg.solve(Rmat, v) if np.any(v) else np.zeros(basis.dim)
+    except np.linalg.LinAlgError as exc:
+        raise ContractivityViolation("relaxation matrix is singular") from exc
     return AffineGenerator(n=n, Hmat=Hmat, Rmat=Rmat, r_eq=r_eq)
 
 
 def relax_propagator(gen, t):
     """Exact affine propagator of the free dynamics over time t.
 
-    Returns (E, c) with r(t) = E @ r0 + c, where E = e^{At} and c follows
-    from the full fixed point.  E is (V diag(e^{wt}) V^{-1}).real from the
-    generator's cached drift eigensystem, or scipy's expm of At where that
-    eigensystem fails the EIG_COND_MAX guard (see the module docstring and
-    `gen.drift_eig.path`).  A mode that decays below the float range
-    contributes exactly 0, so on a contracting drift E is finite for every
-    finite t >= 0.  A non-finite E (expm's NaN at such t, or a mode that
+    Returns (E, c) with r(t) = E @ r0 + c, where E = e^{At} is
+    `Eigensystem.exp` of the generator's cached drift eigensystem (path
+    "eig" or "expm", see `gen.drift_eig.path`) and c follows from the full
+    fixed point.  A non-finite E (expm's NaN at a huge t, or a mode that
     rounding makes grow) raises ValidationError, as does a negative or
     non-finite t.
     """
-    _check_relaxation_time(t)
-    eig = gen.drift_eig
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E is refused below
-        if eig.path == "eig":
-            E = ((eig.V * _exp_modes(eig.w, t)) @ eig.Vinv).real
-        else:
-            from scipy.linalg import expm
-
-            E = expm(gen.drift * t)
+    E = gen.drift_eig.exp(t)
     if not np.isfinite(E).all():
         raise ValidationError(
             f"relaxation time {t:g} s is too long: e^(At) is not finite"
@@ -326,28 +342,11 @@ def relax_propagator(gen, t):
 def affine_trajectory(A, x_fix, x0, times):
     """Exact solution of dx/dt = A (x - x_fix) from x0, one row per time.
 
-    Rows are e^{At} (x0 - x_fix) + x_fix from one eigendecomposition of A
-    for all times: eigh when A is exactly symmetric, else eig, with
-    relax_propagator's EIG_COND_MAX guard; a near-defective A takes one
-    scipy expm per time instead.
+    Rows are e^{At} (x0 - x_fix) + x_fix from one `Eigensystem` of A.  A
+    negative or non-finite time raises ValidationError; a non-finite row is
+    returned, so a fit can reject the trial rates that give it.
     """
-    if np.array_equal(A, A.T):
-        w, V = np.linalg.eigh(A)
-        Vinv = V.T
-    else:
-        eig = _eigensystem(A)
-        if eig.path == "expm":
-            from scipy.linalg import expm
-
-            out = np.empty((len(times), len(x0)))
-            for i, t in enumerate(times):
-                out[i] = expm(A * t) @ (x0 - x_fix) + x_fix
-            return out
-        w, V, Vinv = eig.w, eig.V, eig.Vinv
-    y0 = Vinv @ (x0 - x_fix)
-    return (V * _exp_modes(w, times)[:, None, :] @ y0[:, None])[
-        :, :, 0
-    ].real + x_fix
+    return _eigensystem(A).exp(times, x0 - x_fix) + x_fix
 
 
 def purity(v):

@@ -128,6 +128,8 @@ class CoherenceVector:
                 f"coherence vector for n={self.n} must have length "
                 f"{4 ** self.n - 1}, got shape {r.shape}"
             )
+        if not np.isfinite(r).all():
+            raise ValidationError("coherence vector entries must be finite")
         object.__setattr__(self, "r", _readonly(r.copy()))
 
     def to_json_dict(self):
@@ -141,8 +143,6 @@ class CoherenceVector:
         order = d.get("order", COHERENCE_VECTOR_ORDER)
         if order != COHERENCE_VECTOR_ORDER:
             raise ValidationError(f"unsupported coefficient order {order!r}")
-        if not np.isfinite(r).all():
-            raise ValidationError("coherence vector entries must be finite")
         return cls(n=n, r=r)
 
 

@@ -396,7 +396,7 @@ def saturation_system(gen, saturated):
         for k, lab in enumerate(basis.labels)
         if k > 0 and lab[pos] == "I"
     ]
-    A = (gen.Hmat - gen.Rmat)[np.ix_(free, free)]
+    A = gen.drift[np.ix_(free, free)]
     x_free = np.linalg.solve(-A, gen.v[free])
     return free, A, x_free
 

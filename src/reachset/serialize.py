@@ -1,8 +1,9 @@
 """JSON and CSV input/output helpers.
 
-All floating-point values are written at full double precision (17
-significant digits, round-trip exact); outputs carry no timestamps so
-identical configurations produce byte-identical files.
+Floats are written round-trip exact: CSV cells at 17 significant digits
+(`fmt`), JSON numbers as Python's shortest repr that reads back as the
+same double.  Outputs carry no timestamps, so identical configurations
+produce byte-identical files.
 """
 
 import csv
@@ -15,7 +16,7 @@ from .errors import ValidationError
 
 
 def _normalize(obj):
-    """Round-trip floats through .17g and unwrap numpy scalars/arrays."""
+    """obj with numpy scalars and arrays unwrapped into Python numbers and lists."""
     if isinstance(obj, dict):
         return {k: _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -23,7 +24,7 @@ def _normalize(obj):
     if isinstance(obj, np.ndarray):
         return [_normalize(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

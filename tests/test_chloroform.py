@@ -246,6 +246,37 @@ def test_rates_json_round_trip():
             RateSet.from_json_dict({**d, key: value})
 
 
+@pytest.mark.parametrize("block, rates", [("population", {"r1": -1e3}),
+                                          ("population", {"r1": -1e300, "r4": 1e300}),
+                                          ("carbon_coherence", {"r7": -1e3})])
+def test_overflowing_start_rates_are_refused(block, rates):
+    # the trajectory overflows at the start rates: an error, with no
+    # RuntimeWarning (tier-1 turns those into errors)
+    guess = CHLOROFORM.with_rates(list(rates), list(rates.values()))
+    with pytest.raises(ValidationError, match="non-finite trajectory"):
+        fit_rates(_synthesize(block), block, init_guess=guess, n_starts=2)
+
+
+@pytest.mark.parametrize("block", ["nope", "", ["population"], None])
+def test_unknown_block_is_refused(block):
+    # simulate_block and synthesize_trajectories once raised a raw KeyError
+    trajs = _synthesize("population")
+    calls = (lambda: block_matrices(CHLOROFORM, block),
+             lambda: simulate_block(CHLOROFORM, block, [1.0, 2.0, 3.0], [0.0, 1.0]),
+             lambda: synthesize_trajectories(CHLOROFORM, block, POP_STARTS, [0.0, 1.0]),
+             lambda: fit_rates(trajs, block))
+    for call in calls:
+        with pytest.raises(ValidationError, match="unknown block"):
+            call()
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_noise_is_finite_and_non_negative(noise):
+    # NaN and -1 once added no noise, silently
+    with pytest.raises(ValidationError, match="noise must be finite and >= 0"):
+        synthesize_trajectories(CHLOROFORM, "population", POP_STARTS, [0.0, 1.0], noise=noise)
+
+
 @pytest.mark.parametrize("name, value", [("n_starts", 2.5), ("n_starts", True),
                                          ("max_iter", -5), ("max_iter", 0), ("max_iter", 2.5),
                                          ("max_iter", True), ("seed", True)])

@@ -798,6 +798,17 @@ def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
             *_population_traj_args(tmp_path), "--out", "rates.json"]
     code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
     assert code == 0 and "scipy.optimize" in modules
+    # a drift with a defective 2x2 block, [[-1, 1], [-1, -3]], fails the
+    # conditioning guard: its propagator takes expm from scipy.linalg alone
+    hmat = np.zeros((15, 15))
+    hmat[0, 1], hmat[1, 0] = 1.0, -1.0
+    defective = reachset.AffineGenerator(n=2, Hmat=hmat, Rmat=np.diag([1.0, 3.0] + [2.0] * 13),
+                                         r_eq=np.eye(15)[2])
+    assert defective.drift_eig.path == "expm"
+    dump_json(defective.to_json_dict(), tmp_path / "defective.json")
+    argv = ["simulate", "--gen", "defective.json", "--m", "3", "--out", "sim_defective.csv"]
+    code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
+    assert code == 0 and "scipy.linalg" in modules and "scipy.optimize" not in modules
 
 
 def test_package_names_resolve_lazily(monkeypatch):

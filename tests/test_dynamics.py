@@ -11,6 +11,7 @@ from reachset import (
     purity,
     purity_rate,
 )
+from reachset.chloroform import CHLOROFORM, simulate_block
 from reachset.dynamics import EIG_COND_MAX, affine_trajectory, relax_propagator
 
 from conftest import random_density_matrix
@@ -86,6 +87,12 @@ def test_positive_definite_check_is_relative(chloroform_gen, scale):
     for bad in (np.zeros((3, 3)), -np.eye(3)):
         with pytest.raises(ContractivityViolation):
             AffineGenerator(n=1, Hmat=asym, Rmat=bad * scale, r_eq=np.zeros(3))
+    # a master equation whose R is singular under a drive, indefinite or
+    # nearly singular is refused alike, by the one check AffineGenerator makes
+    for slow in (0.0, -1.0, 1e-14):
+        diss = _linear_dissipator(np.diag([1.0, slow, 1.0]) * scale, np.eye(3)[2] * scale)
+        with pytest.raises(ContractivityViolation):
+            lindblad_to_bloch(np.zeros((2, 2)), diss)
 
 
 def _linear_dissipator(M, drive):
@@ -256,10 +263,30 @@ def test_near_defective_drift_takes_expm(t):
     np.testing.assert_allclose(row, want, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
+def test_symmetric_drift_takes_eigh(t):
+    # Hmat = 0, as in cli_matrix's hard.json, leaves the drift -Rmat exactly
+    # symmetric: eigh gives an orthogonal V, so cond is 1 and Vinv is V^T
+    q, _ = np.linalg.qr(np.random.default_rng(33).normal(size=(3, 3)))
+    for R in (np.diag([0.1, 1.0, 2.0]), (q * [0.1, 1.0, 2.0]) @ q.T):
+        gen = AffineGenerator(n=1, Hmat=np.zeros((3, 3)), Rmat=R, r_eq=np.array([0.0, 0.0, 1.0]))
+        eig = gen.drift_eig
+        assert eig.path == "eig" and eig.cond == 1.0
+        assert np.array_equal(eig.Vinv, eig.V.T) and not eig.Vinv.flags.writeable
+        eig_err, expm_err = _errors(gen, t)
+        assert eig_err <= max(expm_err, 4 * _U * (3 + np.linalg.norm(gen.drift, 2) * t))
+
+
 @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
 def test_propagator_refuses_bad_times(chloroform_gen, t):
+    # simulate_block once returned NaN rows at NaN, and -36187 at t = -100
     with pytest.raises(ValidationError, match="must be finite and >= 0"):
         relax_propagator(chloroform_gen, t)
+    for A in (np.asarray(chloroform_gen.drift), -np.asarray(chloroform_gen.Rmat)):
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            affine_trajectory(A, chloroform_gen.fixed_point, np.zeros(15), [0.0, t])
+    with pytest.raises(ValidationError, match="must be finite and >= 0"):
+        simulate_block(CHLOROFORM, "population", [1.0, 2.0, 3.0], [0.0, t])
 
 
 def test_propagator_finite_at_every_scale(chloroform_gen):

@@ -188,3 +188,14 @@ def test_coherence_vector_json_round_trip(rng):
     np.testing.assert_array_equal(v.r, w.r)
     with pytest.raises(ValidationError):
         CoherenceVector.from_json_dict({"n": 2, "order": "other", "r": list(v.r)})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_coherence_vector_entries_are_finite(bad):
+    # kappa_unitary_max and polytope_vertices once ended in a raw LinAlgError
+    r = np.zeros(15)
+    r[3] = bad
+    with pytest.raises(ValidationError, match="entries must be finite"):
+        CoherenceVector(n=2, r=r)
+    with pytest.raises(ValidationError, match="entries must be finite"):
+        CoherenceVector.from_json_dict({"n": 2, "r": list(r)})
