@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import AffineGenerator, affine_trajectory
-from .errors import RankDeficient, ValidationError, check_count, json_floats
+from .errors import RankDeficient, ValidationError, check_count, check_real, json_floats
 from .pauli import build_basis
 from .pauli import _readonly
 
@@ -251,12 +251,12 @@ class TrajectorySample:
 def simulate_block(rates, block, x0, times):
     """Exact trajectory of one secular block from initial coordinates x0.
 
-    Times must be finite and >= 0.
+    x0 must be finite, times finite and >= 0.
     """
     labels = _block_labels(block)
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (len(labels),):
-        raise ValidationError(f"initial state must have length {len(labels)}")
+    if x0.shape != (len(labels),) or not np.isfinite(x0).all():
+        raise ValidationError(f"initial state must be {len(labels)} finite numbers")
     sym, antisym = block_matrices(rates, block)
     x_fix = _block_fixed_point(rates, block)
     return affine_trajectory(antisym - sym, x_fix, x0, times)
@@ -271,6 +271,7 @@ def synthesize_trajectories(
     absolute signal value of each trajectory, finite and >= 0.
     """
     labels = _block_labels(block)
+    noise = check_real(noise, "noise")
     if not (np.isfinite(noise) and noise >= 0):
         raise ValidationError(f"noise must be finite and >= 0, got {noise!r}")
     times = np.asarray(times, dtype=float)
@@ -296,11 +297,13 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     """Least-squares rate estimation for one secular block.
 
     Minimizes the summed squared deviation between exact simulated block
-    trajectories and the observed samples over the block's free rates with
-    scipy's trust-region reflective least squares (finite-difference
-    Jacobian, default tolerances; a non-finite trial step is rejected).
-    Starts are init_guess and n_starts - 1 random perturbations of it; the
-    lowest residual sum of squares wins.
+    trajectories and the observed samples over the block's free rates by
+    More's Levenberg-Marquardt method in numpy: a forward-difference
+    Jacobian with scipy's step, scipy's default stopping tests (ftol, xtol
+    and gtol 1e-8), and rejection of a trial step whose residuals are not
+    finite.  Starts are init_guess and n_starts - 1 random perturbations
+    of it; the lowest residual sum of squares wins.  The tests check the
+    cost against scipy's trust-region least squares from the same starts.
 
     Parameters
     ----------
@@ -327,9 +330,9 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     RankDeficient
         If the data carry fewer residuals than free parameters.
     ValidationError
-        If the block is unknown, n_starts or max_iter is not a positive
-        integer, the seed is not a non-negative integer, or the rates at a
-        start overflow on the data's time span.
+        If the block is unknown, init_guess is not a RateSet, n_starts or
+        max_iter is not a positive integer, the seed is not a non-negative
+        integer, or the rates at a start overflow on the data's time span.
     """
     labels = _block_labels(block)
     check_count(n_starts, "n_starts")
@@ -337,6 +340,8 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
     check_count(seed, "seed", minimum=0)
     if init_guess is None:
         init_guess = CHLOROFORM
+    if not isinstance(init_guess, RateSet):
+        raise ValidationError(f"init_guess must be a RateSet, got {init_guess!r}")
     free = BLOCK_RATES[block]
 
     prepared = []
@@ -382,13 +387,99 @@ def fit_rates(trajs, block, init_guess=None, n_starts=4, seed=0, max_iter=6000):
         factors = np.exp(rng.uniform(-0.7, 0.7, size=len(base)))
         starts.append(base * factors + rng.normal(scale=1e-3, size=len(base)))
 
-    if not all(np.isfinite(residuals(s)).all() for s in starts):
+    start_residuals = [residuals(s) for s in starts]
+    if not all(np.isfinite(f).all() for f in start_residuals):
         raise ValidationError("start rates give a non-finite trajectory")
-    from scipy.optimize import least_squares
 
     max_nfev = max(1, max_iter // (len(free) + 1))
-    best = min((least_squares(residuals, s, max_nfev=max_nfev) for s in starts),
-               key=lambda res: res.cost)
-    fitted = init_guess.with_rates(free, best.x)
-    rms = float(np.sqrt(2.0 * best.cost / n_resid))
+    x, cost = min((_levenberg_marquardt(residuals, s, f, max_nfev)
+                   for s, f in zip(starts, start_residuals)),
+                  key=lambda fit: fit[1])
+    fitted = init_guess.with_rates(free, x)
+    rms = float(np.sqrt(2.0 * cost / n_resid))
     return fitted, rms
+
+
+#: ftol, xtol and gtol of the fit's stopping tests, scipy's defaults.
+_FIT_TOL = 1e-8
+
+
+def _levenberg_marquardt(fun, x, f, max_nfev):
+    """(x, cost) from a local minimization of cost = |fun(x)|^2 / 2 from x,
+    where f = fun(x).
+
+    More's (1978) Levenberg-Marquardt: each trial step dx minimizes
+    |f + J dx|^2 + lam |D dx|^2 with lam >= 0 the smallest that keeps
+    |D dx| near a trust radius, D the largest column norms of the
+    Jacobian J seen so far.  It is solved from the SVD of J D^-1 (null
+    directions take no step).  A step is taken when it lowers the cost;
+    the radius follows the ratio of actual to predicted reduction, as in
+    scipy's trust-region solver, and a trial whose cost is not finite
+    shrinks it like a poor one.  J is forward-difference, with scipy's
+    step sqrt(eps) max(1, |x|) signed like x.
+
+    fun is called at most max_nfev times, f counting as the first, plus
+    len(x) times per Jacobian.  It stops on scipy's tests, all at
+    _FIT_TOL: |J^T f|_inf < gtol; a reduction below ftol cost at a ratio
+    above 1/4; or a trial step |D dx| below xtol (xtol + |D x|), which
+    also ends the run of ever shorter rejected steps at an exact optimum.
+    """
+    cost = 0.5 * (f @ f)
+    nfev = 1
+    D = np.zeros(len(x))
+    radius = None
+    while nfev < max_nfev:
+        steps = (x + np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0)
+                 * np.maximum(1.0, np.abs(x))) - x
+        J = np.column_stack([(fun(x + h) - f) / h[j]
+                             for j, h in enumerate(np.diag(steps))])
+        if np.abs(J.T @ f).max() < _FIT_TOL:
+            break
+        D = np.maximum(D, np.linalg.norm(J, axis=0))
+        D[D == 0.0] = 1.0
+        if radius is None:
+            radius = np.linalg.norm(D * x) or 1.0
+        U, s, Vt = np.linalg.svd(J / D, full_matrices=False)
+        kept = s > s[0] * len(f) * np.finfo(float).eps  # lstsq's cutoff
+        s, uf, Vt = s[kept], (U.T @ f)[kept], Vt[kept]
+        while nfev < max_nfev:
+            p, step = _trust_region_step(s, uf, radius)
+            dx = -(Vt.T @ p) / D
+            f_new = fun(x + dx)
+            nfev += 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                cost_new = 0.5 * (f_new @ f_new)
+            reduction = cost - cost_new if np.isfinite(cost_new) else -np.inf
+            fitted_part = s * p  # -U^T J dx
+            predicted = uf @ fitted_part - 0.5 * (fitted_part @ fitted_part)
+            ratio = reduction / predicted if predicted > 0.0 else 0.0
+            if ratio < 0.25:
+                radius = 0.25 * step
+            elif ratio > 0.75 and step > 0.95 * radius:
+                radius *= 2.0
+            done = ((reduction < _FIT_TOL * cost and ratio > 0.25)
+                    or step < _FIT_TOL * (_FIT_TOL + np.linalg.norm(D * x)))
+            if reduction > 0.0:
+                x, f, cost = x + dx, f_new, cost_new
+            if reduction > 0.0 or done:
+                break
+        if done:
+            break
+    return x, cost
+
+
+def _trust_region_step(s, uf, radius):
+    """(p, |p|): p = s uf / (s^2 + lam), lam >= 0 the least giving
+    |p| <= 1.1 radius.
+
+    lam comes from Newton's method on 1/|p(lam)| = 1/radius from lam = 0
+    (More & Sorensen 1983); 1/|p| is concave in lam, so the iterates rise
+    monotonically to the root.
+    """
+    lam = 0.0
+    while True:
+        p = s * uf / (s ** 2 + lam)
+        step = np.linalg.norm(p)
+        if step <= 1.1 * radius:
+            return p, step
+        lam += (step / radius - 1.0) * step ** 2 / (p ** 2 @ (1.0 / (s ** 2 + lam)))

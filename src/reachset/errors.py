@@ -1,6 +1,6 @@
-"""Exception types shared across the library, and the count and JSON field checks."""
+"""Exception types shared across the library, and the count, number and JSON field checks."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ReachsetError(Exception):
@@ -52,6 +52,14 @@ def check_count(value, what, minimum=1):
         raise ValidationError(f"{what} must be a {kind} integer ({what} >= {minimum}), "
                               f"got {value!r}")
     return int(value)
+
+
+def check_real(value, what):
+    """value as a float, refused with ValidationError unless it is a real
+    number (a Python or numpy one, not a bool or a string); `what` names it."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def json_fields(d, what, *keys):

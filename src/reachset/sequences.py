@@ -41,7 +41,7 @@ import numpy as np
 
 from .diagonal import DiagonalVector, diag_slots
 from .dynamics import _check_relaxation_time, relax_propagator
-from .errors import NoUniqueFixedPoint, ValidationError, check_count, ldexp_normal
+from .errors import NoUniqueFixedPoint, ValidationError, check_count, check_real, ldexp_normal
 from .pauli import CoherenceVector, build_basis, unitary_rep, _readonly
 from .unitary_bound import kappa_channel
 
@@ -51,12 +51,14 @@ from .unitary_bound import kappa_channel
 
 @dataclass(frozen=True)
 class RelaxStep:
-    """Free relaxation for tau seconds."""
+    """Free relaxation for tau seconds, a real number stored as a float."""
 
     tau: float
 
     def __post_init__(self):
-        _check_relaxation_time(self.tau)
+        tau = check_real(self.tau, "relaxation time")
+        _check_relaxation_time(tau)
+        object.__setattr__(self, "tau", tau)
 
 
 @dataclass(frozen=True)

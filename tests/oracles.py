@@ -1,7 +1,8 @@
 """Independent numerical oracles used only by the tests.
 
 Kept outside the library on purpose: the production propagator is the
-exact matrix-exponential solution, the unitary ray exit is a closed form,
+exact matrix-exponential solution, the rate fit is a numpy
+Levenberg-Marquardt, the unitary ray exit is a closed form,
 boundary rays are traced in lockstep and the sphere oracle runs its
 starts in lockstep, the cone test answers most sets by a tetrahedron or a
 facet before it looks at every plane through three fields, and these
@@ -69,6 +70,17 @@ def superoperator_matrix(superop, n):
         img = superop(basis.matrices[j])
         m[:, j] = np.einsum("kab,ba->k", basis.matrices, img).real / 2 ** n
     return m
+
+
+def least_squares_reference(fun, x, f, max_nfev):
+    """(x, cost) from scipy's trust-region reflective least squares at its
+    default tolerances, in place of chloroform._levenberg_marquardt: same
+    arguments, same budget of max_nfev evaluations of fun besides the
+    Jacobian's.  f = fun(x) is unused; scipy evaluates it again."""
+    from scipy.optimize import least_squares
+
+    res = least_squares(fun, x, max_nfev=max_nfev)
+    return res.x, res.cost
 
 
 def lp_ray_exit(vertices_coords, direction):

@@ -13,6 +13,7 @@ from reachset import (
     simulate_block,
     synthesize_trajectories,
 )
+from reachset import chloroform
 from reachset.chloroform import (
     BLOCK_RATES,
     TrajectorySample,
@@ -20,7 +21,7 @@ from reachset.chloroform import (
 )
 from reachset.dynamics import relax_propagator
 
-from oracles import superoperator_matrix
+from oracles import least_squares_reference, superoperator_matrix
 
 
 def test_default_rates_are_the_fits():
@@ -196,6 +197,99 @@ def test_fit_budget_below_one_jacobian_keeps_start():
     assert rms_moved < rms_kept
 
 
+def _bench_fit_data(block, seed):
+    """The benchmark's fit layout: 1%-noise trajectories of one block and a
+    start 40% off the generating rates."""
+    if block == "population":
+        times, starts = np.linspace(0.0, 40.0, 20), POP_STARTS
+    else:
+        k = len(BLOCKS[block])
+        times, starts = np.linspace(0.0, 1.2, 10), [np.eye(k)[0] * 2.0, np.eye(k)[2] * 1.5]
+    trajs = synthesize_trajectories(CHLOROFORM, block, starts, times, noise=0.01, seed=seed)
+    free = BLOCK_RATES[block]
+    truth = np.array([getattr(CHLOROFORM, name) for name in free])
+    return trajs, CHLOROFORM.with_rates(free, truth * 1.4 + 1e-3)
+
+
+def _rss(rates, block, trajs):
+    """The fit's objective: the squared deviation of the simulated block
+    from every sample of trajectories that carry all its observables."""
+    labels = BLOCKS[block]
+    total = 0.0
+    for traj in trajs:
+        data = np.column_stack([traj.observables[lab] for lab in labels])
+        total += float(((simulate_block(rates, block, data[0], traj.times) - data) ** 2).sum())
+    return total
+
+
+#: How far the fit's cost may exceed scipy's, relative.  The coherence
+#: blocks' valleys are flat, and a forward-difference Jacobian stops either
+#: solver up to about 1e-7 above their minimum.
+FIT_COST_RTOL = {"population": 1e-9, "carbon_coherence": 1e-7,
+                 "proton_coherence": 1e-7, "multi_quantum": 1e-9}
+
+
+@pytest.mark.parametrize("seed", [301, 302, 303, 304])
+def test_fit_cost_matches_scipy(seed, monkeypatch):
+    # from the same starts and budget, on the benchmark's data, the numpy
+    # Levenberg-Marquardt ends no higher than scipy's least_squares, and
+    # below the generating rates
+    for k, block in enumerate(BLOCKS):
+        trajs, guess = _bench_fit_data(block, seed + k)
+        truth_rss = _rss(CHLOROFORM, block, trajs)
+        for n_starts in (1, 4):
+            fitted, rms = fit_rates(trajs, block, init_guess=guess, n_starts=n_starts, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(chloroform, "_levenberg_marquardt", least_squares_reference)
+                _, rms_scipy = fit_rates(trajs, block, init_guess=guess, n_starts=n_starts,
+                                         seed=seed)
+            assert rms ** 2 <= rms_scipy ** 2 * (1 + FIT_COST_RTOL[block]), (block, n_starts)
+            assert _rss(fitted, block, trajs) <= truth_rss, (block, n_starts)
+
+
+@pytest.mark.parametrize("block", list(BLOCKS))
+def test_fit_never_exceeds_its_simulation_budget(block, monkeypatch):
+    # max_iter bounds the simulations of each start, the Jacobian's columns
+    # included; from one trajectory, each residual evaluation is one
+    # simulation.  A budget below one Jacobian returns the start, simulated once
+    trajs, guess = _bench_fit_data(block, 7)
+    trajs = trajs[:1]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return simulate_block(*args)
+
+    monkeypatch.setattr(chloroform, "simulate_block", counting)
+    p = len(BLOCK_RATES[block])
+    for max_iter in (1, p, p + 1, 2 * p + 3, 10 * p + 5, 6000):
+        for n_starts in (1, 3):
+            calls.clear()
+            fitted, _ = fit_rates(trajs, block, init_guess=guess, n_starts=n_starts,
+                                  max_iter=max_iter)
+            assert len(calls) <= n_starts * max_iter, (max_iter, n_starts)
+            if max_iter < p + 1:
+                assert len(calls) == n_starts
+                if n_starts == 1:
+                    assert fitted == guess
+
+
+@pytest.mark.parametrize("init_guess", ["x", 1.0, CHLOROFORM.to_json_dict()])
+def test_fit_start_is_a_rate_set(init_guess):
+    # "x" once raised a raw AttributeError
+    with pytest.raises(ValidationError, match="init_guess must be a RateSet"):
+        fit_rates(_synthesize("population"), "population", init_guess=init_guess)
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0]])
+def test_non_finite_initial_state_is_refused(x0):
+    # [nan, 0, 0] once gave rows of NaN
+    with pytest.raises(ValidationError, match="finite"):
+        simulate_block(CHLOROFORM, "population", x0, [0.0, 1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        synthesize_trajectories(CHLOROFORM, "population", [x0], [0.0, 1.0])
+
+
 def test_single_time_point_is_rank_deficient():
     traj = TrajectorySample(times=[0.0], observables={"ZI": [1.0]})
     with pytest.raises(RankDeficient):
@@ -274,6 +368,13 @@ def test_unknown_block_is_refused(block):
 def test_noise_is_finite_and_non_negative(noise):
     # NaN and -1 once added no noise, silently
     with pytest.raises(ValidationError, match="noise must be finite and >= 0"):
+        synthesize_trajectories(CHLOROFORM, "population", POP_STARTS, [0.0, 1.0], noise=noise)
+
+
+@pytest.mark.parametrize("noise", [None, "a", "0.01", True])
+def test_noise_is_a_real_number(noise):
+    # None and "a" once raised a raw TypeError
+    with pytest.raises(ValidationError, match="noise must be a real number"):
         synthesize_trajectories(CHLOROFORM, "population", POP_STARTS, [0.0, 1.0], noise=noise)
 
 

@@ -768,8 +768,8 @@ def _scipy_loaded(tmp_path, *argvs):
 
 def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
     # scipy is imported inside the functions that call it: importing the
-    # package and every command but fit, on the bundled model, load no scipy
-    # module (the propagator takes expm only past its conditioning guard);
+    # package and every command, on the bundled model, load no scipy module
+    # (the propagator takes expm only past its conditioning guard);
     # importing the package loads no numpy either
     gen = chloroform_gen.to_json_dict()
     gen["r_eq"][0] = float("inf")
@@ -785,19 +785,16 @@ def test_scipy_loaded_only_where_called(tmp_path, chloroform_gen):
         ["figure1", *preset, "--rays", "2", "--tol", "5e-2", "--m", "3", "--out-dir", "fig"],
         ["bound", "--gen", "inf.json", "--out", "bound_inf.json"],
         ["simulate", "--gen", "inf.json", "--m", "3", "--out", "sim_inf.csv"],
+        ["fit", "--block", "population", "--starts", "1",
+         *_population_traj_args(tmp_path), "--out", "rates.json"],
     ]
     loaded = _scipy_loaded(tmp_path, *scipy_free)
     assert loaded.pop("numpy after import reachset") is False
     assert loaded.pop("import reachset") == []
     assert loaded.pop("import reachset.cli") == []
-    expected_codes = [0, 0, 0, 0, 0, 0, 0, 2, 2]
+    expected_codes = [0, 0, 0, 0, 0, 0, 0, 2, 2, 0]
     assert loaded == {" ".join(argv): [code, []]
                       for argv, code in zip(scipy_free, expected_codes)}
-    # fit takes least_squares from scipy.optimize
-    argv = ["fit", "--block", "population", "--starts", "1",
-            *_population_traj_args(tmp_path), "--out", "rates.json"]
-    code, modules = _scipy_loaded(tmp_path, argv)[" ".join(argv)]
-    assert code == 0 and "scipy.optimize" in modules
     # a drift with a defective 2x2 block, [[-1, 1], [-1, -3]], fails the
     # conditioning guard: its propagator takes expm from scipy.linalg alone
     hmat = np.zeros((15, 15))

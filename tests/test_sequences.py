@@ -608,6 +608,20 @@ def test_sequence_validation():
         compile_pulses([ZPulse("N", 0.5)])
 
 
+@pytest.mark.parametrize("tau", ["abc", "1", None, True, [1.0]])
+def test_relaxation_time_is_a_real_number(tau):
+    # "abc" once raised a raw ValueError, and "1" was kept as a string on
+    # which one_period_map raised a raw UFuncTypeError
+    with pytest.raises(ValidationError, match="relaxation time must be a real number"):
+        RelaxStep(tau)
+
+
+@pytest.mark.parametrize("tau", [1, np.float32(1.5), np.int64(2)])
+def test_relaxation_time_is_stored_as_a_float(tau):
+    step = RelaxStep(tau)
+    assert type(step.tau) is float and step.tau == float(tau)
+
+
 @pytest.mark.parametrize("repeat", [2.5, True, 0, np.float64(2.0)])
 def test_repeat_is_a_positive_integer(repeat):
     # 2.5 was once accepted, and simulate_sequence then raised a raw TypeError
