@@ -10,6 +10,10 @@ independent blocks, ordered by coherence order:
 * proton one-quantum      (IX, IY, ZX, ZY)  rates r10, r11, r12
 * zero/double quantum     (XY, YX, XX, YY)  rates r13, r14
 
+Where each rate sits in its block is written once, in ``_LAYOUT``: the
+block matrices, the free rates of each block and the rates that must be
+positive (those on a block's diagonal) are all read from it.
+
 Sign convention (important): rate tables for such systems are customarily
 quoted as positive magnitudes inside block equations of the form
 d/dt v = [M] v, which taken literally is anti-stable.  The assembled model
@@ -47,13 +51,26 @@ BLOCKS = {
     "multi_quantum": ("XY", "YX", "XX", "YY"),
 }
 
-#: Free rate names per block.
-BLOCK_RATES = {
-    "population": ("r1", "r2", "r3", "r4", "r5", "r6"),
-    "carbon_coherence": ("r7", "r8", "r9"),
-    "proton_coherence": ("r10", "r11", "r12"),
-    "multi_quantum": ("r13", "r14"),
+#: Where each rate sits in its block's relaxation matrix: (row, col, sign)
+#: entries on or above the diagonal, each mirrored below it.
+_LAYOUT = {
+    "population": {"r1": [(0, 0, 1)], "r2": [(1, 1, 1)], "r3": [(2, 2, 1)],
+                   "r4": [(0, 1, 1)], "r5": [(0, 2, 1)], "r6": [(1, 2, 1)]},
+    "carbon_coherence": {"r7": [(0, 0, 1), (1, 1, 1)], "r8": [(2, 2, 1), (3, 3, 1)],
+                         "r9": [(0, 2, 1), (1, 3, 1)]},
+    "proton_coherence": {"r10": [(0, 0, 1), (1, 1, 1)], "r11": [(2, 2, 1), (3, 3, 1)],
+                         "r12": [(0, 2, 1), (1, 3, 1)]},
+    "multi_quantum": {"r13": [(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)],
+                      "r14": [(0, 1, -1), (2, 3, 1)]},
 }
+
+#: The coherent part of each one-quantum block in units of pi J: the ZZ
+#: coupling projected on (XI, YI, XZ, YZ), and alike on (IX, IY, ZX, ZY).
+_COUPLING = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
+_COUPLED = ("carbon_coherence", "proton_coherence")
+
+#: Free rate names per block.
+BLOCK_RATES = {block: tuple(rates) for block, rates in _LAYOUT.items()}
 
 
 @dataclass(frozen=True)
@@ -118,48 +135,6 @@ class RateSet:
 CHLOROFORM = RateSet()
 
 
-def _population_matrix(rs):
-    return np.array(
-        [
-            [rs.r1, rs.r4, rs.r5],
-            [rs.r4, rs.r2, rs.r6],
-            [rs.r5, rs.r6, rs.r3],
-        ]
-    )
-
-
-def _one_quantum_matrices(ra, rb, rc, J):
-    piJ = np.pi * J
-    sym = np.array(
-        [
-            [ra, 0.0, rc, 0.0],
-            [0.0, ra, 0.0, rc],
-            [rc, 0.0, rb, 0.0],
-            [0.0, rc, 0.0, rb],
-        ]
-    )
-    antisym = piJ * np.array(
-        [
-            [0.0, 0.0, 0.0, -1.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    return sym, antisym
-
-
-def _multi_quantum_matrix(rs):
-    return np.array(
-        [
-            [rs.r13, -rs.r14, 0.0, 0.0],
-            [-rs.r14, rs.r13, 0.0, 0.0],
-            [0.0, 0.0, rs.r13, rs.r14],
-            [0.0, 0.0, rs.r14, rs.r13],
-        ]
-    )
-
-
 def _block_labels(block):
     """The observable labels of a block; an unknown block name is refused."""
     if not isinstance(block, str) or block not in BLOCKS:
@@ -169,14 +144,15 @@ def _block_labels(block):
 
 def block_matrices(rs, block):
     """(R_sym, H_antisym) for one secular block, in block-row order."""
-    _block_labels(block)
-    if block == "population":
-        return _population_matrix(rs), np.zeros((3, 3))
-    if block == "carbon_coherence":
-        return _one_quantum_matrices(rs.r7, rs.r8, rs.r9, rs.J)
-    if block == "proton_coherence":
-        return _one_quantum_matrices(rs.r10, rs.r11, rs.r12, rs.J)
-    return _multi_quantum_matrix(rs), np.zeros((4, 4))
+    size = len(_block_labels(block))
+    R = np.zeros((size, size))
+    for name, entries in _LAYOUT[block].items():
+        rate = getattr(rs, name)
+        for i, j, sign in entries:
+            R[i, j] = R[j, i] = sign * rate
+    if block in _COUPLED:
+        return R, np.pi * rs.J * _COUPLING
+    return R, np.zeros((size, size))
 
 
 def _block_fixed_point(rs, block):
@@ -198,14 +174,14 @@ def assemble_generator(rates=CHLOROFORM):
     Raises
     ------
     ValidationError
-        If a diagonal rate is nonpositive.
+        If a rate with an entry on its block's diagonal is nonpositive.
     ContractivityViolation
         If the assembled relaxation matrix is not positive definite.
     """
-    diag_names = ("r1", "r2", "r3", "r7", "r8", "r10", "r11", "r13")
-    for name in diag_names:
-        if getattr(rates, name) <= 0:
-            raise ValidationError(f"diagonal rate {name} must be positive")
+    for layout in _LAYOUT.values():
+        for name, entries in layout.items():
+            if getattr(rates, name) <= 0 and any(i == j for i, j, _ in entries):
+                raise ValidationError(f"diagonal rate {name} must be positive")
 
     basis = build_basis(2)
     d = basis.dim

@@ -40,10 +40,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .chloroform import BLOCKS, CHLOROFORM, RateSet, assemble_generator, fit_rates
+from .chloroform import CHLOROFORM, RateSet, assemble_generator, fit_rates
 from .diagonal import diag_labels, diag_slots
 from .dynamics import AffineGenerator, affine_trajectory
-from .errors import ReachsetError, ValidationError
+from .errors import ContractivityViolation, ReachsetError, ValidationError, pow2_scale
 from .over_approx import ellipsoid_axis_intersections, max_purity_on_ellipsoid
 from .pauli import CoherenceVector, build_basis
 from .sequences import (
@@ -174,7 +174,7 @@ def _parse_rays(spec_str):
             raise ValidationError(f"ray CSV {spec_str}: {exc}") from exc
         # a power-of-two rescale keeps each finite nonzero row's norm in
         # range; zero and non-finite rows fail the unit-norm check
-        dirs = np.ldexp(dirs, -np.frexp(np.abs(dirs).max(axis=1, keepdims=True))[1])
+        dirs, _ = pow2_scale(dirs, axis=1)
         with np.errstate(all="ignore"):
             return dirs / np.linalg.norm(dirs, axis=1)[:, None]
     raise ValidationError(f"rays must be fibonacci:N or a CSV file: {spec_str}")
@@ -222,8 +222,7 @@ def cmd_unitary_bound(args, gen):
     kappa = kappa_unitary_max(source, target)
     vertices = polytope_vertices(source)
     coords = diagonal_vertex_coords(vertices)
-    target_diag = target.r[list(diag_slots(gen.n))]
-    target_diag = np.ldexp(target_diag, -np.frexp(np.abs(target_diag).max())[1])
+    target_diag, _ = pow2_scale(target.r[list(diag_slots(gen.n))])
     norm = np.linalg.norm(target_diag)  # exact scaling: cannot over- or underflow
     ray_exit = polytope_ray_exit(coords, target_diag / norm) if norm > 0 else None
     payload = {
@@ -276,10 +275,6 @@ def cmd_noe(args, gen):
 
 
 def cmd_fit(args, _):
-    if args.block not in BLOCKS:
-        raise ValidationError(
-            f"block must be one of {sorted(BLOCKS)}, got {args.block!r}"
-        )
     trajs = [read_trajectory_csv(p) for p in args.traj]
     init = CHLOROFORM
     if args.init:
@@ -287,8 +282,16 @@ def cmd_fit(args, _):
     fitted, rms = fit_rates(
         trajs, args.block, init_guess=init, n_starts=args.starts, seed=args.seed
     )
+    # the data may favour rates no generator takes, such as a negative
+    # diagonal one; the sidecar says why the fitted set does not assemble
+    try:
+        assemble_generator(fitted)
+        assembly_error = None
+    except (ValidationError, ContractivityViolation) as exc:
+        assembly_error = str(exc)
     dump_json(fitted.to_json_dict(), args.out)
-    return args.out, {"rms_residual": rms}, f"rms residual = {rms:.3e} -> {args.out}"
+    extra = {"rms_residual": rms, "assembly_error": assembly_error}
+    return args.out, extra, f"rms residual = {rms:.3e} -> {args.out}"
 
 
 def _parse_grid(spec_str):
@@ -343,7 +346,7 @@ def cmd_figure1(args, gen):
     noe_path = saturated_diagonal(
         gen, free, affine_trajectory(A, xinf, gen.r_eq[free], times)
     )
-    noe = saturated_diagonal(gen, free, xinf)
+    noe = noe_steady_state(gen, "C").x
 
     try:
         os.makedirs(args.out_dir, exist_ok=True)

@@ -92,7 +92,7 @@ def projected_field_stack(gen, reps):
         raise ValidationError("qubit counts of generator and controls differ")
     cols = mats[:, :, list(diag_slots(gen.n))]  # only these columns of U reach [.]_d
     A = np.einsum("kia,ij,kjb->kab", cols, gen.Rmat, cols)
-    b = np.einsum("kia,i->ka", cols, gen.Rmat @ gen.r_eq)
+    b = np.einsum("kia,i->ka", cols, gen.v)
     return A, b
 
 

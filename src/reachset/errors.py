@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the count, number and JSON field checks."""
+"""Exception types shared across the library, the count, number and JSON field
+checks, and the power-of-two scaling that keeps outputs scale-free."""
 
 from numbers import Integral, Real
 
@@ -96,6 +97,22 @@ def json_floats(d, what, *keys):
                 f"{what} JSON key {key!r} must hold numbers: {exc}"
             ) from exc
     return out
+
+
+def pow2_scale(x, axis=None):
+    """(x * 2^-e, e): x scaled, over `axis` (all of x by default), by the
+    power of two that brings the largest |entry| into [1/2, 1).
+
+    The scaling is exact, so no norm or product of the scaled entries
+    under- or overflows, and x and an exact 2^k multiple of it give the
+    same scaled bits and exponents e and e + k.  e has x's shape less the
+    reduced axes, and is 0 for an all-zero slice.  ``ldexp_normal`` scales
+    a result back.
+    """
+    import numpy as np  # the exception classes alone load no numpy
+
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(x, -e), e.squeeze(axis)[()]  # [()]: a scalar e for axis=None
 
 
 def ldexp_normal(value, exponent, what):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import diag_slots
-from .errors import CertificationFailed, ldexp_normal
+from .errors import CertificationFailed, ldexp_normal, pow2_scale
 from .pauli import CoherenceVector
 
 #: Relative agreement demanded between solver and certification oracle.
@@ -208,8 +208,7 @@ def max_purity_on_ellipsoid(gen):
 
     # the problem is homogeneous in r_eq: solve it for r_eq / 2^k, whose
     # largest entry lies in [0.5, 1), and scale the results back exactly
-    k = int(np.frexp(np.abs(gen.r_eq).max())[1])
-    r_eq = np.ldexp(gen.r_eq, -k)
+    r_eq, k = pow2_scale(gen.r_eq)
     c, M = _sphere_objective_data(gen.Rmat, r_eq)
     r_opt = _max_norm_on_sphere(c, M)
     val = float(r_opt @ r_opt)
@@ -218,7 +217,7 @@ def max_purity_on_ellipsoid(gen):
     # multiplier, unchanged by the scaling: 2 r = mu * R (2 r - r_eq); gc is
     # divided by a power of two once so that gc.gc cannot overflow
     gc = gen.Rmat @ (2.0 * r_opt - r_eq)
-    u = np.ldexp(gc, -np.frexp(np.abs(gc).max())[1])
+    u, _ = pow2_scale(gc)
     mu = float((2.0 * r_opt) @ u / (gc @ u))
     residual = abs(float(r_opt @ (gen.Rmat @ (r_opt - r_eq))))
 
@@ -246,5 +245,4 @@ def ellipsoid_axis_intersections(gen):
     alongside the sphere value because the two do not coincide in general.
     """
     slots = list(diag_slots(gen.n))
-    w = gen.Rmat @ gen.r_eq
-    return np.array([w[i] / gen.Rmat[i, i] for i in slots])
+    return gen.v[slots] / np.diagonal(gen.Rmat)[slots]

@@ -174,8 +174,7 @@ def encode(rho):
 
 def decode(v):
     """Reconstruct the density matrix I/2^n + sum_k r_k B_k."""
-    basis = build_basis(v.n)
-    rho = np.tensordot(v.r, basis.matrices[1:], axes=1)
+    rho = deviation_matrix(v)
     rho += np.eye(2 ** v.n) / 2 ** v.n
     return rho
 

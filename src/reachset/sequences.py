@@ -41,7 +41,8 @@ import numpy as np
 
 from .diagonal import DiagonalVector, diag_slots
 from .dynamics import _check_relaxation_time, relax_propagator
-from .errors import NoUniqueFixedPoint, ValidationError, check_count, check_real, ldexp_normal
+from .errors import (NoUniqueFixedPoint, ValidationError, check_count, check_real, ldexp_normal,
+                     pow2_scale)
 from .pauli import CoherenceVector, build_basis, unitary_rep, _readonly
 from .unitary_bound import kappa_channel
 
@@ -289,8 +290,8 @@ def _angle(states, target):
     vector and an exact 2^k multiple of it get the same bits.  A zero
     vector has cosine 0 and so the angle pi/2.
     """
-    x = np.ldexp(states, -np.frexp(np.abs(states).max(axis=-1, keepdims=True))[1])
-    t = np.ldexp(target.r, -np.frexp(np.abs(target.r).max())[1])
+    x, _ = pow2_scale(states, axis=-1)
+    t, _ = pow2_scale(target.r)
     norms = np.linalg.norm(x, axis=-1) * np.linalg.norm(t)
     cosine = x @ t / np.maximum(norms, 1e-300)
     return np.arccos(np.clip(cosine, -1.0, 1.0))
@@ -352,10 +353,9 @@ def simulate_sequence(gen, seq, start, record_every=1, target=None):
             rows.append(x.copy())
     states = np.asarray(rows)
     if target is not None:
-        k = np.frexp(np.abs(states).max(axis=1))[1]
-        j = np.frexp(np.abs(target.r).max())[1]
-        t = np.ldexp(target.r, -j)
-        eta = ldexp_normal(np.ldexp(states, -k[:, None]) @ t / float(t @ t), k - j,
+        x, k = pow2_scale(states, axis=1)
+        t, j = pow2_scale(target.r)
+        eta = ldexp_normal(x @ t / float(t @ t), k - j,
                            "the states' scale puts a period's eta")
         theta = _angle(states, target)
     else:
@@ -630,8 +630,8 @@ def robustness_sweep(gen, seq_builder, delta_c_values, delta_h_values, reference
         seq = seq_builder(cells_c[chunk], cells_h[chunk])
         x[chunk], q_chunk = _attracting_fixed_point(gen, seq, *one_period_map(gen, seq))
         q = max(q, q_chunk)
-    e = np.frexp(np.abs(ref).max())[1]
+    unit, e = pow2_scale(ref)
     diff = np.ldexp(x - ref, -e)  # exact, as is the reference's scaling
-    delta = np.sqrt(np.vecdot(diff, diff)) / np.linalg.norm(np.ldexp(ref, -e))
+    delta = np.sqrt(np.vecdot(diff, diff)) / np.linalg.norm(unit)
     return RobustnessResult(delta_c=dc, delta_h=dh, delta=delta.reshape((len(dc), len(dh))),
                             contraction_bound=q)

@@ -55,7 +55,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .diagonal import projected_field_stack, stacked_directions
-from .errors import OriginNotControllable, ValidationError, check_count
+from .errors import OriginNotControllable, ValidationError, check_count, pow2_scale
 from .pauli import _readonly, unitary_rep
 
 #: Most direction sets a stacked cone test evaluates at once: a chunk of
@@ -238,8 +238,7 @@ def _cone_verdicts(v, start=None):
     the rule that answers, changes the depth and the tetrahedron, not the
     verdict.  Uncertified sets report depth 0 and tetrahedron -1.
     """
-    _, e = np.frexp(np.abs(v).max(axis=(1, 2)))
-    v = np.ldexp(v, -e[:, None, None])  # exact: every |entry| now below 1
+    v, e = pow2_scale(v, axis=(1, 2))  # exact: every |entry| now below 1
     w = v.transpose(2, 0, 1)
     norms = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])  # (N, K)
     top = norms.max(axis=1)
@@ -475,7 +474,7 @@ def stlc_test_lp(directions):
         raise ValidationError("directions must be a (K, m) array")
     if not np.all(np.isfinite(v)):
         raise ValidationError("directions must be finite")
-    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])  # exact: every |entry| now below 1
+    v, _ = pow2_scale(v)  # exact: every |entry| now below 1
     m = v.shape[1]
     if np.linalg.matrix_rank(v, tol=1e-12) < m:
         return ConeVerdict(is_full=False)
@@ -537,7 +536,7 @@ def _trace_lockstep(A, b, origin, dirs, step, max_radius, tol):
     t = np.full(len(dirs), step)
     radius = np.full(len(dirs), max_radius)  # for rays that never exit
     # the skip test in units of 2^e
-    _, e = np.frexp(max(np.abs(A).max(), np.abs(b).max()))
+    _, e = pow2_scale(max(np.abs(A).max(), np.abs(b).max()))
     A_e, b_e = np.ldexp(A, -e), np.ldexp(b, -e)
     slope = np.linalg.norm(np.einsum("kab,rb->rka", A_e, dirs), axis=2).max(axis=1)  # L_d
     grow = np.linalg.norm(A_e, axis=(1, 2)).max()

@@ -25,7 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from .diagonal import diag_slots
-from .errors import ResidualTooLarge, ValidationError, ldexp_normal
+from .errors import ResidualTooLarge, ValidationError, ldexp_normal, pow2_scale
 from .pauli import CoherenceVector, build_basis, deviation_matrix, _readonly
 
 
@@ -54,8 +54,8 @@ def kappa_unitary_max(rho, sigma):
     """
     if rho.n != sigma.n:
         raise ValidationError("states have different qubit counts")
-    k = int(np.frexp(np.abs(sigma.r).max())[1])
-    unit = CoherenceVector(n=sigma.n, r=np.ldexp(sigma.r, -k))
+    r, k = pow2_scale(sigma.r)
+    unit = CoherenceVector(n=sigma.n, r=r)
     s_norm_sq = 2 ** sigma.n * float(unit.r @ unit.r)
     if s_norm_sq <= 0.0:
         raise ValidationError("target direction must be nonzero")
@@ -77,9 +77,8 @@ def kappa_channel(output, sigma, tol=1e-6):
     """
     if output.n != sigma.n:
         raise ValidationError("states have different qubit counts")
-    k = int(np.frexp(np.abs(output.r).max())[1])
-    j = int(np.frexp(np.abs(sigma.r).max())[1])
-    out, sig = np.ldexp(output.r, -k), np.ldexp(sigma.r, -j)
+    out, k = pow2_scale(output.r)
+    sig, j = pow2_scale(sigma.r)
     s_sq = float(sig @ sig)
     if s_sq <= 0.0:
         raise ValidationError("target direction must be nonzero")
@@ -106,7 +105,7 @@ def polytope_vertices(rho):
     if rho.n > 3:
         raise ValidationError("spectrum polytopes are enumerated for n <= 3")
     lam = deviation_spectrum(rho)
-    unit = np.ldexp(lam, -np.frexp(np.abs(lam).max())[1])  # exact: every |entry| below 1
+    unit, _ = pow2_scale(lam)  # exact: every |entry| below 1
     seen = set()
     rows = []
     for perm in permutations(range(len(lam))):

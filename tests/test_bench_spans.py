@@ -23,10 +23,9 @@ from reachset.diagonal import projected_field_stack
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: Spans the suite reads that this guard does not produce: the fit phase is
-#: left to the benchmark itself (a fit takes seconds), and `scipy.expm` is
+#: Spans the suite reads that this guard does not produce: `scipy.expm` is
 #: never wrapped since scipy is imported inside its callers.
-NOT_RUN = {"chloroform.fit_rates", "chloroform.simulate_block", "scipy.expm"}
+NOT_RUN = {"scipy.expm"}
 
 
 @pytest.fixture()
@@ -66,6 +65,9 @@ def test_traced_suite_records_every_span_it_reads(layers):
         rs.robustness_sweep(gen, rs.pps_pulse_sequence_builder(1.5), grid, grid,
                             reference=reference)
         rs.simulate_sequence(gen, rs.pps_sequence(1.5, repeat=3), source_state)
+        trajs = rs.synthesize_trajectories(rs.CHLOROFORM, "population", [[1.0, 4.0, 0.0]],
+                                           np.linspace(0.0, 40.0, 5))
+        rs.fit_rates(trajs, "population", n_starts=1, max_iter=14)
     finally:
         tracer.uninstall()
     recorded = {span[0] for span in tracer.spans}

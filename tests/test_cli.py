@@ -171,6 +171,29 @@ def test_fit_command(tmp_path):
     )
     meta = load_json(str(out) + ".meta.json")
     assert meta["rms_residual"] < 1e-7
+    assert meta["assembly_error"] is None
+
+
+def test_fit_sidecar_says_why_the_rates_do_not_assemble(tmp_path):
+    # 1% noise on two proton-coherence trajectories, one start 40% off the
+    # generating rates: only r10 + r11 is pinned, and the fit lands at
+    # r10 = -1.53, which assemble_generator refuses
+    starts = [np.eye(4)[0] * 2.0, np.eye(4)[2] * 1.5]
+    trajs = synthesize_trajectories(CHLOROFORM, "proton_coherence", starts,
+                                    np.linspace(0.0, 1.2, 10), noise=0.01, seed=305)
+    argv = ["fit", "--block", "proton_coherence", "--starts", "1", "--seed", "303",
+            "--init", str(tmp_path / "init.json"), "--out", str(tmp_path / "rates.json")]
+    for i, traj in enumerate(trajs):
+        write_trajectory_csv(tmp_path / f"traj{i}.csv", traj)
+        argv += ["--traj", str(tmp_path / f"traj{i}.csv")]
+    free = ("r10", "r11", "r12")
+    truth = np.array([getattr(CHLOROFORM, name) for name in free])
+    dump_json(CHLOROFORM.with_rates(free, truth * 1.4 + 1e-3).to_json_dict(),
+              tmp_path / "init.json")
+    assert run(*argv) == 0
+    assert load_json(tmp_path / "rates.json")["r"][9] < 0
+    meta = load_json(tmp_path / "rates.json.meta.json")
+    assert meta["assembly_error"] == "diagonal rate r10 must be positive"
 
 
 def test_robustness_command(tmp_path):
