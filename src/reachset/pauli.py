@@ -185,14 +185,26 @@ def deviation_matrix(v):
     return np.tensordot(v.r, basis.matrices[1:], axes=1)
 
 
+@lru_cache(maxsize=None)
+def _vectorized_basis(n):
+    """(conj(T), T^T), read-only, for T the 4^n x 4^n matrix whose row k is
+    B_k read row by row."""
+    T = build_basis(n).matrices.reshape(4 ** n, 4 ** n)
+    return _readonly(T.conj()), _readonly(T.T)
+
+
 def unitary_rep(U):
     """Represent a unitary, or each of a stack, as an orthogonal coherence-space matrix.
+
+    Row by row, vec(U B U^dag) = (U (x) conj(U)) vec(B) and Tr(B_k X) =
+    conj(vec(B_k)) . vec(X), so the representation is one product,
+    Re(conj(T) (U (x) conj(U)) T^T) / 2^n with T as in _vectorized_basis.
 
     Parameters
     ----------
     U : ndarray, shape (..., 2^n, 2^n)
-        Unitary matrix or stack of them (each validated to 1e-10); n is
-        read from the row count.
+        Unitary matrix or stack of them (each validated to 1e-10, and
+        finite); n is read from the row count.
 
     Returns
     -------
@@ -202,11 +214,16 @@ def unitary_rep(U):
     """
     U = np.asarray(U, dtype=complex)
     n = U.shape[-2].bit_length() - 1
-    basis = build_basis(n)
-    if U.shape[-2:] != (2 ** n, 2 ** n):
-        raise ValidationError(f"expected a {2**n}x{2**n} matrix, got {U.shape}")
-    if not np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(2 ** n), rtol=0, atol=1e-10):
+    Tbar, Tt = _vectorized_basis(n)
+    d = 2 ** n
+    if U.shape[-2:] != (d, d):
+        raise ValidationError(f"expected a {d}x{d} matrix, got {U.shape}")
+    unitary = np.isfinite(U).all()  # first: the product warns on inf and NaN
+    if unitary:
+        unitary = np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(d)).max(initial=0.0) <= 1e-10
+    if not unitary:
         raise ValidationError("matrix is not unitary")
-    conj = np.einsum("...ab,jbc,...dc->...jad", U, basis.matrices, U.conj())
-    rep = np.einsum("kab,...jba->...kj", basis.matrices, conj).real / 2 ** n
+    kron = (U[..., :, None, :, None] * U.conj()[..., None, :, None, :]).reshape(
+        U.shape[:-2] + (d * d, d * d))
+    rep = (Tbar @ kron @ Tt).real / d
     return _readonly(rep[..., 1:, 1:].copy())

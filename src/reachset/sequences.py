@@ -16,7 +16,8 @@ equal-coefficient direction as tau -> 0.  Conjugating the period with the
 basis-change gate W (Hadamard on the carbon followed by a CNOT) turns the
 same averaging core into a preparer of the maximally entangled state: the
 period W o map_PPS o W^T has fixed point W applied to the PPS fixed point,
-exactly.
+exactly.  The gate steps V, W^T and W are built once and shared by every
+standard sequence.
 
 Saturating one spin (strong resonant irradiation) is modeled by clamping
 every coordinate that involves that spin to zero and solving the remaining
@@ -36,6 +37,7 @@ same time, so one relaxation propagator serves the whole block.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,8 +81,11 @@ class GateStep:
         rep = np.asarray(self.rep, dtype=float)
         if rep.ndim < 2 or rep.shape[-2] != rep.shape[-1]:
             raise ValidationError("gate representation must be square")
-        excess = rep.swapaxes(-1, -2) @ rep - np.eye(rep.shape[-1])
-        if not np.allclose(excess, 0.0, rtol=0, atol=1e-9):
+        orthogonal = np.isfinite(rep).all()  # first: the product warns on inf and NaN
+        if orthogonal:
+            excess = rep.swapaxes(-1, -2) @ rep - np.eye(rep.shape[-1])
+            orthogonal = np.abs(excess).max(initial=0.0) <= 1e-9
+        if not orthogonal:
             raise ValidationError(f"gate {self.name!r} is not orthogonal")
         object.__setattr__(self, "rep", _readonly(rep.copy()))
         frobenius = np.linalg.norm(excess, axis=(-2, -1)).max(initial=0.0)
@@ -152,16 +157,23 @@ def pps_direction():
     return CoherenceVector(n=2, r=r)
 
 
+@lru_cache(maxsize=None)
+def _standard_gates():
+    """The GateSteps V, W^T and W, built once and shared by every sequence:
+    steps are frozen and their reps read-only."""
+    w = gate_step(bell_basis_change(), "W")
+    return gate_step(averaging_permutation(), "V"), GateStep(rep=w.rep.T, name="Wt"), w
+
+
 def bell_direction():
     """Deviation direction of the pseudo-Bell target, W applied to PPS."""
-    wrep = unitary_rep(bell_basis_change())
-    return CoherenceVector(n=2, r=wrep @ pps_direction().r)
+    return CoherenceVector(n=2, r=_standard_gates()[2].rep @ pps_direction().r)
 
 
 def pps_sequence(tau, repeat=1):
     """The averaging period [tau - V]: relax, then permute coefficients."""
-    steps = (RelaxStep(tau), gate_step(averaging_permutation(), "V"))
-    return PeriodicSequence(steps=steps, repeat=repeat)
+    v, _, _ = _standard_gates()
+    return PeriodicSequence(steps=(RelaxStep(tau), v), repeat=repeat)
 
 
 def bell_sequence(tau, repeat=1):
@@ -170,10 +182,8 @@ def bell_sequence(tau, repeat=1):
     Built so that the one-period map is exactly W o map_PPS o W^T, making
     the fixed point the W image of the averaging fixed point.
     """
-    wrep = unitary_rep(bell_basis_change())
-    steps = (GateStep(rep=wrep.T, name="Wt"), RelaxStep(tau),
-             gate_step(averaging_permutation(), "V"), GateStep(rep=wrep, name="W"))
-    return PeriodicSequence(steps=steps, repeat=repeat)
+    v, wt, w = _standard_gates()
+    return PeriodicSequence(steps=(wt, RelaxStep(tau), v, w), repeat=repeat)
 
 
 # ---------------------------------------------------------------------------

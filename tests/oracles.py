@@ -11,7 +11,7 @@ slower/brute-force routes exist to check them from a different direction.
 
 import numpy as np
 
-from reachset import CoherenceVector, stlc_test_3d
+from reachset import CoherenceVector, build_basis, stlc_test_3d
 from reachset.diagonal import projected_field_stack, stacked_directions
 from reachset.over_approx import (
     ORACLE_MAX_ITER,
@@ -243,3 +243,14 @@ def max_purity_multistart_serial(c, M, n_starts=ORACLE_STARTS, seed=ORACLE_SEED)
         if val > best_val:
             best_val, best_r = val, c + M @ y
     return best_val, best_r
+
+
+def unitary_rep_reference(U):
+    """unitary_rep by two einsums over the basis operators, without validation:
+    rep[k, j] = Tr(B_k U B_j U^dag) / 2^n for k, j >= 1."""
+    U = np.asarray(U, dtype=complex)
+    n = U.shape[-2].bit_length() - 1
+    basis = build_basis(n)
+    conj = np.einsum("...ab,jbc,...dc->...jad", U, basis.matrices, U.conj())
+    rep = np.einsum("kab,...jba->...kj", basis.matrices, conj).real / 2 ** n
+    return rep[..., 1:, 1:]

@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from reachset import (
     CoherenceVector,
+    GateStep,
     ValidationError,
     build_basis,
+    build_permutation_set,
     decode,
     encode,
     unitary_rep,
 )
 
 from conftest import haar_unitary, random_density_matrix
+from oracles import unitary_rep_reference
 
 
 def test_single_qubit_basis():
@@ -169,6 +174,49 @@ def test_unitary_rep_rejects_a_stack_with_one_nonunitary(rng):
         unitary_rep(stack)
     with pytest.raises(ValidationError, match="4x4"):
         unitary_rep(np.zeros((5, 4, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_unitary_rep_matches_the_einsum_oracle(rng, n, shape):
+    d = 2 ** n
+    stack = np.array([haar_unitary(rng, d) for _ in range(int(np.prod(shape)))])
+    stack = stack.reshape(shape + (d, d))
+    rep = unitary_rep(stack)
+    assert rep.shape == shape + (4 ** n - 1, 4 ** n - 1)
+    assert np.abs(rep - unitary_rep_reference(stack)).max() <= 4e-16
+    # each rep passes GateStep's orthogonality check
+    GateStep(rep=rep)
+    excess = rep.swapaxes(-1, -2) @ rep - np.eye(4 ** n - 1)
+    assert np.abs(excess).max() <= 1e-9
+
+
+def test_unitary_rep_of_permutations_is_exact():
+    # 0/1 entries times {0, +-1, +-i}: every product and sum is exact, so
+    # reps_full, and every radius traced from it, keeps the oracle's bits
+    controls = build_permutation_set(2)
+    P = np.zeros((24, 4, 4), dtype=complex)
+    P[np.arange(24)[:, None], controls.perms, np.arange(4)] = 1.0
+    assert np.array_equal(unitary_rep(P), unitary_rep_reference(P))
+    assert np.array_equal(controls.reps_full, unitary_rep_reference(P))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_unitary_rep_refuses_non_finite_entries_without_a_warning(rng, bad):
+    one = np.eye(4, dtype=complex)
+    one[1, 2] = bad
+    stack = np.array([haar_unitary(rng, 4) for _ in range(5)])
+    stack[3, 0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for U in (one, stack):
+            with pytest.raises(ValidationError, match="not unitary"):
+                unitary_rep(U)
+
+
+def test_unitary_rep_of_an_empty_stack():
+    rep = unitary_rep(np.zeros((0, 4, 4)))
+    assert rep.shape == (0, 15, 15)
 
 
 def test_conjugation_matches_rep(rng):

@@ -41,6 +41,8 @@ from reachset.sequences import (
     gate_step,
 )
 
+from oracles import unitary_rep_reference
+
 
 def thermal(gen):
     return CoherenceVector(n=2, r=gen.r_eq)
@@ -573,6 +575,34 @@ def test_gate_orthogonality_check_is_absolute():
     GateStep(rep=rep * (1 + 1e-12))
     with pytest.raises(ValidationError, match="not orthogonal"):
         GateStep(rep=rep * (1 + 4e-6))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gate_step_refuses_non_finite_entries_without_a_warning(bad):
+    one = np.array(unitary_rep(averaging_permutation()))
+    one[2, 5] = bad
+    stack = np.stack([unitary_rep(averaging_permutation())] * 3)
+    stack[1, 0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rep in (one, stack):
+            with pytest.raises(ValidationError, match="not orthogonal"):
+                GateStep(rep=rep)
+
+
+def test_standard_sequences_share_their_gates():
+    v = pps_sequence(1.0).steps[1]
+    assert pps_sequence(2.0).steps[1] is v
+    wt, _, v_bell, w = bell_sequence(1.5).steps
+    assert v_bell is v
+    assert bell_sequence(0.5).steps[0] is wt and bell_sequence(0.5).steps[3] is w
+    for step in (v, wt, w):
+        with pytest.raises(ValueError):
+            step.rep[0, 0] = 1.0
+    np.testing.assert_array_equal(wt.rep, w.rep.T)
+    # the bytes of the einsum form that bell_direction was once built from
+    oracle = unitary_rep_reference(bell_basis_change()) @ pps_direction().r
+    assert bell_direction().r.tobytes() == oracle.tobytes()
 
 
 def test_stacks_rejected_at_the_boundary(chloroform_gen):

@@ -1,4 +1,5 @@
-"""Count the cone-test work of tracing the benchmark's fans.
+"""Count the cone-test work of tracing the benchmark's fans, and the gate
+representations and propagators of one of its protocol tasks.
 
     python3 tools/trace_counts.py
 
@@ -22,8 +23,14 @@ A certified set counts under the first of these that its reported
 tetrahedron matches, so a start that the exchange leaves unchanged counts
 as carried; an uncertified set counts under hull when it reaches
 ``_hull_depth``, and as separated otherwise.  The last column is the
-SHA-256 of the radii, to compare two checkouts.  The counts are
-deterministic and repeat exactly.
+SHA-256 of the radii, to compare two checkouts.
+
+The last row runs one ``protocols`` task of the benchmark on the inputs
+that seed 201 derives there (four relaxation times, a 9 x 9 error grid) and
+counts its ``unitary_rep`` and ``relax_propagator`` calls.  The task runs
+once uncounted first, as the benchmark warms up before it times tasks, so
+gates that are built once do not count.  The counts are deterministic and
+repeat exactly.
 """
 
 import hashlib
@@ -36,10 +43,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import reachset as rs  # noqa: E402
-from reachset import under_approx  # noqa: E402
+from reachset import sequences, under_approx  # noqa: E402
 
 SOURCES = ("carried", "axis", "exchange", "separated", "hull")
 EXTREME_TETRAHEDRA = list(combinations(range(6), 4))
+PROTOCOL_CALLS = ("unitary_rep", "relax_propagator")
 
 
 def rotation(seed):
@@ -101,6 +109,49 @@ def trace(gen, controls, rays):
     return radii, counts
 
 
+def protocols_task(gen, seed):
+    """One ``protocols`` task of the benchmark, on the inputs it derives
+    from seed."""
+    rng = np.random.default_rng(seed)
+    span = rng.uniform(0.03, 0.06)
+    taus = np.sort(rng.uniform(1.0, 3.0, 4))
+    grid = np.linspace(-span, span, 9)
+    for tau in taus:
+        rs.fixed_point(gen, rs.pps_sequence(tau), target=rs.pps_direction(), kappa_tol=1.0)
+        rs.fixed_point(gen, rs.bell_sequence(tau), target=rs.bell_direction(), kappa_tol=1.0)
+    rs.simulate_sequence(gen, rs.pps_sequence(taus[0], repeat=500),
+                         rs.CoherenceVector(n=2, r=gen.r_eq), target=rs.pps_direction())
+    ref = rs.fixed_point(gen, rs.pps_sequence(taus[-1])).x_star
+    for compensated in (True, False):
+        builder = rs.pps_pulse_sequence_builder(taus[-1], compensated=compensated)
+        rs.robustness_sweep(gen, builder, grid, grid, reference=ref)
+    rs.noe_steady_state(gen, "C")
+    rs.noe_steady_state(gen, "H")
+
+
+def protocol_counts(gen, seed=201):
+    """Calls of each of PROTOCOL_CALLS in one warm protocols task, counted
+    through the module attributes the sequences call."""
+    protocols_task(gen, seed)
+    counts = dict.fromkeys(PROTOCOL_CALLS, 0)
+    originals = {name: getattr(sequences, name) for name in PROTOCOL_CALLS}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    for name in PROTOCOL_CALLS:
+        setattr(sequences, name, counting(name))
+    try:
+        protocols_task(gen, seed)
+    finally:
+        for name, original in originals.items():
+            setattr(sequences, name, original)
+    return counts
+
+
 def main():
     gen = rs.assemble_generator()
     controls = rs.build_permutation_set(2)
@@ -117,6 +168,8 @@ def main():
         print(f"{name:<14}" + "".join(f"{counts[c]:>10}" for c in columns) + f"  {digest}")
     mean = np.mean(bounds, axis=0)
     print(f"{'bounds mean':<14}" + "".join(f"{m:>10.1f}" for m in mean))
+    counts = protocol_counts(gen)
+    print(f"{'protocols 201':<14}" + "".join(f"  {n} {c}" for n, c in counts.items()))
     return 0
 
 
